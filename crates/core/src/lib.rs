@@ -125,6 +125,7 @@ pub const FAULT_POINTS: &[&str] = &[
     "enq_slow::pre_commit",
     "help_enq::pre_reserve",
     "help_enq::top_race",
+    "help_enq::pre_claim",
     "help_enq::pre_complete",
     // raw.rs — dequeue (Listing 4).
     "deq::hazard_published",

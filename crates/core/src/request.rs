@@ -63,8 +63,11 @@ impl EnqReq {
 
     /// The paper's `try_to_claim_req` (lines 60–61): transitions the state
     /// from `(pending = 1, id)` to `(pending = 0, cell_id)`, claiming the
-    /// request for cell `cell_id`. At most one claimer can win.
-    pub(crate) fn try_claim(&self, id: u64, cell_id: u64) -> bool {
+    /// request for cell `cell_id`. At most one claimer can win. A losing
+    /// claim returns the state its CAS observed — the paper's CAS refreshes
+    /// the caller's copy of the state on failure, and `help_enq` must judge
+    /// the loss against that fresh state, not the one it read before.
+    pub(crate) fn try_claim(&self, id: u64, cell_id: u64) -> Result<(), ReqState> {
         self.state
             .compare_exchange(
                 pack::pack(true, id),
@@ -72,7 +75,8 @@ impl EnqReq {
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             )
-            .is_ok()
+            .map(|_| ())
+            .map_err(pack::unpack)
     }
 
     pub(crate) fn state(&self) -> ReqState {
@@ -143,8 +147,12 @@ mod tests {
         assert_eq!(s.index, 7);
         assert_eq!(v, 99);
 
-        assert!(r.try_claim(7, 12), "first claim wins");
-        assert!(!r.try_claim(7, 13), "second claim loses");
+        assert_eq!(r.try_claim(7, 12), Ok(()), "first claim wins");
+        assert_eq!(
+            r.try_claim(7, 13),
+            Err(ReqState { pending: false, index: 12 }),
+            "second claim loses and sees the winner's claim"
+        );
         let s = r.state();
         assert!(!s.pending);
         assert_eq!(s.index, 12, "state now names the claimed cell");
@@ -154,7 +162,7 @@ mod tests {
     fn enq_claim_requires_matching_id() {
         let r = EnqReq::new();
         r.publish(1, 5);
-        assert!(!r.try_claim(4, 9), "stale id must not claim");
+        assert!(r.try_claim(4, 9).is_err(), "stale id must not claim");
         assert!(r.state().pending);
     }
 

@@ -282,11 +282,21 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
-    static DROPS: AtomicUsize = AtomicUsize::new(0);
+    /// One drop counter per counting test: the default runner runs tests
+    /// in parallel, so a shared counter would mix their counts.
+    static DROPS: [AtomicUsize; 3] = [
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+    ];
 
-    unsafe fn count_deleter(p: *mut u8) {
-        DROPS.fetch_add(1, Ordering::Relaxed);
+    unsafe fn count_deleter<const K: usize>(p: *mut u8) {
+        DROPS[K].fetch_add(1, Ordering::Relaxed);
         unsafe { drop(Box::from_raw(p as *mut u64)) };
+    }
+
+    fn drops<const K: usize>() -> usize {
+        DROPS[K].load(Ordering::Relaxed)
     }
 
     fn boxed(v: u64) -> *mut u8 {
@@ -295,34 +305,32 @@ mod tests {
 
     #[test]
     fn unpinned_garbage_ages_out() {
-        DROPS.store(0, Ordering::Relaxed);
         let d = EbrDomain::new();
         let mut t = d.register();
         for i in 0..10 {
-            unsafe { t.retire(boxed(i), count_deleter) };
+            unsafe { t.retire(boxed(i), count_deleter::<0>) };
         }
         // Each collect may advance the epoch once; after a few, the
         // garbage is two epochs old and freed.
         for _ in 0..4 {
             t.collect();
         }
-        assert_eq!(DROPS.load(Ordering::Relaxed), 10);
+        assert_eq!(drops::<0>(), 10);
     }
 
     #[test]
     fn pinned_reader_blocks_the_epoch() {
-        DROPS.store(0, Ordering::Relaxed);
         let d = EbrDomain::new();
         let reader = d.register();
         let mut writer = d.register();
 
         let guard = reader.pin();
-        unsafe { writer.retire(boxed(1), count_deleter) };
+        unsafe { writer.retire(boxed(1), count_deleter::<1>) };
         for _ in 0..8 {
             writer.collect();
         }
         assert_eq!(
-            DROPS.load(Ordering::Relaxed),
+            drops::<1>(),
             0,
             "pinned reader must hold the epoch back"
         );
@@ -330,7 +338,7 @@ mod tests {
         for _ in 0..4 {
             writer.collect();
         }
-        assert_eq!(DROPS.load(Ordering::Relaxed), 1);
+        assert_eq!(drops::<1>(), 1);
     }
 
     #[test]
@@ -359,7 +367,6 @@ mod tests {
 
     #[test]
     fn concurrent_readers_and_reclaimer() {
-        DROPS.store(0, Ordering::Relaxed);
         let d = EbrDomain::new();
         let shared = AtomicPtr::new(boxed(0) as *mut u64);
         let iters = 2_000u64;
@@ -372,7 +379,7 @@ mod tests {
                     for i in 1..=iters {
                         let fresh = boxed(i) as *mut u64;
                         let old = shared.swap(fresh, Ordering::AcqRel);
-                        unsafe { t.retire(old as *mut u8, count_deleter) };
+                        unsafe { t.retire(old as *mut u8, count_deleter::<2>) };
                     }
                     for _ in 0..8 {
                         t.collect();
@@ -398,6 +405,6 @@ mod tests {
         });
         let final_ptr = shared.load(Ordering::Acquire);
         unsafe { drop(Box::from_raw(final_ptr)) };
-        assert_eq!(DROPS.load(Ordering::Relaxed), iters as usize);
+        assert_eq!(drops::<2>(), iters as usize);
     }
 }

@@ -2,6 +2,7 @@
 //! patience sweeps, helping, and typed-queue semantics under contention.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 
 use wfqueue::{Config, RawQueue, WfQueue};
 
@@ -87,12 +88,19 @@ fn helping_happens_under_wf0_contention() {
     let q: RawQueue<16> = RawQueue::with_config(Config::wf0());
     let got = AtomicU64::new(0);
     const TOTAL: u64 = 60_000;
+    // All three handles register before any traffic starts. Otherwise a
+    // thread that runs to completion before the next one registers hands
+    // its node back to the pool, the next thread recycles it, and a lone
+    // live node is its own dequeue peer, so no peer helping is counted.
+    let start = Barrier::new(3);
     std::thread::scope(|s| {
         for t in 0..3u64 {
             let q = &q;
             let got = &got;
+            let start = &start;
             s.spawn(move || {
                 let mut h = q.register();
+                start.wait();
                 let mut rng = wfq_sync::XorShift64::for_stream(11, t);
                 let tag = (t + 1) << 40;
                 let mut c = 0;
@@ -116,41 +124,53 @@ fn helping_happens_under_wf0_contention() {
     }
 }
 
-/// Typed queue under contention with drop-sensitive payloads.
+/// Typed queue under contention with drop-sensitive payloads. Consumers
+/// give up after the producers finish and a bounded run of EMPTY polls, so
+/// a lost value fails the count below instead of hanging the test.
 #[test]
 fn typed_queue_contended_boxes_survive() {
     let q: WfQueue<Box<[u8; 64]>> = WfQueue::with_config(Config::wf0());
     let consumed = AtomicU64::new(0);
+    let producing = AtomicU64::new(2);
     const TOTAL: u64 = 6_000;
+    const IDLE_POLLS: u32 = 10_000;
     std::thread::scope(|s| {
         for _ in 0..2 {
             let q = &q;
+            let producing = &producing;
             s.spawn(move || {
                 let mut h = q.handle();
                 for i in 0..TOTAL / 2 {
                     h.enqueue(Box::new([i as u8; 64]));
                 }
+                producing.fetch_sub(1, Ordering::Release);
             });
         }
         for _ in 0..2 {
             let q = &q;
-            let consumed = &consumed;
+            let (consumed, producing) = (&consumed, &producing);
             s.spawn(move || {
                 let mut h = q.handle();
-                loop {
-                    if consumed.load(Ordering::Relaxed) >= TOTAL {
-                        break;
-                    }
+                let mut idle = 0;
+                while consumed.load(Ordering::Relaxed) < TOTAL && idle < IDLE_POLLS {
                     if let Some(b) = h.dequeue() {
                         // Every byte in the box must agree (no torn boxes).
                         let first = b[0];
                         assert!(b.iter().all(|&x| x == first));
                         consumed.fetch_add(1, Ordering::Relaxed);
+                        idle = 0;
+                    } else if producing.load(Ordering::Acquire) == 0 {
+                        idle += 1;
                     }
                 }
             });
         }
     });
+    assert_eq!(
+        consumed.load(Ordering::Relaxed),
+        TOTAL,
+        "values were lost: the queue ran dry before every box came back"
+    );
     assert!(q.is_empty());
 }
 
