@@ -56,18 +56,29 @@ impl Cell {
             .is_ok()
     }
 
-    /// The help_enq opening move (paper line 91): attempt `(val: ⊥ → ⊤)`.
-    /// Returns the value if the cell already held a real one.
+    /// The help_enq opening move (paper line 91): `(val: ⊥ → ⊤)`. Returns
+    /// the value if the cell already held a real one.
+    ///
+    /// The cell is read first and CASed only while it is still ⊥, as the
+    /// authors' C code does. A failed CAS is a SeqCst read, so the plain
+    /// SeqCst load means the same thing, and a filled cell — the common
+    /// case of every dequeue from a non-empty queue — costs a `mov` instead
+    /// of a locked CAS that is bound to fail.
     #[inline]
     pub fn mark_or_value(&self) -> Option<u64> {
-        match self
-            .val
-            .compare_exchange(VAL_BOTTOM, VAL_TOP, Ordering::SeqCst, Ordering::SeqCst)
-        {
-            Ok(_) => None,
-            Err(cur) if cur != VAL_TOP => Some(cur),
-            Err(_) => None,
-        }
+        let cur = match self.val.load(Ordering::SeqCst) {
+            VAL_BOTTOM => match self.val.compare_exchange(
+                VAL_BOTTOM,
+                VAL_TOP,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            ) {
+                Ok(_) => return None,
+                Err(cur) => cur,
+            },
+            cur => cur,
+        };
+        (cur != VAL_TOP).then_some(cur)
     }
 
     #[inline]

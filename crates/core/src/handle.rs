@@ -121,14 +121,18 @@ impl<const N: usize> HandleNode<N> {
         self.next.load(Ordering::Acquire)
     }
 
-    /// Publishes this thread's hazard and issues the store-load fence the
-    /// reclamation protocol requires (§3.6 "Overhead"; we always emit the
-    /// fence rather than relying on x86's FAA side effect, which keeps the
-    /// implementation sound under the portable memory model).
+    /// Publishes this thread's hazard with a SeqCst store and no fence.
+    ///
+    /// The owner stores its hazard and then reads its segment pointer; a
+    /// cleaner CASes that pointer and then reads the hazard. That is the
+    /// store-buffer pattern, and with all four accesses SeqCst the C11
+    /// total order forbids both reads missing the other side's write — so
+    /// the pointer reads that follow a publish (`find_cell`'s first load,
+    /// `enq_slow`'s and the batch dequeue's local copies) are SeqCst loads,
+    /// which x86 lowers to plain `mov`s. DESIGN.md §3 has the argument.
     #[inline]
     pub fn publish_hazard(&self, seg_id: i64) {
         self.hzd_id.store(seg_id, Ordering::SeqCst);
-        core::sync::atomic::fence(Ordering::SeqCst);
     }
 
     /// Clears the hazard at operation epilogue.

@@ -30,7 +30,7 @@
 //! hazard slot, so a stale hazard can only make reclamation more
 //! conservative, never unsound.
 
-use core::sync::atomic::{fence, AtomicPtr, Ordering};
+use core::sync::atomic::{AtomicPtr, Ordering};
 
 use wfq_sync::inject;
 
@@ -251,8 +251,9 @@ impl<const N: usize> RawQueue<N> {
                 }
             }
             // Line 246: Dijkstra protocol — after the CAS, re-verify the
-            // owner's hazard; it may have been published concurrently.
-            fence(Ordering::SeqCst);
+            // owner's hazard; it may have been published concurrently. The
+            // SeqCst CAS and load pair with the owner's SeqCst hazard store
+            // and pointer load, so no fence is needed (DESIGN.md §3).
             verify(boundary, p.hzd_id.load(Ordering::SeqCst));
         }
         let _ = oid;

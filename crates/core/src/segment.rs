@@ -161,7 +161,10 @@ pub(crate) unsafe fn find_cell<const N: usize>(
     cell_id: u64,
     src: &SegSource<'_, N>,
 ) -> *mut Cell {
-    let mut s = sp.load(Ordering::Acquire);
+    // SeqCst, not Acquire: this is the read that follows the caller's
+    // hazard publication, and it must not miss a cleaner's CAS of the same
+    // pointer (the store-buffer pairing in `HandleNode::publish_hazard`).
+    let mut s = sp.load(Ordering::SeqCst);
     debug_assert!(!s.is_null());
     let target = cell_id / N as u64;
     // SAFETY: `s` is live per the function contract.
