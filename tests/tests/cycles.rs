@@ -97,8 +97,13 @@ mod ledger_coverage {
     const PAIRS: u64 = 5_000;
 
     /// Runs a pair loop on a fresh thread (fresh thread-local ledger) and
-    /// returns (ledger delta, wall ticks of the loop).
+    /// returns (ledger delta, wall ticks of the loop). `ledger_totals`
+    /// sums every thread's ledger, so the loops run one at a time: under
+    /// the default parallel runner two tests' loops would count each
+    /// other's spans.
     fn run_pairs() -> (wfq_obs::LedgerTotals, u64) {
+        static ONE_LOOP_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _guard = ONE_LOOP_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
         std::thread::spawn(|| {
             let q = <RawQueue as BenchQueue>::new();
             let mut h = q.register();
