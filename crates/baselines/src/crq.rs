@@ -301,10 +301,11 @@ mod tests {
         let sum = AtomicU64::new(0);
         let got = AtomicU64::new(0);
         let pushed = AtomicU64::new(0);
+        let producing = AtomicU64::new(2);
         std::thread::scope(|s| {
             for t in 0..2u64 {
                 let q = &q;
-                let pushed = &pushed;
+                let (pushed, producing) = (&pushed, &producing);
                 s.spawn(move || {
                     for v in 0..400 {
                         if q.enqueue(t * 400 + v + 1) == CrqPush::Ok {
@@ -316,13 +317,17 @@ mod tests {
                             break;
                         }
                     }
+                    producing.fetch_sub(1, Ordering::Release);
                 });
             }
             for _ in 0..2 {
                 let q = &q;
                 let sum = &sum;
                 let got = &got;
+                let producing = &producing;
                 s.spawn(move || {
+                    // Idle polls count only once both producers are done: a
+                    // descheduled producer must not end the drain early.
                     let mut idle = 0;
                     while idle < 10_000 {
                         match q.dequeue() {
@@ -331,7 +336,8 @@ mod tests {
                                 got.fetch_add(1, Ordering::Relaxed);
                                 idle = 0;
                             }
-                            None => idle += 1,
+                            None if producing.load(Ordering::Acquire) == 0 => idle += 1,
+                            None => {}
                         }
                     }
                 });
