@@ -64,48 +64,14 @@ pub use wfqueue::{BackendHandle, QueueBackend};
 pub use wfqueue::{BackendHandle as QueueHandle, QueueBackend as BenchQueue};
 
 mod wf_impl {
-    use super::{BenchQueue, QueueHandle};
-    use wfqueue::{Config, Full, Gauges, Handle, OpSample, QueueStats, RawQueue};
+    use super::BenchQueue;
+    use wfqueue::{Config, Gauges, Handle, QueueStats, RawQueue};
 
     /// Newtype selecting the paper's WF-0 configuration (patience 0).
     pub struct Wf0(pub RawQueue);
 
-    /// Handle for [`Wf0`].
-    pub struct Wf0Handle<'q>(Handle<'q>);
-
-    impl QueueHandle for Wf0Handle<'_> {
-        #[inline]
-        fn enqueue(&mut self, v: u64) {
-            self.0.enqueue(v);
-        }
-        #[inline]
-        fn dequeue(&mut self) -> Option<u64> {
-            self.0.dequeue()
-        }
-        #[inline]
-        fn try_enqueue(&mut self, v: u64) -> Result<(), Full> {
-            self.0.try_enqueue(v)
-        }
-        #[inline]
-        fn enqueue_batch(&mut self, vs: &[u64]) {
-            self.0.enqueue_batch(vs);
-        }
-        #[inline]
-        fn try_enqueue_batch(&mut self, vs: &[u64]) -> Result<(), Full> {
-            self.0.try_enqueue_batch(vs)
-        }
-        #[inline]
-        fn dequeue_batch(&mut self, out: &mut Vec<u64>, max: usize) -> usize {
-            self.0.dequeue_batch(out, max)
-        }
-        #[inline]
-        fn last_op_sample(&self) -> Option<OpSample> {
-            Handle::last_op_sample(&self.0)
-        }
-    }
-
     impl BenchQueue for Wf0 {
-        type Handle<'q> = Wf0Handle<'q>;
+        type Handle<'q> = Handle<'q>;
         const NAME: &'static str = "WF-0";
         const HONORS_CEILING: bool = true;
         fn new() -> Self {
@@ -119,7 +85,7 @@ mod wf_impl {
             Wf0(RawQueue::with_config(config))
         }
         fn register(&self) -> Self::Handle<'_> {
-            Wf0Handle(self.0.register())
+            self.0.register()
         }
         fn stats(&self) -> QueueStats {
             self.0.stats()
@@ -133,7 +99,7 @@ mod wf_impl {
     }
 }
 
-pub use wf_impl::{Wf0, Wf0Handle};
+pub use wf_impl::Wf0;
 
 #[cfg(test)]
 mod wf_conformance {

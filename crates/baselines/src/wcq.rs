@@ -407,9 +407,12 @@ impl Wcq {
                         .compare_exchange((st, pos), (st + SEQ_ONE, UNSET));
                     continue;
                 }
-                // A foreign value at our exclusive ticket is impossible.
-                debug_assert!(false, "foreign entry at exclusive enq ticket");
-                return;
+                // A foreign value at our exclusive ticket is impossible;
+                // dropping the enqueue here would lose it silently.
+                panic!(
+                    "foreign entry at exclusive enq ticket: ticket={ticket} \
+                     tc={tc} e={e:#018x} tid={tid}"
+                );
             }
             if ecycle(e) > tc {
                 // Slot recycled past our cycle without an install (had we

@@ -29,10 +29,20 @@
 //!   is what the benchmarks drive, mirroring the authors' C benchmark which
 //!   enqueues small integers cast to `void*`.
 //!
-//! Both are operated through per-thread **handles** ([`Handle`],
-//! [`LocalHandle`]): the paper keeps head/tail segment pointers, help
-//! requests and peer pointers in thread-local state to keep the shared queue
-//! free of contention beyond the two FAA'd indices.
+//! Both are operated through per-thread **handles**: the paper keeps
+//! head/tail segment pointers, help requests and peer pointers in
+//! thread-local state to keep the shared queue free of contention beyond
+//! the two FAA'd indices. There is one handle implementation,
+//! [`RawHandle`], generic over how it holds its queue ([`QueueRef`]), and
+//! one typed wrapper over it, [`TypedHandle`], which boxes and unboxes the
+//! values. Four aliases name them:
+//!
+//! | | borrows the queue | owns an `Arc` of it |
+//! |---|---|---|
+//! | [`RawQueue`] | [`Handle`] ([`RawQueue::register`]) | [`OwnedHandle`] |
+//! | [`WfQueue<T>`] | [`LocalHandle`] ([`WfQueue::handle`]) | [`OwnedLocalHandle`] |
+//!
+//! The owning kinds can move into a detached `std::thread::spawn` worker.
 //!
 //! ```
 //! use wfqueue::WfQueue;
@@ -74,7 +84,6 @@ mod full;
 mod handle;
 #[cfg(test)]
 mod idempotence;
-mod owned;
 mod pack;
 mod persist;
 mod pool;
@@ -96,13 +105,12 @@ pub use durable::{
 #[cfg(all(feature = "durable", unix))]
 pub use durable::HeapFileStore;
 pub use full::Full;
-pub use owned::{OwnedHandle, OwnedLocalHandle};
 #[cfg(feature = "durable")]
 pub use persist::PersistSink;
-pub use raw::{Handle, RawQueue};
+pub use raw::{Handle, OwnedHandle, QueueRef, RawHandle, RawQueue};
 pub use sample::{OpPath, OpSample, OpSide, SAMPLING_ENABLED};
 pub use stats::{Gauges, QueueStats};
-pub use typed::{LocalHandle, WfQueue};
+pub use typed::{LocalHandle, OwnedLocalHandle, TypedHandle, WfQueue};
 
 /// Default number of cells per segment (the paper's N = 2^10).
 pub const DEFAULT_SEGMENT_SIZE: usize = 1024;

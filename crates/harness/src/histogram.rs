@@ -3,7 +3,8 @@
 //! The paper's motivation is queues with "fast **and predictable**
 //! performance"; wait-freedom is fundamentally a tail-latency guarantee.
 //! Figure 2 only shows throughput, so this reproduction adds a latency
-//! experiment (`wfq-bench --bin latency`), backed by this histogram:
+//! experiment (`wfq-bench --bin latency_observatory`), backed by this
+//! histogram:
 //! power-of-two-ish buckets (base-2 exponent + 4 sub-buckets) covering
 //! 1 ns .. ~1000 s with bounded error ≤ ~12.5% per sample, constant-time
 //! recording, and exact counts.

@@ -90,58 +90,89 @@ fn perf_open_never_fails_whatever_the_environment_grants() {
 
 #[cfg(feature = "cycles")]
 mod ledger_coverage {
+    use std::sync::Arc;
+
     use wfq_baselines::BenchQueue;
-    use wfq_obs::{clock, ledger_totals, Phase, ALL_PHASES, CYCLES_ENABLED};
-    use wfqueue::RawQueue;
+    use wfq_obs::{clock, ledger_totals, LedgerTotals, Phase, ALL_PHASES, CYCLES_ENABLED};
+    use wfqueue::{OwnedHandle, RawQueue};
 
     const PAIRS: u64 = 5_000;
 
-    /// Runs a pair loop on a fresh thread (fresh thread-local ledger) and
-    /// returns (ledger delta, wall ticks of the loop). `ledger_totals`
-    /// sums every thread's ledger, so the loops run one at a time: under
-    /// the default parallel runner two tests' loops would count each
-    /// other's spans.
-    fn run_pairs() -> (wfq_obs::LedgerTotals, u64) {
+    /// How the pair loop's handle holds the queue.
+    #[derive(Clone, Copy, Debug)]
+    enum HandleKind {
+        /// `q.register()`, borrowing the queue.
+        Registered,
+        /// `OwnedHandle::new(Arc)`, sharing it.
+        Owned,
+    }
+
+    /// Runs a pair loop through a handle of `kind` on a fresh thread
+    /// (fresh thread-local ledger) and returns (ledger delta, wall ticks
+    /// of the loop). `ledger_totals` sums every thread's ledger, so the
+    /// loops run one at a time: under the default parallel runner two
+    /// tests' loops would count each other's spans.
+    fn run_pairs(kind: HandleKind) -> (LedgerTotals, u64) {
         static ONE_LOOP_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
         let _guard = ONE_LOOP_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-        std::thread::spawn(|| {
-            let q = <RawQueue as BenchQueue>::new();
-            let mut h = q.register();
-            let before = ledger_totals();
-            let t0 = clock::raw_now();
-            for i in 1..=PAIRS {
-                h.enqueue(i);
-                std::hint::black_box(h.dequeue());
+        std::thread::spawn(move || {
+            let q = Arc::new(<RawQueue as BenchQueue>::new());
+            match kind {
+                HandleKind::Registered => {
+                    let mut h = q.register();
+                    time_pairs(|v| {
+                        h.enqueue(v);
+                        h.dequeue()
+                    })
+                }
+                HandleKind::Owned => {
+                    let mut h = OwnedHandle::new(Arc::clone(&q));
+                    time_pairs(|v| {
+                        h.enqueue(v);
+                        h.dequeue()
+                    })
+                }
             }
-            let wall = clock::raw_now().saturating_sub(t0);
-            (ledger_totals().delta_since(&before), wall)
         })
         .join()
         .unwrap()
     }
 
+    fn time_pairs(mut pair: impl FnMut(u64) -> Option<u64>) -> (LedgerTotals, u64) {
+        let before = ledger_totals();
+        let t0 = clock::raw_now();
+        for i in 1..=PAIRS {
+            std::hint::black_box(pair(i));
+        }
+        let wall = clock::raw_now().saturating_sub(t0);
+        (ledger_totals().delta_since(&before), wall)
+    }
+
     #[test]
     fn real_queue_ops_populate_every_hot_path_phase() {
         assert!(CYCLES_ENABLED);
-        let (d, _) = run_pairs();
-        // The Glue envelope brackets each op exactly once.
-        assert_eq!(d.entries_of(Phase::Glue), 2 * PAIRS);
-        // Single-threaded pairs take the fast path: one FAA span per
-        // enqueue, one emptiness-probe + one FAA span per dequeue... at
-        // minimum, every op claims an index.
-        assert!(d.entries_of(Phase::Faa) >= 2 * PAIRS);
-        for p in [Phase::FindCell, Phase::CellCas, Phase::Stats, Phase::Hazard] {
-            assert!(d.entries_of(p) > 0, "{} never entered", p.name());
-            assert!(d.ticks_of(p) > 0, "{} recorded no time", p.name());
+        for kind in [HandleKind::Registered, HandleKind::Owned] {
+            let (d, _) = run_pairs(kind);
+            // The Glue envelope brackets each op exactly once, whichever
+            // way the handle holds the queue.
+            assert_eq!(d.entries_of(Phase::Glue), 2 * PAIRS, "{kind:?}");
+            // Single-threaded pairs take the fast path: one FAA span per
+            // enqueue, one emptiness-probe + one FAA span per dequeue...
+            // at minimum, every op claims an index.
+            assert!(d.entries_of(Phase::Faa) >= 2 * PAIRS, "{kind:?}");
+            for p in [Phase::FindCell, Phase::CellCas, Phase::Stats, Phase::Hazard] {
+                assert!(d.entries_of(p) > 0, "{kind:?}: {} never entered", p.name());
+                assert!(d.ticks_of(p) > 0, "{kind:?}: {} recorded no time", p.name());
+            }
+            // The uncontended loop never needs the slow path.
+            assert_eq!(d.entries_of(Phase::SlowPath), 0, "{kind:?}");
+            assert_eq!(d.overflows, 0, "{kind:?}: nesting must fit MAX_NEST_DEPTH");
         }
-        // The uncontended loop never needs the slow path.
-        assert_eq!(d.entries_of(Phase::SlowPath), 0);
-        assert_eq!(d.overflows, 0, "nesting must fit MAX_NEST_DEPTH");
     }
 
     #[test]
     fn phase_self_times_sum_within_the_measured_wall_window() {
-        let (d, wall) = run_pairs();
+        let (d, wall) = run_pairs(HandleKind::Registered);
         let sum: u64 = ALL_PHASES.iter().map(|p| d.ticks_of(*p)).sum();
         assert_eq!(sum, d.total_ticks());
         // Self-time accounting cannot invent time: the per-phase sum is

@@ -61,8 +61,13 @@ mod sampled_build {
     #[test]
     fn every_operation_leaves_a_sample() {
         assert!(wfqueue::SAMPLING_ENABLED);
-        let q = <RawQueue as BenchQueue>::new();
-        let mut h = RawQueue::register(&q);
+        let q = std::sync::Arc::new(<RawQueue as BenchQueue>::new());
+        sample_each_op(RawQueue::register(&q));
+        // The same handle code holds the queue through an Arc.
+        sample_each_op(wfqueue::OwnedHandle::new(std::sync::Arc::clone(&q)));
+    }
+
+    fn sample_each_op<Q: wfqueue::QueueRef<1024>>(mut h: wfqueue::RawHandle<Q>) {
         assert_eq!(h.last_op_sample(), None, "no sample before the first op");
         h.enqueue(7);
         let s = h.last_op_sample().expect("enqueue must leave a sample");
