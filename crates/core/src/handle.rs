@@ -121,18 +121,37 @@ impl<const N: usize> HandleNode<N> {
         self.next.load(Ordering::Acquire)
     }
 
-    /// Publishes this thread's hazard with a SeqCst store and no fence.
+    /// Publishes this thread's hazard, ordered by the caller's next FAA.
     ///
     /// The owner stores its hazard and then reads its segment pointer; a
     /// cleaner CASes that pointer and then reads the hazard. That is the
-    /// store-buffer pattern, and with all four accesses SeqCst the C11
-    /// total order forbids both reads missing the other side's write — so
-    /// the pointer reads that follow a publish (`find_cell`'s first load,
-    /// `enq_slow`'s and the batch dequeue's local copies) are SeqCst loads,
-    /// which x86 lowers to plain `mov`s. DESIGN.md §3 has the argument.
+    /// store-buffer pattern: the hazard store must be visible before the
+    /// pointer read. **Contract:** the caller's next access to shared
+    /// protocol state is the operation's SeqCst `fetch_add` on `T` or `H`,
+    /// and every segment-pointer read of the operation comes after it.
+    ///
+    /// On x86_64 that FAA is a `lock xadd`, a full barrier that drains the
+    /// store buffer before any later load, so the store is a plain `mov`
+    /// (`Relaxed`) and the compiler fence keeps the compiler from moving it
+    /// past the FAA — the authors' C code publishes `hzd_node_id` the same
+    /// way, and crossbeam-epoch's x86 `pin()` makes the same substitution.
+    /// Two locked instructions remain per fast-path operation: the FAA and
+    /// one cell CAS.
+    ///
+    /// The C11 model does not give this: a `Relaxed` store is outside the
+    /// total order `S`, so no SeqCst access orders it. Off x86_64, and
+    /// under Miri (which checks that model), the store stays SeqCst and
+    /// pairs with the SeqCst pointer loads (`find_cell`'s first load,
+    /// `enq_slow`'s and the batch dequeue's local copies). DESIGN.md §3
+    /// has the argument.
     #[inline]
-    pub fn publish_hazard(&self, seg_id: i64) {
-        self.hzd_id.store(seg_id, Ordering::SeqCst);
+    pub fn publish_hazard_before_faa(&self, seg_id: i64) {
+        if cfg!(all(target_arch = "x86_64", not(miri))) {
+            self.hzd_id.store(seg_id, Ordering::Relaxed);
+            core::sync::atomic::compiler_fence(Ordering::SeqCst);
+        } else {
+            self.hzd_id.store(seg_id, Ordering::SeqCst);
+        }
     }
 
     /// Clears the hazard at operation epilogue.
@@ -243,7 +262,7 @@ mod tests {
         let seg = Segment::<64>::alloc(0);
         let n = Node::boxed(seg, 0, 0);
         unsafe {
-            (*n).publish_hazard(5);
+            (*n).publish_hazard_before_faa(5);
             assert_eq!((*n).hzd_id.load(Ordering::SeqCst), 5);
             (*n).clear_hazard();
             assert_eq!((*n).hzd_id.load(Ordering::SeqCst), NO_HAZARD);

@@ -127,6 +127,7 @@ pub const DEFAULT_PATIENCE: u32 = 10;
 /// in, not the function they appear in (see DESIGN.md).
 pub const FAULT_POINTS: &[&str] = &[
     // raw.rs — enqueue (Listings 2–3).
+    "enq::hazard_published",
     "enq_fast::post_faa",
     "enq_slow::request_published",
     "enq_slow::cell_reserved",
@@ -155,9 +156,10 @@ pub const FAULT_POINTS: &[&str] = &[
     "pool::push",
     "pool::pop",
     "pool::stall",
-    // raw.rs — batch operations (DESIGN.md §10). Batch dequeues also pass
-    // through "deq::hazard_published" above, so the parked-hazard fuzzing
-    // machinery covers batch claimants without a dedicated point.
+    // raw.rs — batch operations (DESIGN.md §10). Batch operations also
+    // pass through "enq::hazard_published" / "deq::hazard_published"
+    // above, so the parked-hazard fuzzing machinery covers batch claimants
+    // without a dedicated point.
     "enq_batch::post_faa",
     "enq_batch::straggler",
     "enq_batch::abandon",

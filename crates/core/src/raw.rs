@@ -9,12 +9,13 @@
 //! Dijkstra-protocol read pairs, the `T`/`H` emptiness reads) uses `SeqCst`,
 //! which on x86_64 lowers to exactly the `lock`-prefixed instructions and
 //! plain loads the paper's C implementation uses; pointer publication uses
-//! acquire/release. There is no fence: the hazard is a SeqCst store (an
-//! `xchg` on x86), and the segment-pointer reads that follow it are SeqCst
-//! loads, which pair with the cleaner's SeqCst CAS and hazard re-read (see
-//! [`crate::handle`] and DESIGN.md §3). A fast-path operation thus issues
-//! three locked instructions: the hazard store, the FAA, and one cell CAS
-//! (the enqueue's deposit or the dequeue's claim).
+//! acquire/release. There is no fence: on x86_64 the hazard is a plain
+//! store that the operation's own FAA (`lock xadd`) orders before the
+//! segment-pointer reads, as in the authors' C code; elsewhere it is a
+//! SeqCst store, and the SeqCst pointer reads pair with the cleaner's
+//! SeqCst CAS and hazard re-read (see [`crate::handle`] and DESIGN.md §3).
+//! A fast-path operation thus issues two locked instructions on x86: the
+//! FAA and one cell CAS (the enqueue's deposit or the dequeue's claim).
 
 use core::sync::atomic::{AtomicI64, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -450,8 +451,9 @@ impl<const N: usize> RawQueue<N> {
         );
         wfq_obs::phase!(
             wfq_obs::Phase::Hazard,
-            h.publish_hazard(h.tail_seg_id.load(Ordering::Relaxed) as i64)
+            h.publish_hazard_before_faa(h.tail_seg_id.load(Ordering::Relaxed) as i64)
         );
+        inject!("enq::hazard_published");
 
         // Lines 57–59: fast path up to PATIENCE extra times, then slow path.
         let mut cell_id = 0;
@@ -772,7 +774,7 @@ impl<const N: usize> RawQueue<N> {
         }
         wfq_obs::phase!(
             wfq_obs::Phase::Hazard,
-            h.publish_hazard(h.head_seg_id.load(Ordering::Relaxed) as i64)
+            h.publish_hazard_before_faa(h.head_seg_id.load(Ordering::Relaxed) as i64)
         );
         inject!("deq::hazard_published");
 
@@ -957,7 +959,8 @@ impl<const N: usize> RawQueue<N> {
         if k == 1 {
             return self.enqueue_internal(h, vs[0]);
         }
-        h.publish_hazard(h.tail_seg_id.load(Ordering::Relaxed) as i64);
+        h.publish_hazard_before_faa(h.tail_seg_id.load(Ordering::Relaxed) as i64);
+        inject!("enq::hazard_published");
         HandleStats::bump(&h.stats.enq_batches);
         HandleStats::add(&h.stats.enq_batched_vals, k);
         wfq_obs::record!(wfq_obs::EventKind::EnqBatch, k);
@@ -1081,7 +1084,7 @@ impl<const N: usize> RawQueue<N> {
             wfq_obs::record!(wfq_obs::EventKind::DeqEmpty, h_idx);
             return 0;
         }
-        h.publish_hazard(h.head_seg_id.load(Ordering::Relaxed) as i64);
+        h.publish_hazard_before_faa(h.head_seg_id.load(Ordering::Relaxed) as i64);
         inject!("deq::hazard_published");
         let claim = (k as u64).min(t_idx.saturating_sub(h_idx).max(1));
         if claim < k as u64 {
@@ -1471,7 +1474,7 @@ impl<Q: QueueRef<N>, const N: usize> RawHandle<Q, N> {
     }
 
     /// The execution-path sample of this handle's most recent
-    /// single-value operation ([`crate::sample`]): which protocol path it
+    /// single-value operation (an [`OpSample`]): which protocol path it
     /// took (fast / slow / helped) and the op id the PR-5 span taxonomy
     /// keys on. `None` before the first operation, after batch operations
     /// (which do not update the sample), and always in builds without the

@@ -116,7 +116,10 @@ mod tests {
     #[test]
     fn default_build_macro_is_a_unit_expression() {
         // Usable as a plain expression, and must not evaluate its args
-        // (the diverging expression below would run otherwise).
+        // (the diverging expression below would run otherwise). `NoNode`
+        // has no `last_sample` field and is never constructed: the macro
+        // must discard its node argument unexpanded.
+        #[allow(dead_code)]
         struct NoNode;
         let _: () = op_sample!(NoNode, OpSide::Enq, OpPath::Fast, {
             #[allow(unreachable_code)]

@@ -154,8 +154,12 @@ pub(crate) struct SegSource<'a, const N: usize> {
 /// # Safety
 /// `*sp` must point to a live segment with `id <= cell_id / N` that is
 /// protected from reclamation for the duration of the call (by the caller's
-/// hazard publication, per the protocol in [`crate::reclaim`]). `src.spare`
-/// must be owner-local (no concurrent access).
+/// hazard publication, per the protocol in [`crate::reclaim`]). The caller
+/// must order that publication before this call: by the operation's FAA
+/// after `HandleNode::publish_hazard_before_faa` (on x86_64 the `lock
+/// xadd` drains the store buffer), or by a SeqCst hazard store, as
+/// `help_deq`'s adoption does. `src.spare` must be owner-local (no
+/// concurrent access).
 pub(crate) unsafe fn find_cell<const N: usize>(
     sp: &AtomicPtr<Segment<N>>,
     cell_id: u64,
@@ -163,7 +167,9 @@ pub(crate) unsafe fn find_cell<const N: usize>(
 ) -> *mut Cell {
     // SeqCst, not Acquire: this is the read that follows the caller's
     // hazard publication, and it must not miss a cleaner's CAS of the same
-    // pointer (the store-buffer pairing in `HandleNode::publish_hazard`).
+    // pointer (the store-buffer pairing in DESIGN.md §3). On x86_64 the
+    // FAA before this call already orders the hazard store; a SeqCst load
+    // is a plain `mov` there and is needed for the pairing elsewhere.
     let mut s = sp.load(Ordering::SeqCst);
     debug_assert!(!s.is_null());
     let target = cell_id / N as u64;

@@ -200,7 +200,7 @@ impl QueueStats {
     /// Visits every counter as a `(field_name, value)` pair, in declaration
     /// order. The single canonical enumeration: the Prometheus exposition
     /// in `wfq-harness` derives its metric list from this, so a counter
-    /// added here (and to [`absorb`](Self::absorb)) can never be missing
+    /// added here (and to `absorb`) can never be missing
     /// from the exposition again.
     pub fn for_each_counter(&self, mut f: impl FnMut(&'static str, u64)) {
         f("enq_fast", self.enq_fast);

@@ -11,8 +11,9 @@
 //!   named injection point (`wfqueue::FAULT_POINTS`);
 //! - a **negative control** proves the certification step has teeth by
 //!   feeding it a deliberately broken (LIFO) "queue";
-//! - a **targeted regression** parks a dequeuer inside the hazard window
-//!   of Listing 5 and proves the cleaner refuses to reclaim past it.
+//! - **targeted regressions** park a dequeuer, and an enqueuer, inside the
+//!   hazard window of Listing 5 and prove the cleaner refuses to reclaim
+//!   past it.
 //!
 //! Everything here is deterministic given a seed. On failure the seed is
 //! part of the panic message; rerun just that schedule with
@@ -1206,6 +1207,108 @@ mod fuzz {
             "reclamation still stuck after the hazard was released: {s2:?}"
         );
         assert_eq!(dequeued_while_parked.load(Ordering::SeqCst), 0);
+    }
+
+    /// The enqueue-side twin of [`reclaimer_never_passes_a_parked_hazard`]:
+    /// an enqueuer parks between publishing its hazard on its tail segment
+    /// and the FAA that orders it (`enq::hazard_published`), while another
+    /// thread churns segments and triggers cleanup after cleanup. The
+    /// cleaner must clamp at the parked hazard (segment 0) and free
+    /// nothing; on release the parked enqueue walks its tail pointer from
+    /// segment 0 to its cell through segments that must all still be live,
+    /// and its value must be delivered exactly once.
+    #[test]
+    fn reclaimer_never_passes_a_parked_enqueuer() {
+        const PARKED: u64 = 1 << 40;
+        let q = RawQueue::<SEG>::with_config(Config::default().with_max_garbage(1));
+        let parked = Arc::new(Event::default());
+        let release = Arc::new(Event::default());
+
+        std::thread::scope(|s| {
+            // Thread A: one enqueue with a hook that parks inside the
+            // hazard window. Its tail mirror is segment 0 (fresh handle),
+            // so the published hazard pins the very first segment.
+            {
+                let q = &q;
+                let (parked, release) = (Arc::clone(&parked), Arc::clone(&release));
+                s.spawn(move || {
+                    let mut h = q.register();
+                    let p = Arc::clone(&parked);
+                    let r = Arc::clone(&release);
+                    fault::with_plan(
+                        FaultPlan::new().hook_at(
+                            "enq::hazard_published",
+                            0,
+                            Arc::new(move |_| {
+                                p.set();
+                                r.wait();
+                            }),
+                        ),
+                        || h.enqueue(PARKED),
+                    );
+                });
+            }
+
+            // Thread B: once A is parked, push enough traffic through to
+            // retire many segments and trigger a cleanup at each one.
+            {
+                let q = &q;
+                let parked = Arc::clone(&parked);
+                let release = Arc::clone(&release);
+                s.spawn(move || {
+                    parked.wait();
+                    let mut h = q.register();
+                    for v in 1..=SEG as u64 * 40 {
+                        h.enqueue(v);
+                        assert_eq!(h.dequeue(), Some(v), "churn lost FIFO order");
+                    }
+                    let s1 = q.stats();
+                    let oid = q.oldest_segment_id();
+                    // Release before asserting, so a failure fails the
+                    // test instead of leaving A parked forever.
+                    release.set();
+                    assert!(s1.cleanups > 0, "traffic never elected a cleaner: {s1:?}");
+                    assert_eq!(
+                        s1.segs_freed, 0,
+                        "reclaimer freed past a parked enqueuer's hazard: {s1:?}"
+                    );
+                    assert!(
+                        s1.reclaim_noop > 0,
+                        "cleanups ran but the no-op path never taken: {s1:?}"
+                    );
+                    assert!(
+                        oid <= 0,
+                        "oldest segment advanced to {oid} past the parked hazard"
+                    );
+                });
+            }
+        });
+
+        // A released: its enqueue landed ~40 segments past its parked tail
+        // pointer. Drain: the parked value comes out exactly once and
+        // nothing else is left.
+        let mut h = q.register();
+        let mut drained = Vec::new();
+        while let Some(v) = h.dequeue() {
+            drained.push(v);
+        }
+        assert_eq!(
+            drained,
+            [PARKED],
+            "parked enqueue not delivered exactly once"
+        );
+
+        // The hazard is gone: the same traffic must now reclaim.
+        for v in 1..=SEG as u64 * 40 {
+            h.enqueue(v);
+            assert_eq!(h.dequeue(), Some(v), "value lost after release");
+        }
+        drop(h);
+        let s2 = q.stats();
+        assert!(
+            s2.segs_freed > 0,
+            "reclamation still stuck after the enqueuer was released: {s2:?}"
+        );
     }
 
     /// The batch analogue of the parked-hazard regression: a *batch*
