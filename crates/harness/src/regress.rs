@@ -862,4 +862,72 @@ mod tests {
         assert_eq!(cmp.deltas.len(), 1);
         assert_eq!(cmp.unmatched.len(), 1, "{:?}", cmp.unmatched);
     }
+
+    // ------------------------------------------------------------------
+    // Golden: the committed snapshots re-record and re-gate as committed
+    // ------------------------------------------------------------------
+
+    const TRAJECTORY: &str = include_str!("../../../results/trajectory.jsonl");
+    const PAIRWISE: &str = include_str!("../../../results/BENCH_pairwise.json");
+    const BATCH: &str = include_str!("../../../results/BENCH_batch.json");
+    const LATENCY: &str = include_str!("../../../results/BENCH_latency.json");
+    const CYCLES: &str = include_str!("../../../results/BENCH_cycles.json");
+
+    fn assert_committed_line(line: &str, commit: &str) {
+        assert!(line.starts_with(&format!("{{\"commit\": \"{commit}\", ")), "{line}");
+        assert!(
+            TRAJECTORY.lines().any(|l| l == line),
+            "re-recorded line is not byte-identical to results/trajectory.jsonl:\n{line}"
+        );
+    }
+
+    #[test]
+    fn golden_snapshots_re_record_their_committed_trajectory_lines() {
+        assert_committed_line(&trajectory_line(&parse_snapshot(PAIRWISE).unwrap()), "6a3df09");
+        assert_committed_line(&trajectory_line(&parse_snapshot(BATCH).unwrap()), "d020c1c");
+        assert_committed_line(
+            &latency_trajectory_line(&parse_latency_snapshot(LATENCY).unwrap()),
+            "a7593b1",
+        );
+        assert_committed_line(
+            &crate::cycles::cycles_trajectory_line(
+                &crate::cycles::parse_cycles_snapshot(CYCLES).unwrap(),
+            ),
+            "8d70846",
+        );
+    }
+
+    #[test]
+    fn golden_snapshots_pass_against_themselves() {
+        for (doc, points) in [(PAIRWISE, 30), (BATCH, 24)] {
+            let s = parse_snapshot(doc).unwrap();
+            let cmp = compare(&s, &s, 5.0);
+            assert_eq!((cmp.deltas.len(), cmp.regressions().len()), (points, 0));
+            assert!(cmp.unmatched.is_empty());
+        }
+        let s = parse_latency_snapshot(LATENCY).unwrap();
+        let cmp = compare_latency(&s, &s, 10.0);
+        assert_eq!((cmp.deltas.len(), cmp.regressions().len()), (15, 0));
+        assert!(cmp.unmatched.is_empty());
+        let s = crate::cycles::parse_cycles_snapshot(CYCLES).unwrap();
+        let cmp = crate::cycles::compare_cycles(&s, &s, 10.0);
+        assert_eq!((cmp.deltas.len(), cmp.regressions().len()), (13, 0));
+        assert!(cmp.unmatched.is_empty());
+    }
+
+    #[test]
+    fn golden_batch_against_pairwise_regresses_with_the_rings_unmatched() {
+        let cmp = compare(&parse_snapshot(BATCH).unwrap(), &parse_snapshot(PAIRWISE).unwrap(), 5.0);
+        assert_eq!((cmp.deltas.len(), cmp.regressions().len()), (24, 21), "{}", cmp.render());
+        for ring in ["SCQ", "wCQ"] {
+            assert!(cmp.unmatched.iter().any(|u| u.starts_with(ring)), "{:?}", cmp.unmatched);
+        }
+        assert!(
+            cmp.unmatched
+                .iter()
+                .all(|u| (u.starts_with("SCQ") || u.starts_with("wCQ")) && u.ends_with("(candidate only)")),
+            "{:?}",
+            cmp.unmatched
+        );
+    }
 }
