@@ -1,32 +1,34 @@
 //! `wfq-regress` — the statistical performance-regression gate.
 //!
-//! Compares two benchmark snapshot JSONs (the normalized schema emitted by
-//! `figure2 --json`, committed under `results/`) point-by-point on the
-//! `(queue, threads)` key, using the harness's Student-t 95% CI machinery
-//! (Georges et al. §5.1). A point regresses when the candidate mean is
-//! slower by more than `--threshold` percent **and** the two confidence
-//! intervals do not overlap — wide CIs (noisy hosts, quick runs) cannot
-//! trip the gate, and significant-but-tiny wobbles cannot either.
+//! Compares two benchmark snapshot JSONs (the normalized documents that
+//! `figure2 --json`, `latency_observatory --json` and `cycle_ledger --json`
+//! write, committed under `results/`) point by point, using the harness's
+//! Student-t 95% CI machinery (Georges et al. §5.1). Each document's
+//! `benchmark` field names its kind, and the kind fixes what is gated:
+//!
+//! - `figure2`: mean Mops/s per `queue @threads`, higher is better,
+//!   default threshold 5%;
+//! - `latency_observatory`: p99 ns per `queue @rate`, lower is better,
+//!   default threshold 10%;
+//! - `cycle_ledger`: cycles/op per `queue @threads phase` (the `total`
+//!   pseudo-phase gates the whole op), lower is better, default 10%.
+//!
+//! A point regresses when the candidate is worse by more than
+//! `--threshold` percent **and** the two confidence intervals do not
+//! overlap — wide CIs (noisy hosts, quick runs) cannot trip the gate, and
+//! significant-but-tiny wobbles cannot either. A latency point that
+//! saturates in the candidate but not in the baseline regresses
+//! unconditionally. A baseline and a candidate of different kinds are a
+//! usage error.
 //!
 //! ```text
 //! # gate: exit 0 on pass, 1 on regression, 2 on usage/parse error
 //! wfq-regress --baseline results/BENCH_pairwise.json \
-//!             --candidate /tmp/head.json [--threshold 5]
-//!
-//! # latency gate: p99 on the (queue, rate) key, same CI machinery,
-//! # polarity flipped (higher is worse), default threshold 10%
-//! wfq-regress --latency --baseline results/BENCH_latency.json \
-//!             --candidate /tmp/head_latency.json [--threshold 10]
-//!
-//! # cycles gate: per-phase cycles/op on the (queue, threads, phase) key
-//! # (the `total` pseudo-phase gates the whole op), higher is worse,
-//! # default threshold 10%
-//! wfq-regress --cycles --baseline results/BENCH_cycles.json \
-//!             --candidate /tmp/head_cycles.json [--threshold 10]
+//!             --candidate /tmp/head.json [--threshold PCT]
 //!
 //! # record: append a normalized one-line snapshot to the perf trajectory
 //! wfq-regress --record /tmp/head.json [--out results/trajectory.jsonl] \
-//!             [--commit SHA]   # add --latency / --cycles for those snapshots
+//!             [--commit SHA]
 //! ```
 //!
 //! `--record` normalizes the snapshot (stable key order, fixed-precision
@@ -39,17 +41,13 @@
 use std::process::ExitCode;
 
 use wfq_bench::Args;
-use wfq_harness::cycles::{compare_cycles, cycles_trajectory_line, parse_cycles_snapshot};
-use wfq_harness::regress::{
-    compare, compare_latency, latency_trajectory_line, parse_latency_snapshot, parse_snapshot,
-    trajectory_line,
-};
+use wfq_harness::regress::{compare, parse_snapshot, shared_metric, Polarity, Snapshot};
 
 fn die(msg: &str) -> ExitCode {
     eprintln!("wfq-regress: {msg}");
     eprintln!(
-        "usage: wfq-regress [--latency|--cycles] --baseline BASE.json --candidate CAND.json [--threshold PCT]\n\
-                wfq-regress [--latency|--cycles] --record SNAP.json [--out results/trajectory.jsonl] [--commit SHA]"
+        "usage: wfq-regress --baseline BASE.json --candidate CAND.json [--threshold PCT]\n\
+                wfq-regress --record SNAP.json [--out results/trajectory.jsonl] [--commit SHA]"
     );
     ExitCode::from(2)
 }
@@ -69,16 +67,10 @@ fn threshold_or(args: &Args, default: f64) -> Result<f64, String> {
     }
 }
 
-fn load(path: &str) -> Result<wfq_harness::regress::Snapshot, String> {
+fn load(path: &str) -> Result<Snapshot, String> {
     let doc =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     parse_snapshot(&doc).map_err(|e| format!("{path}: {e}"))
-}
-
-fn load_latency(path: &str) -> Result<wfq_harness::regress::LatencySnapshot, String> {
-    let doc =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_latency_snapshot(&doc).map_err(|e| format!("{path}: {e}"))
 }
 
 fn append_line(out: &str, line: &str) -> Result<(), String> {
@@ -91,257 +83,84 @@ fn append_line(out: &str, line: &str) -> Result<(), String> {
     std::fs::write(out, body).map_err(|e| format!("cannot write {out}: {e}"))
 }
 
-fn load_cycles(path: &str) -> Result<wfq_harness::cycles::CyclesSnapshot, String> {
-    let doc =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_cycles_snapshot(&doc).map_err(|e| format!("{path}: {e}"))
+fn record(args: &Args, path: &str) -> Result<ExitCode, String> {
+    let mut snap = load(path)?;
+    if let Some(c) = args.get("commit") {
+        snap.commit = Some(c.to_string());
+    }
+    let out = args.get("out").unwrap_or("results/trajectory.jsonl");
+    append_line(out, &snap.trajectory_line())?;
+    eprintln!(
+        "wfq-regress: recorded {} / {} ({} points) to {out}",
+        snap.kind.metric().benchmark,
+        snap.config(),
+        snap.rows().len()
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
-/// The `--cycles` paths: the per-phase cycles gate (default threshold 10%)
-/// and cycles trajectory recording, on the snapshots of
-/// `cycle_ledger --json`.
-fn cycles_main(args: &Args) -> ExitCode {
-    if let Some(snap_path) = args.get("record") {
-        let mut snap = match load_cycles(snap_path) {
-            Ok(s) => s,
-            Err(e) => return die(&e),
-        };
-        if let Some(c) = args.get("commit") {
-            snap.commit = Some(c.to_string());
-        }
-        let out = args.get("out").unwrap_or("results/trajectory.jsonl");
-        if let Err(e) = append_line(out, &cycles_trajectory_line(&snap)) {
-            return die(&e);
-        }
-        eprintln!(
-            "wfq-regress: recorded {} / {} / {} ({} series) to {out}",
-            snap.benchmark,
-            snap.workload,
-            snap.perf.mode,
-            snap.series.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
+fn gate(args: &Args) -> Result<ExitCode, String> {
     let (Some(base_path), Some(cand_path)) = (args.get("baseline"), args.get("candidate"))
     else {
-        return die("need --baseline and --candidate (or --record)");
+        return Err("need --baseline and --candidate (or --record)".into());
     };
-    // Per-phase cycle counts are noisier than throughput means: the
-    // cycles gate defaults to 10%, like the latency gate.
-    let threshold = match threshold_or(args, 10.0) {
-        Ok(t) => t,
-        Err(e) => return die(&e),
-    };
-    let base = match load_cycles(base_path) {
-        Ok(s) => s,
-        Err(e) => return die(&e),
-    };
-    let cand = match load_cycles(cand_path) {
-        Ok(s) => s,
-        Err(e) => return die(&e),
-    };
-    if base.perf.mode != cand.perf.mode {
+    let (base, cand) = (load(base_path)?, load(cand_path)?);
+    let metric = shared_metric(&base, &cand)?;
+    let threshold = threshold_or(args, metric.default_threshold)?;
+    if base.config() != cand.config() {
         eprintln!(
-            "wfq-regress: warning: comparing different counter sources ({} vs {}) — \
-             cycle scales may not be commensurable",
-            base.perf.mode, cand.perf.mode
+            "wfq-regress: warning: comparing different configurations ({} vs {})",
+            base.config(),
+            cand.config()
         );
     }
 
-    let cmp = compare_cycles(&base, &cand, threshold);
+    let cmp = compare(&base.rows(), &cand.rows(), metric.polarity, threshold);
     println!(
-        "wfq-regress: {} / {} cycles — baseline {} vs candidate {} (threshold {threshold}%)",
-        base.benchmark,
-        base.workload,
+        "wfq-regress: {} / {} {} — baseline {} vs candidate {} (threshold {threshold}%)",
+        metric.benchmark,
+        base.config(),
+        metric.name,
         base.commit.as_deref().unwrap_or("?"),
         cand.commit.as_deref().unwrap_or("?"),
     );
     print!("{}", cmp.render());
     if cmp.deltas.is_empty() {
-        return die(
-            "no overlapping (queue, threads, phase) points between the snapshots — nothing was gated",
-        );
+        return Err("no overlapping points between the snapshots — nothing was gated".into());
     }
     let regressions = cmp.regressions();
     if regressions.is_empty() {
         println!(
-            "PASS: no significant per-phase cycle regression past {threshold}% across {} points",
+            "PASS: no significant {} regression past {threshold}% across {} points",
+            metric.name,
             cmp.deltas.len()
         );
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
-        println!(
-            "FAIL: {} of {} points regressed (significant cycles/op growth > {threshold}%)",
-            regressions.len(),
-            cmp.deltas.len()
-        );
-        ExitCode::FAILURE
-    }
-}
-
-/// The `--latency` paths: p99 gate (default threshold 10%) and latency
-/// trajectory recording, on the snapshots of `latency_observatory --json`.
-fn latency_main(args: &Args) -> ExitCode {
-    if let Some(snap_path) = args.get("record") {
-        let mut snap = match load_latency(snap_path) {
-            Ok(s) => s,
-            Err(e) => return die(&e),
+        let worse = match metric.polarity {
+            Polarity::HigherIsBetter => "drop",
+            Polarity::LowerIsBetter => "growth",
         };
-        if let Some(c) = args.get("commit") {
-            snap.commit = Some(c.to_string());
-        }
-        let out = args.get("out").unwrap_or("results/trajectory.jsonl");
-        if let Err(e) = append_line(out, &latency_trajectory_line(&snap)) {
-            return die(&e);
-        }
-        eprintln!(
-            "wfq-regress: recorded {} / {} / {} ({} series) to {out}",
-            snap.benchmark,
-            snap.workload,
-            snap.schedule,
-            snap.series.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let (Some(base_path), Some(cand_path)) = (args.get("baseline"), args.get("candidate"))
-    else {
-        return die("need --baseline and --candidate (or --record)");
-    };
-    // Quantiles are noisier than means: the latency gate's default
-    // threshold is 10%, vs 5% for throughput.
-    let threshold = match threshold_or(args, 10.0) {
-        Ok(t) => t,
-        Err(e) => return die(&e),
-    };
-    let base = match load_latency(base_path) {
-        Ok(s) => s,
-        Err(e) => return die(&e),
-    };
-    let cand = match load_latency(cand_path) {
-        Ok(s) => s,
-        Err(e) => return die(&e),
-    };
-    if base.schedule != cand.schedule || base.threads != cand.threads {
-        eprintln!(
-            "wfq-regress: warning: comparing different configurations ({}/{} threads vs {}/{} threads)",
-            base.schedule, base.threads, cand.schedule, cand.threads
-        );
-    }
-
-    let cmp = compare_latency(&base, &cand, threshold);
-    println!(
-        "wfq-regress: {} / {} p99 — baseline {} vs candidate {} (threshold {threshold}%)",
-        base.benchmark,
-        base.schedule,
-        base.commit.as_deref().unwrap_or("?"),
-        cand.commit.as_deref().unwrap_or("?"),
-    );
-    print!("{}", cmp.render());
-    if cmp.deltas.is_empty() {
-        return die("no overlapping (queue, rate) points between the snapshots — nothing was gated");
-    }
-    let regressions = cmp.regressions();
-    if regressions.is_empty() {
+        let saturation = if regressions.iter().any(|d| d.saturation_onset) {
+            " or saturation onset"
+        } else {
+            ""
+        };
         println!(
-            "PASS: no significant p99 regression past {threshold}% across {} points",
-            cmp.deltas.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        println!(
-            "FAIL: {} of {} points regressed (significant p99 inflation > {threshold}% or saturation onset)",
+            "FAIL: {} of {} points regressed (significant {} {worse} > {threshold}%{saturation})",
             regressions.len(),
-            cmp.deltas.len()
+            cmp.deltas.len(),
+            metric.name,
         );
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 
 fn main() -> ExitCode {
     let args = Args::parse();
-
-    if args.flag("latency") {
-        return latency_main(&args);
-    }
-    if args.flag("cycles") {
-        return cycles_main(&args);
-    }
-
-    if let Some(snap_path) = args.get("record") {
-        let mut snap = match load(snap_path) {
-            Ok(s) => s,
-            Err(e) => return die(&e),
-        };
-        if let Some(c) = args.get("commit") {
-            snap.commit = Some(c.to_string());
-        }
-        let out = args.get("out").unwrap_or("results/trajectory.jsonl");
-        if let Err(e) = append_line(out, &trajectory_line(&snap)) {
-            return die(&e);
-        }
-        eprintln!(
-            "wfq-regress: recorded {} / {} ({} series) to {out}",
-            snap.benchmark,
-            snap.workload,
-            snap.series.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let (Some(base_path), Some(cand_path)) = (args.get("baseline"), args.get("candidate"))
-    else {
-        return die("need --baseline and --candidate (or --record)");
+    let run = match args.get("record") {
+        Some(path) => record(&args, path),
+        None => gate(&args),
     };
-    let threshold = match threshold_or(&args, 5.0) {
-        Ok(t) => t,
-        Err(e) => return die(&e),
-    };
-
-    let base = match load(base_path) {
-        Ok(s) => s,
-        Err(e) => return die(&e),
-    };
-    let cand = match load(cand_path) {
-        Ok(s) => s,
-        Err(e) => return die(&e),
-    };
-    if base.workload != cand.workload {
-        eprintln!(
-            "wfq-regress: warning: comparing different workloads ({} vs {})",
-            base.workload, cand.workload
-        );
-    }
-
-    let cmp = compare(&base, &cand, threshold);
-    println!(
-        "wfq-regress: {} / {} — baseline {} vs candidate {} (threshold {threshold}%)",
-        base.benchmark,
-        base.workload,
-        base.commit.as_deref().unwrap_or("?"),
-        cand.commit.as_deref().unwrap_or("?"),
-    );
-    print!("{}", cmp.render());
-    if cmp.deltas.is_empty() {
-        return die(
-            "no overlapping (queue, threads) points between the snapshots — nothing was gated",
-        );
-    }
-
-    let regressions = cmp.regressions();
-    if regressions.is_empty() {
-        println!(
-            "PASS: no significant regression past {threshold}% across {} points",
-            cmp.deltas.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        println!(
-            "FAIL: {} of {} points regressed (significant slowdown > {threshold}%)",
-            regressions.len(),
-            cmp.deltas.len()
-        );
-        ExitCode::FAILURE
-    }
+    run.unwrap_or_else(|e| die(&e))
 }

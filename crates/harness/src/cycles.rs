@@ -1,24 +1,24 @@
-//! Cycle-ledger snapshots: schema, exposition, gap attribution, and the
-//! `wfq-regress --cycles` comparison engine.
+//! Cycle-ledger snapshots: schema, exposition and gap attribution.
 //!
 //! The `cycle_ledger` binary measures per-op hardware-counter costs for
 //! each backend and, for the WF queue, the per-phase self-time ledger from
-//! `wfq_obs::ledger`. This module owns everything downstream of the
-//! measurement: the normalized `results/BENCH_cycles.json` document
-//! ([`render_cycles_json`] / [`parse_cycles_snapshot`]), the WF−F&A gap
-//! attribution arithmetic ([`attribute_gap`]), the Prometheus exposition
-//! ([`render_cycles_prometheus`]), the trajectory line, and the per-phase
-//! regression gate ([`compare_cycles`]).
+//! `wfq_obs::ledger`. This module owns the measurement's downstream
+//! artifacts: the normalized `results/BENCH_cycles.json` document
+//! ([`render_cycles_json`]), the WF−F&A gap attribution arithmetic
+//! ([`attribute_gap`]) and the Prometheus exposition
+//! ([`render_cycles_prometheus`]). `wfq-regress` reads the document back,
+//! records its trajectory line and gates it per phase through the one
+//! snapshot engine in [`crate::regress`] (kind `cycle_ledger`).
 //!
 //! Two drift guards, both by construction rather than by parallel lists:
 //! counter-derived fields (`cycles_per_op`, `instructions_per_op`,
 //! `l1d_miss_per_op`, …) are stored in an array indexed by
-//! `wfq_obs::CounterKind` and every renderer/parser loops
+//! `wfq_obs::CounterKind` and the renderers and the parser loop
 //! `wfq_obs::ALL_COUNTERS`, so a new counter kind extends the JSON schema,
 //! the parser, and the exposition in one place; phase names come from
 //! `wfq_obs::Phase::name`, and the parity test walks `ALL_PHASES`.
 
-use crate::json::{self, Value};
+use crate::json::escape;
 use wfq_obs::{CounterKind, Phase, ALL_COUNTERS, NUM_COUNTERS};
 
 /// Mean per-op cost of one ledger phase, with a Student-t 95% CI half-width
@@ -208,12 +208,8 @@ pub fn attribute_gap(
 }
 
 // ----------------------------------------------------------------------
-// JSON render / parse
+// JSON render (parsed by `regress::parse_snapshot`)
 // ----------------------------------------------------------------------
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 fn render_point(out: &mut String, p: &CyclesPoint, indent: &str) {
     out.push_str(&format!("{indent}{{\n{indent}  \"threads\": {},\n", p.threads));
@@ -239,7 +235,7 @@ fn render_point(out: &mut String, p: &CyclesPoint, indent: &str) {
         }
         out.push_str(&format!(
             "\n{indent}    {{\"phase\": \"{}\", \"cycles_per_op\": {:.6}, \"ci_half\": {:.6}, \"entries_per_op\": {:.6}}}",
-            esc(&ph.phase), ph.cycles_per_op, ph.ci_half, ph.entries_per_op
+            escape(&ph.phase), ph.cycles_per_op, ph.ci_half, ph.entries_per_op
         ));
     }
     if !p.phases.is_empty() {
@@ -253,24 +249,24 @@ fn render_point(out: &mut String, p: &CyclesPoint, indent: &str) {
 pub fn render_cycles_json(snap: &CyclesSnapshot) -> String {
     let mut out = String::from("{\n");
     if let Some(c) = &snap.commit {
-        out.push_str(&format!("  \"commit\": \"{}\",\n", esc(c)));
+        out.push_str(&format!("  \"commit\": \"{}\",\n", escape(c)));
     }
     out.push_str(&format!(
         "  \"benchmark\": \"{}\",\n  \"workload\": \"{}\",\n",
-        esc(&snap.benchmark),
-        esc(&snap.workload)
+        escape(&snap.benchmark),
+        escape(&snap.workload)
     ));
     out.push_str(&format!(
         "  \"perf\": {{\"mode\": \"{}\", \"rdpmc\": {}, \"reason\": \"{}\"}},\n",
-        esc(&snap.perf.mode),
+        escape(&snap.perf.mode),
         snap.perf.rdpmc,
-        esc(&snap.perf.reason)
+        escape(&snap.perf.reason)
     ));
     out.push_str("  \"series\": [\n");
     for (si, s) in snap.series.iter().enumerate() {
         out.push_str(&format!(
             "    {{\n      \"queue\": \"{}\",\n      \"points\": [\n",
-            esc(&s.name)
+            escape(&s.name)
         ));
         for (pi, p) in s.points.iter().enumerate() {
             render_point(&mut out, p, "        ");
@@ -289,7 +285,7 @@ pub fn render_cycles_json(snap: &CyclesSnapshot) -> String {
     if let Some(d) = &snap.delta {
         out.push_str(&format!(
             ",\n  \"delta\": {{\n    \"baseline\": \"{}\",\n    \"candidate\": \"{}\",\n    \"cycle_delta_per_op\": {:.6},\n    \"attributed_pct\": {:.3},\n    \"phases\": [",
-            esc(&d.baseline), esc(&d.candidate), d.cycle_delta_per_op, d.attributed_pct
+            escape(&d.baseline), escape(&d.candidate), d.cycle_delta_per_op, d.attributed_pct
         ));
         for (i, p) in d.phases.iter().enumerate() {
             if i > 0 {
@@ -297,7 +293,7 @@ pub fn render_cycles_json(snap: &CyclesSnapshot) -> String {
             }
             out.push_str(&format!(
                 "\n      {{\"phase\": \"{}\", \"cycles_per_op\": {:.6}, \"gap_contribution\": {:.6}, \"share_pct\": {:.3}}}",
-                esc(&p.phase), p.cycles_per_op, p.gap_contribution, p.share_pct
+                escape(&p.phase), p.cycles_per_op, p.gap_contribution, p.share_pct
             ));
         }
         if !d.phases.is_empty() {
@@ -307,132 +303,6 @@ pub fn render_cycles_json(snap: &CyclesSnapshot) -> String {
     }
     out.push_str("\n}\n");
     out
-}
-
-/// Parses a cycles snapshot. Same strictness discipline as
-/// [`crate::regress::parse_snapshot`]: empty `series`/`points` arrays,
-/// non-finite numbers, unknown phase names, and a missing `perf` block are
-/// parse errors, not vacuous gate passes.
-pub fn parse_cycles_snapshot(doc: &str) -> Result<CyclesSnapshot, String> {
-    let v = json::parse(doc)?;
-    let str_field = |v: &Value, k: &str| -> Result<String, String> {
-        v.get(k)
-            .and_then(|x| x.as_str().map(str::to_string))
-            .ok_or_else(|| format!("cycles snapshot missing string field {k:?}"))
-    };
-    let num_field = |v: &Value, k: &str| -> Result<f64, String> {
-        let n = v
-            .get(k)
-            .and_then(|x| x.as_num())
-            .ok_or_else(|| format!("cycles point missing number field {k:?}"))?;
-        if !n.is_finite() {
-            return Err(format!("cycles point field {k:?} is not a finite number"));
-        }
-        Ok(n)
-    };
-    let bool_field = |v: &Value, k: &str| -> Result<bool, String> {
-        match v.get(k) {
-            Some(Value::Bool(b)) => Ok(*b),
-            _ => Err(format!("cycles point missing bool field {k:?}")),
-        }
-    };
-
-    let perf_v = v.get("perf").ok_or("cycles snapshot missing perf block")?;
-    let perf = PerfMode {
-        mode: str_field(&perf_v, "mode")?,
-        rdpmc: bool_field(&perf_v, "rdpmc")?,
-        reason: str_field(&perf_v, "reason")?,
-    };
-
-    let mut series = Vec::new();
-    for s in v
-        .get("series")
-        .and_then(|x| x.as_arr())
-        .ok_or("cycles snapshot missing series array")?
-    {
-        let name = str_field(&s, "queue")?;
-        let mut points = Vec::new();
-        for p in s
-            .get("points")
-            .and_then(|x| x.as_arr())
-            .ok_or("cycles series missing points array")?
-        {
-            let mut counters_per_op = [0.0; NUM_COUNTERS];
-            for kind in ALL_COUNTERS {
-                counters_per_op[kind as usize] =
-                    num_field(&p, &format!("{}_per_op", kind.name()))?;
-            }
-            let mut phases = Vec::new();
-            for ph in p
-                .get("phases")
-                .and_then(|x| x.as_arr())
-                .ok_or("cycles point missing phases array")?
-            {
-                let phase = str_field(&ph, "phase")?;
-                if Phase::from_name(&phase).is_none() {
-                    return Err(format!("cycles point has unknown phase {phase:?}"));
-                }
-                phases.push(PhaseCost {
-                    phase,
-                    cycles_per_op: num_field(&ph, "cycles_per_op")?,
-                    ci_half: num_field(&ph, "ci_half")?,
-                    entries_per_op: num_field(&ph, "entries_per_op")?,
-                });
-            }
-            points.push(CyclesPoint {
-                threads: num_field(&p, "threads")? as usize,
-                counters_per_op,
-                ci_half: num_field(&p, "ci_half")?,
-                estimated: bool_field(&p, "estimated")?,
-                attributed_pct: num_field(&p, "attributed_pct")?,
-                phases,
-            });
-        }
-        if points.is_empty() {
-            return Err(format!(
-                "cycles series {name:?} has no points — refusing a snapshot the gate cannot compare"
-            ));
-        }
-        series.push(CyclesSeries { name, points });
-    }
-    if series.is_empty() {
-        return Err(
-            "cycles snapshot has no series — refusing a snapshot the gate cannot compare".into(),
-        );
-    }
-
-    let delta = match v.get("delta") {
-        None => None,
-        Some(d) => {
-            let mut phases = Vec::new();
-            if let Some(arr) = d.get("phases").and_then(|x| x.as_arr()) {
-                for p in arr {
-                    phases.push(GapPhase {
-                        phase: str_field(&p, "phase")?,
-                        cycles_per_op: num_field(&p, "cycles_per_op")?,
-                        gap_contribution: num_field(&p, "gap_contribution")?,
-                        share_pct: num_field(&p, "share_pct")?,
-                    });
-                }
-            }
-            Some(GapAttribution {
-                baseline: str_field(&d, "baseline")?,
-                candidate: str_field(&d, "candidate")?,
-                cycle_delta_per_op: num_field(&d, "cycle_delta_per_op")?,
-                attributed_pct: num_field(&d, "attributed_pct")?,
-                phases,
-            })
-        }
-    };
-
-    Ok(CyclesSnapshot {
-        commit: v.get("commit").and_then(|x| x.as_str().map(str::to_string)),
-        benchmark: str_field(&v, "benchmark")?,
-        workload: str_field(&v, "workload")?,
-        perf,
-        series,
-        delta,
-    })
 }
 
 // ----------------------------------------------------------------------
@@ -529,237 +399,21 @@ pub fn render_cycles_prometheus(snap: &CyclesSnapshot) -> String {
     out
 }
 
-// ----------------------------------------------------------------------
-// Comparison (the --cycles gate)
-// ----------------------------------------------------------------------
-
-/// One `(queue, threads, phase)` cycles comparison. Polarity mirrors the
-/// latency gate: **higher is worse**. The pseudo-phase `total` carries the
-/// whole-op comparison.
-#[derive(Debug, Clone)]
-pub struct CyclesDelta {
-    /// Queue display name.
-    pub queue: String,
-    /// Concurrency level.
-    pub threads: usize,
-    /// Phase name, or `total`.
-    pub phase: String,
-    /// Baseline `(cycles_per_op, ci_half)`.
-    pub base: (f64, f64),
-    /// Candidate `(cycles_per_op, ci_half)`.
-    pub cand: (f64, f64),
-    /// Relative change, percent (positive = more cycles = worse).
-    pub pct_change: f64,
-    /// Whether the 95% CIs do not overlap.
-    pub significant: bool,
-    /// Fails the gate.
-    pub regressed: bool,
-    /// Significant improvement past the threshold: reported, never fails.
-    pub improved: bool,
-}
-
-/// The result of comparing candidate cycles against a baseline.
-#[derive(Debug)]
-pub struct CyclesComparison {
-    /// Every matched `(queue, threads, phase)` point.
-    pub deltas: Vec<CyclesDelta>,
-    /// Keys present in only one snapshot.
-    pub unmatched: Vec<String>,
-}
-
-impl CyclesComparison {
-    /// The deltas that fail the gate.
-    pub fn regressions(&self) -> Vec<&CyclesDelta> {
-        self.deltas.iter().filter(|d| d.regressed).collect()
-    }
-
-    /// Human-readable comparison table (cycles/op).
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<14} {:>7} {:<10} {:>18} {:>18} {:>8}  verdict",
-            "queue", "threads", "phase", "baseline", "candidate", "delta"
-        );
-        for d in &self.deltas {
-            let verdict = if d.regressed {
-                "REGRESSION"
-            } else if d.improved {
-                "improved"
-            } else if d.significant {
-                "within threshold"
-            } else {
-                "ok"
-            };
-            let _ = writeln!(
-                out,
-                "{:<14} {:>7} {:<10} {:>10.1} ±{:<6.1} {:>10.1} ±{:<6.1} {:>+7.1}%  {}",
-                d.queue,
-                d.threads,
-                d.phase,
-                d.base.0,
-                d.base.1,
-                d.cand.0,
-                d.cand.1,
-                d.pct_change,
-                verdict
-            );
-        }
-        for u in &self.unmatched {
-            let _ = writeln!(out, "unmatched: {u}");
-        }
-        out
-    }
-}
-
-/// Compares candidate cycles against baseline on `(queue, threads, phase)`
-/// keys — the whole-op `total` plus every ledgered phase. A point
-/// **regresses** when the candidate burns *more* cycles, the relative
-/// increase exceeds `threshold_pct` (the gate's default is 10 — per-phase
-/// cycle counts are noisier than throughput means), and the 95% CIs do not
-/// overlap: the same three-part test (Georges et al.) as every other gate
-/// in the harness, with the latency gate's polarity.
-pub fn compare_cycles(
-    base: &CyclesSnapshot,
-    cand: &CyclesSnapshot,
-    threshold_pct: f64,
-) -> CyclesComparison {
-    let mut deltas = Vec::new();
-    let mut unmatched = Vec::new();
-    let push = |queue: &str,
-                    threads: usize,
-                    phase: &str,
-                    b: (f64, f64),
-                    c: (f64, f64),
-                    deltas: &mut Vec<CyclesDelta>| {
-        let diff = c.0 - b.0;
-        let pct_change = if b.0 == 0.0 { 0.0 } else { 100.0 * diff / b.0 };
-        let significant = diff.abs() > b.1 + c.1;
-        deltas.push(CyclesDelta {
-            queue: queue.to_string(),
-            threads,
-            phase: phase.to_string(),
-            base: b,
-            cand: c,
-            pct_change,
-            significant,
-            regressed: significant && pct_change > threshold_pct,
-            improved: significant && pct_change < -threshold_pct,
-        });
-    };
-    for bs in &base.series {
-        let Some(cs) = cand.series.iter().find(|s| s.name == bs.name) else {
-            unmatched.push(format!("{} (baseline only)", bs.name));
-            continue;
-        };
-        for bp in &bs.points {
-            let Some(cp) = cs.points.iter().find(|p| p.threads == bp.threads) else {
-                unmatched.push(format!("{} @{} (baseline only)", bs.name, bp.threads));
-                continue;
-            };
-            push(
-                &bs.name,
-                bp.threads,
-                "total",
-                (bp.cycles_per_op(), bp.ci_half),
-                (cp.cycles_per_op(), cp.ci_half),
-                &mut deltas,
-            );
-            for bph in &bp.phases {
-                let Some(cph) = cp.phases.iter().find(|p| p.phase == bph.phase) else {
-                    unmatched.push(format!(
-                        "{} @{} phase {} (baseline only)",
-                        bs.name, bp.threads, bph.phase
-                    ));
-                    continue;
-                };
-                push(
-                    &bs.name,
-                    bp.threads,
-                    &bph.phase,
-                    (bph.cycles_per_op, bph.ci_half),
-                    (cph.cycles_per_op, cph.ci_half),
-                    &mut deltas,
-                );
-            }
-            for cph in &cp.phases {
-                if !bp.phases.iter().any(|p| p.phase == cph.phase) {
-                    unmatched.push(format!(
-                        "{} @{} phase {} (candidate only)",
-                        bs.name, bp.threads, cph.phase
-                    ));
-                }
-            }
-        }
-    }
-    for cs in &cand.series {
-        if !base.series.iter().any(|s| s.name == cs.name) {
-            unmatched.push(format!("{} (candidate only)", cs.name));
-        }
-    }
-    CyclesComparison { deltas, unmatched }
-}
-
-/// Renders one cycles snapshot as a single normalized JSON line for
-/// `results/trajectory.jsonl` (same compaction discipline as
-/// [`crate::regress::trajectory_line`]).
-pub fn cycles_trajectory_line(snap: &CyclesSnapshot) -> String {
-    let mut out = String::from("{");
-    if let Some(c) = &snap.commit {
-        out.push_str(&format!("\"commit\": \"{}\", ", esc(c)));
-    }
-    out.push_str(&format!(
-        "\"benchmark\": \"{}\", \"workload\": \"{}\", \"perf\": \"{}\", \"series\": [",
-        esc(&snap.benchmark),
-        esc(&snap.workload),
-        esc(&snap.perf.mode)
-    ));
-    for (si, s) in snap.series.iter().enumerate() {
-        if si > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("{{\"queue\": \"{}\", \"points\": [", esc(&s.name)));
-        for (pi, p) in s.points.iter().enumerate() {
-            if pi > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"threads\": {}, \"cycles_per_op\": {:.3}, \"ci_half\": {:.3}, \"attributed_pct\": {:.1}",
-                p.threads,
-                p.cycles_per_op(),
-                p.ci_half,
-                p.attributed_pct
-            ));
-            if !p.phases.is_empty() {
-                out.push_str(", \"phases\": {");
-                for (qi, ph) in p.phases.iter().enumerate() {
-                    if qi > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!("\"{}\": {:.3}", esc(&ph.phase), ph.cycles_per_op));
-                }
-                out.push('}');
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]");
-    if let Some(d) = &snap.delta {
-        out.push_str(&format!(
-            ", \"delta\": {{\"baseline\": \"{}\", \"candidate\": \"{}\", \"cycle_delta_per_op\": {:.3}, \"attributed_pct\": {:.1}}}",
-            esc(&d.baseline), esc(&d.candidate), d.cycle_delta_per_op, d.attributed_pct
-        ));
-    }
-    out.push('}');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
+    use crate::regress::{compare, parse_snapshot, Kind, Polarity, Snapshot};
     use wfq_obs::ALL_PHASES;
+
+    /// The snapshot as the gate reads it: rendered, then parsed.
+    fn gated(snap: &CyclesSnapshot) -> Snapshot {
+        parse_snapshot(&render_cycles_json(snap)).expect("rendered snapshot must parse")
+    }
+
+    fn gate(base: &CyclesSnapshot, cand: &CyclesSnapshot) -> crate::regress::Comparison {
+        compare(&gated(base).rows(), &gated(cand).rows(), Polarity::LowerIsBetter, 10.0)
+    }
 
     /// A point with every phase and every counter populated with unique
     /// values — built by walking the canonical enumerations, so adding a
@@ -831,54 +485,50 @@ mod tests {
     #[test]
     fn json_round_trips_exactly() {
         let snap = sample_snapshot();
-        let doc = render_cycles_json(&snap);
-        let parsed = parse_cycles_snapshot(&doc).expect("rendered snapshot must parse");
-        assert_eq!(parsed.benchmark, snap.benchmark);
-        assert_eq!(parsed.perf, snap.perf);
-        assert_eq!(parsed.series.len(), snap.series.len());
-        let (a, b) = (&parsed.series[1].points[0], &snap.series[1].points[0]);
+        let parsed = gated(&snap);
+        assert_eq!(parsed.kind.metric().benchmark, snap.benchmark);
+        let Kind::Cycles { perf, series, delta } = parsed.kind else {
+            panic!("a cycle_ledger document must parse as cycles");
+        };
+        assert_eq!(perf, snap.perf);
+        assert_eq!(series.len(), snap.series.len());
+        let (a, b) = (&series[1].points[0], &snap.series[1].points[0]);
         assert_eq!(a.threads, b.threads);
         assert_eq!(a.phases.len(), b.phases.len());
         for (x, y) in a.counters_per_op.iter().zip(b.counters_per_op.iter()) {
             assert!((x - y).abs() < 1e-6);
         }
-        let d = parsed.delta.expect("delta survives the round trip");
+        let d = delta.expect("delta survives the round trip");
         assert_eq!(d.baseline, "FAA");
         assert_eq!(d.phases.len(), ALL_PHASES.len());
     }
 
     #[test]
     fn parser_rejects_snapshots_the_gate_cannot_compare() {
-        let snap = sample_snapshot();
-        let good = render_cycles_json(&snap);
+        let good = render_cycles_json(&sample_snapshot());
+        assert!(parse_snapshot(&good).is_ok(), "control");
 
-        let no_series = good.replacen("\"queue\": \"FAA\"", "\"queue\": \"FAA\"", 1);
-        assert!(parse_cycles_snapshot(&no_series).is_ok(), "control");
-
-        assert!(
-            parse_cycles_snapshot("{\"benchmark\": \"x\", \"workload\": \"y\", \"perf\": {\"mode\": \"tsc-only\", \"rdpmc\": false, \"reason\": \"\"}, \"series\": []}")
-                .unwrap_err()
-                .contains("no series")
-        );
-        assert!(
-            parse_cycles_snapshot("{\"benchmark\": \"x\", \"workload\": \"y\", \"perf\": {\"mode\": \"tsc-only\", \"rdpmc\": false, \"reason\": \"\"}, \"series\": [{\"queue\": \"FAA\", \"points\": []}]}")
-                .unwrap_err()
-                .contains("no points")
-        );
+        let perf = "\"perf\": {\"mode\": \"tsc-only\", \"rdpmc\": false, \"reason\": \"\"}";
+        assert!(parse_snapshot(&format!(
+            "{{\"benchmark\": \"cycle_ledger\", \"workload\": \"y\", {perf}, \"series\": []}}"
+        ))
+        .unwrap_err()
+        .contains("no series"));
+        assert!(parse_snapshot(&format!(
+            "{{\"benchmark\": \"cycle_ledger\", \"workload\": \"y\", {perf}, \"series\": [{{\"queue\": \"FAA\", \"points\": []}}]}}"
+        ))
+        .unwrap_err()
+        .contains("no points"));
         // A missing perf block means the snapshot cannot say whether its
         // numbers were measured or estimated — reject.
         let no_perf = good.replace("\"perf\"", "\"perf_gone\"");
-        assert!(parse_cycles_snapshot(&no_perf)
-            .unwrap_err()
-            .contains("perf"));
+        assert!(parse_snapshot(&no_perf).unwrap_err().contains("perf"));
         // Unknown phase names are schema drift, not data.
         let bad_phase = good.replace("\"phase\": \"faa\"", "\"phase\": \"warp\"");
-        assert!(parse_cycles_snapshot(&bad_phase)
-            .unwrap_err()
-            .contains("unknown phase"));
+        assert!(parse_snapshot(&bad_phase).unwrap_err().contains("unknown phase"));
         // Non-finite numbers are mis-generated snapshots.
         let nan = good.replace("\"ci_half\": 1.000000", "\"ci_half\": 1e999");
-        assert!(parse_cycles_snapshot(&nan).is_err());
+        assert!(parse_snapshot(&nan).is_err());
     }
 
     #[test]
@@ -892,7 +542,7 @@ mod tests {
             assert!(doc.contains(&field), "JSON missing {field}");
             let broken = doc.replace(&field, "\"bogus_per_op\"");
             assert!(
-                parse_cycles_snapshot(&broken).is_err(),
+                parse_snapshot(&broken).is_err(),
                 "parser accepted a snapshot without {field}"
             );
         }
@@ -1014,29 +664,19 @@ mod tests {
             .find(|p| p.phase == "find_cell")
             .unwrap();
         fc.cycles_per_op *= 2.0;
-        let cmp = compare_cycles(&base, &cand, 10.0);
-        let fc_delta = cmp
-            .deltas
-            .iter()
-            .find(|d| d.queue == "WF-10" && d.phase == "find_cell")
-            .expect("phase key matched");
+        let cmp = gate(&base, &cand);
+        let delta = |cmp: &crate::regress::Comparison, key: &str| {
+            cmp.deltas.iter().find(|d| d.key == key).cloned().expect("key matched")
+        };
+        let fc_delta = delta(&cmp, "WF-10 @1 find_cell");
         assert!(fc_delta.regressed, "{fc_delta:?}");
         // Totals unchanged → no total regression.
-        let total = cmp
-            .deltas
-            .iter()
-            .find(|d| d.queue == "WF-10" && d.phase == "total")
-            .unwrap();
-        assert!(!total.regressed);
+        assert!(!delta(&cmp, "WF-10 @1 total").regressed);
         assert!(cmp.render().contains("REGRESSION"));
 
         // The mirror image — candidate cheaper — improves, never fails.
-        let cmp = compare_cycles(&cand, &base, 10.0);
-        let fc_delta = cmp
-            .deltas
-            .iter()
-            .find(|d| d.queue == "WF-10" && d.phase == "find_cell")
-            .unwrap();
+        let cmp = gate(&cand, &base);
+        let fc_delta = delta(&cmp, "WF-10 @1 find_cell");
         assert!(fc_delta.improved && !fc_delta.regressed);
         assert!(cmp.regressions().is_empty());
     }
@@ -1050,18 +690,16 @@ mod tests {
             name: "SCQ".into(),
             points: vec![full_point(1, 2.0)],
         });
-        let cmp = compare_cycles(&base, &cand, 10.0);
+        let cmp = gate(&base, &cand);
         assert!(cmp
             .unmatched
-            .iter()
-            .any(|u| u.contains(&dropped) && u.contains("baseline only")));
-        assert!(cmp.unmatched.iter().any(|u| u.contains("SCQ")));
+            .contains(&format!("WF-10 @1 {dropped} (baseline only)")));
+        assert!(cmp.unmatched.contains(&"SCQ @1 total (candidate only)".to_string()));
     }
 
     #[test]
     fn trajectory_line_is_one_parsable_json_line() {
-        let snap = sample_snapshot();
-        let line = cycles_trajectory_line(&snap);
+        let line = gated(&sample_snapshot()).trajectory_line();
         assert!(!line.contains('\n'));
         let v = json::parse(&line).expect("trajectory line must parse");
         assert_eq!(

@@ -59,6 +59,12 @@ impl Value {
     }
 }
 
+/// Escapes `\` and `"` for a JSON string literal — the only escapes the
+/// names and labels this workspace emits need.
+pub fn escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
 /// Parses a complete JSON document (rejecting trailing garbage).
 pub fn parse(src: &str) -> Result<Value, String> {
     let bytes = src.as_bytes();

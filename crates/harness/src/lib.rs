@@ -37,9 +37,8 @@ pub mod workload;
 
 pub use attribution::{Attribution, OpClass};
 pub use cycles::{
-    attribute_gap, compare_cycles, cycles_trajectory_line, parse_cycles_snapshot,
-    render_cycles_json, render_cycles_prometheus, CyclesPoint, CyclesSeries, CyclesSnapshot,
-    GapAttribution, PerfMode, PhaseCost,
+    attribute_gap, render_cycles_json, render_cycles_prometheus, CyclesPoint, CyclesSeries,
+    CyclesSnapshot, GapAttribution, PerfMode, PhaseCost,
 };
 pub use measure::{measure_open_loop, measure_queue, Measurement, OpenLoopMeasurement};
 pub use obs::{dump_chrome_trace, render_latency_prometheus, render_prometheus, write_metrics};

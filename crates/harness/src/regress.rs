@@ -1,127 +1,525 @@
 //! Statistical benchmark-snapshot comparison — the engine of `wfq-regress`.
 //!
-//! Snapshots are the committed `results/BENCH_*.json` documents (the
-//! normalized schema of [`report::render_json_with_commit`]: optional
-//! `commit`, `benchmark`, `workload`, `series[]` of per-queue
-//! `(threads, mean_mops, ci_half)` points, where `ci_half` is the Student-t
-//! 95% half-width computed by `stats::confidence_interval_95` over
-//! benchmark invocations, per Georges et al. §5.1). Two snapshots are
-//! compared point-by-point on the `(queue, threads)` key:
+//! Snapshots are the committed `results/BENCH_*.json` documents, and each
+//! document's own `benchmark` field names its [`Kind`]:
 //!
-//! A point **regresses** when all three hold —
+//! | `benchmark`           | row key                | row value ± CI        | better |
+//! |-----------------------|------------------------|-----------------------|--------|
+//! | `figure2`             | `queue @threads`       | `mean_mops ± ci_half` | higher |
+//! | `latency_observatory` | `queue @rate`          | `p99_ns ± p99_ci`     | lower  |
+//! | `cycle_ledger`        | `queue @threads phase` | cycles/op ± `ci_half` | lower  |
 //!
-//! 1. the candidate mean is *lower* than the baseline mean,
-//! 2. the relative drop exceeds the threshold (default 5%), and
-//! 3. the two 95% CIs do not overlap (`|Δmean| > ci_b + ci_c`),
+//! (a cycles point gives one row for its `total` and one per ledgered
+//! phase). [`parse_snapshot`] reads every kind, [`Snapshot::rows`]
+//! flattens one into keyed [`Row`]s, and one [`compare`] gates two row
+//! sets. Each `ci_half` is the Student-t 95% half-width over benchmark
+//! invocations (Georges et al. §5.1). A row **regresses** when all three
+//! hold —
+//!
+//! 1. the candidate is worse in the kind's [`Polarity`],
+//! 2. by more than the threshold (relative change, percent), and
+//! 3. the two 95% CIs do not overlap (`|Δ| > ci_b + ci_c`),
 //!
 //! so a noisy run with wide CIs cannot fail the gate, and a statistically
-//! significant but sub-threshold wobble cannot either. Improvements are
-//! reported but never fail.
+//! significant but sub-threshold wobble cannot either. A latency row whose
+//! candidate saturates where the baseline did not regresses
+//! unconditionally: its p99 under overload no longer measures the offered
+//! schedule, but the lost headroom is itself the regression. Improvements
+//! are reported but never fail, and keys present in only one snapshot are
+//! reported as unmatched.
 
-use crate::json::{self, Value};
+use crate::cycles::{CyclesPoint, CyclesSeries, GapAttribution, GapPhase, PerfMode, PhaseCost};
+use crate::json::{self, escape, Value};
 use crate::report::{LatencyPoint, LatencySeries, Series, SeriesPoint};
+use wfq_obs::{Phase, ALL_COUNTERS, NUM_COUNTERS};
 
 /// A parsed benchmark snapshot.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Commit the snapshot measured (absent in pre-normalized snapshots).
     pub commit: Option<String>,
-    /// Benchmark name (`figure2`, …).
-    pub benchmark: String,
-    /// Workload label (`pairwise`, `batch_pairs`, …).
+    /// Workload label (`pairwise`, `batch_pairs`, `open_loop_pairs`, …).
     pub workload: String,
-    /// One series per queue.
-    pub series: Vec<Series>,
+    /// The kind-specific body, chosen by the document's `benchmark` field.
+    pub kind: Kind,
 }
 
-/// Parses a snapshot JSON document (the `results/BENCH_*.json` schema).
+/// The snapshot kinds, one per benchmark binary that writes a snapshot.
+#[derive(Debug, Clone)]
+pub enum Kind {
+    /// `figure2`: one throughput line per queue over a thread sweep.
+    Throughput(Vec<Series>),
+    /// `latency_observatory`: one p99 frontier per queue over offered rates.
+    Latency {
+        /// Arrival-schedule shape (`fixed`, `poisson`, `bursty`).
+        schedule: String,
+        /// Generator thread count.
+        threads: usize,
+        /// One frontier per queue.
+        series: Vec<LatencySeries>,
+    },
+    /// `cycle_ledger`: per-op cycles, whole-op and per ledger phase.
+    Cycles {
+        /// Counter sourcing for the whole run.
+        perf: PerfMode,
+        /// One series per backend.
+        series: Vec<CyclesSeries>,
+        /// The single-thread gap attribution, when the run had both ends.
+        delta: Option<GapAttribution>,
+    },
+}
+
+/// Which direction of change is worse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Polarity {
+    /// Throughput: a drop is a regression.
+    HigherIsBetter,
+    /// Latency and cycles: growth is a regression.
+    LowerIsBetter,
+}
+
+/// The fixed parameters of one kind's gate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Metric {
+    /// The `benchmark` field that names the kind.
+    pub benchmark: &'static str,
+    /// What a row's value measures, for labels.
+    pub name: &'static str,
+    /// Which direction of change is worse.
+    pub polarity: Polarity,
+    /// Threshold (percent) when the gate is given none.
+    pub default_threshold: f64,
+}
+
+impl Kind {
+    /// The kind's gate parameters. Quantiles and per-phase cycle counts are
+    /// noisier than throughput means, so their default threshold is 10%
+    /// rather than 5%.
+    pub fn metric(&self) -> Metric {
+        let (benchmark, name, polarity, default_threshold) = match self {
+            Kind::Throughput(_) => ("figure2", "throughput", Polarity::HigherIsBetter, 5.0),
+            Kind::Latency { .. } => ("latency_observatory", "p99", Polarity::LowerIsBetter, 10.0),
+            Kind::Cycles { .. } => ("cycle_ledger", "cycles/op", Polarity::LowerIsBetter, 10.0),
+        };
+        Metric {
+            benchmark,
+            name,
+            polarity,
+            default_threshold,
+        }
+    }
+}
+
+/// One gated point of a snapshot.
+#[derive(Debug, Clone)]
+pub struct Row {
+    /// Match key across snapshots (`WF-10 @2`, `WF-10 @250k`,
+    /// `WF-10 @1 find_cell`).
+    pub key: String,
+    /// The gated value.
+    pub value: f64,
+    /// Its 95% CI half-width.
+    pub ci_half: f64,
+    /// The open loop could not keep the offered rate (latency rows only).
+    pub saturated: bool,
+}
+
+impl Snapshot {
+    /// The configuration two snapshots must share for their numbers to be
+    /// commensurable: the workload for throughput, the schedule and
+    /// generator threads for latency, the counter source for cycles.
+    pub fn config(&self) -> String {
+        match &self.kind {
+            Kind::Throughput(_) => self.workload.clone(),
+            Kind::Latency {
+                schedule, threads, ..
+            } => format!("{schedule}/{threads} threads"),
+            Kind::Cycles { perf, .. } => perf.mode.clone(),
+        }
+    }
+
+    /// Flattens the snapshot into its gated rows, in document order.
+    pub fn rows(&self) -> Vec<Row> {
+        let row = |key: String, value: f64, ci_half: f64| Row {
+            key,
+            value,
+            ci_half,
+            saturated: false,
+        };
+        let mut rows = Vec::new();
+        match &self.kind {
+            Kind::Throughput(series) => {
+                for s in series {
+                    for p in &s.points {
+                        rows.push(row(
+                            format!("{} @{}", s.name, p.threads),
+                            p.mean_mops,
+                            p.ci_half,
+                        ));
+                    }
+                }
+            }
+            Kind::Latency { series, .. } => {
+                for s in series {
+                    for p in &s.points {
+                        rows.push(Row {
+                            saturated: p.saturated,
+                            ..row(format!("{} @{}k", s.name, p.rate_kops), p.p99_ns, p.p99_ci)
+                        });
+                    }
+                }
+            }
+            Kind::Cycles { series, .. } => {
+                for s in series {
+                    for p in &s.points {
+                        let at = format!("{} @{}", s.name, p.threads);
+                        rows.push(row(format!("{at} total"), p.cycles_per_op(), p.ci_half));
+                        for ph in &p.phases {
+                            rows.push(row(
+                                format!("{at} {}", ph.phase),
+                                ph.cycles_per_op,
+                                ph.ci_half,
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        rows
+    }
+
+    /// Renders the snapshot as one normalized JSON line for the append-only
+    /// `results/trajectory.jsonl`: the shared header, the kind's own header
+    /// fields, and each point compacted to the fields its kind tracks, so
+    /// each `--record` appends one `git diff`-able line.
+    pub fn trajectory_line(&self) -> String {
+        let mut out = String::from("{");
+        if let Some(c) = &self.commit {
+            out.push_str(&format!("\"commit\": \"{}\", ", escape(c)));
+        }
+        out.push_str(&format!(
+            "\"benchmark\": \"{}\", \"workload\": \"{}\", ",
+            self.kind.metric().benchmark,
+            escape(&self.workload)
+        ));
+        let series: Vec<(&str, Vec<String>)> = match &self.kind {
+            Kind::Throughput(series) => series
+                .iter()
+                .map(|s| {
+                    (
+                        s.name.as_str(),
+                        s.points.iter().map(throughput_point_json).collect(),
+                    )
+                })
+                .collect(),
+            Kind::Latency {
+                schedule,
+                threads,
+                series,
+            } => {
+                out.push_str(&format!(
+                    "\"schedule\": \"{}\", \"threads\": {threads}, ",
+                    escape(schedule)
+                ));
+                series
+                    .iter()
+                    .map(|s| {
+                        (
+                            s.name.as_str(),
+                            s.points.iter().map(latency_point_json).collect(),
+                        )
+                    })
+                    .collect()
+            }
+            Kind::Cycles { perf, series, .. } => {
+                out.push_str(&format!("\"perf\": \"{}\", ", escape(&perf.mode)));
+                series
+                    .iter()
+                    .map(|s| {
+                        (
+                            s.name.as_str(),
+                            s.points.iter().map(cycles_point_json).collect(),
+                        )
+                    })
+                    .collect()
+            }
+        };
+        out.push_str("\"series\": [");
+        for (i, (queue, points)) in series.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(&format!(
+                "{{\"queue\": \"{}\", \"points\": [{}]}}",
+                escape(queue),
+                points.join(", ")
+            ));
+        }
+        out.push(']');
+        if let Kind::Cycles { delta: Some(d), .. } = &self.kind {
+            out.push_str(&format!(
+                ", \"delta\": {{\"baseline\": \"{}\", \"candidate\": \"{}\", \"cycle_delta_per_op\": {:.3}, \"attributed_pct\": {:.1}}}",
+                escape(&d.baseline), escape(&d.candidate), d.cycle_delta_per_op, d.attributed_pct
+            ));
+        }
+        out.push('}');
+        out
+    }
+}
+
+fn throughput_point_json(p: &SeriesPoint) -> String {
+    format!(
+        "{{\"threads\": {}, \"mean_mops\": {:.6}, \"ci_half\": {:.6}}}",
+        p.threads, p.mean_mops, p.ci_half
+    )
+}
+
+/// Latency points keep the trajectory quantiles (p50/p99/p99.9).
+fn latency_point_json(p: &LatencyPoint) -> String {
+    format!(
+        "{{\"rate_kops\": {:.3}, \"p50_ns\": {:.1}, \"p99_ns\": {:.1}, \"p99_ci\": {:.1}, \"p999_ns\": {:.1}, \"saturated\": {}}}",
+        p.rate_kops, p.p50_ns, p.p99_ns, p.p99_ci, p.p999_ns, p.saturated
+    )
+}
+
+fn cycles_point_json(p: &CyclesPoint) -> String {
+    let mut out = format!(
+        "{{\"threads\": {}, \"cycles_per_op\": {:.3}, \"ci_half\": {:.3}, \"attributed_pct\": {:.1}",
+        p.threads,
+        p.cycles_per_op(),
+        p.ci_half,
+        p.attributed_pct
+    );
+    if !p.phases.is_empty() {
+        let phases: Vec<String> = p
+            .phases
+            .iter()
+            .map(|ph| format!("\"{}\": {:.3}", escape(&ph.phase), ph.cycles_per_op))
+            .collect();
+        out.push_str(&format!(", \"phases\": {{{}}}", phases.join(", ")));
+    }
+    out.push('}');
+    out
+}
+
+// ----------------------------------------------------------------------
+// Parsing
+// ----------------------------------------------------------------------
+
+/// Parses any snapshot document, choosing the kind by its `benchmark`
+/// field; an unknown `benchmark` is an error.
 ///
 /// Rejects (rather than silently accepting) documents that a gate could
 /// never meaningfully compare: an empty `series` array, a series with an
-/// empty `points` array, and non-finite numbers. A truncated or
-/// mis-generated snapshot must fail loudly at parse time — a comparison
-/// over zero points would otherwise print `PASS` and mean nothing.
+/// empty `points` array, non-finite numbers, and — for cycles — unknown
+/// phase names and a missing `perf` block. A truncated or mis-generated
+/// snapshot must fail loudly at parse time: a comparison over zero points
+/// would otherwise print `PASS` and mean nothing.
 pub fn parse_snapshot(doc: &str) -> Result<Snapshot, String> {
     let v = json::parse(doc)?;
-    let str_field = |v: &Value, k: &str| -> Result<String, String> {
-        v.get(k)
-            .and_then(|x| x.as_str().map(str::to_string))
-            .ok_or_else(|| format!("snapshot missing string field {k:?}"))
-    };
-    let num_field = |v: &Value, k: &str| -> Result<f64, String> {
-        let n = v
-            .get(k)
-            .and_then(|x| x.as_num())
-            .ok_or_else(|| format!("snapshot point missing number field {k:?}"))?;
-        if !n.is_finite() {
-            return Err(format!("snapshot point field {k:?} is not a finite number"));
+    let kind = match str_field(&v, "benchmark")?.as_str() {
+        "figure2" => Kind::Throughput(series(&v, throughput_point, |name, points| Series { name, points })?),
+        "latency_observatory" => Kind::Latency {
+            schedule: str_field(&v, "schedule")?,
+            threads: num_field(&v, "threads")? as usize,
+            series: series(&v, latency_point, |name, points| LatencySeries { name, points })?,
+        },
+        "cycle_ledger" => {
+            let perf = v.get("perf").ok_or("snapshot missing perf block")?;
+            Kind::Cycles {
+                perf: PerfMode {
+                    mode: str_field(perf, "mode")?,
+                    rdpmc: bool_field(perf, "rdpmc")?,
+                    reason: str_field(perf, "reason")?,
+                },
+                series: series(&v, cycles_point, |name, points| CyclesSeries { name, points })?,
+                delta: v.get("delta").map(gap_attribution).transpose()?,
+            }
         }
-        Ok(n)
-    };
-    let mut series = Vec::new();
-    for s in v
-        .get("series")
-        .and_then(|x| x.as_arr())
-        .ok_or("snapshot missing series array")?
-    {
-        let name = str_field(&s, "queue")?;
-        let mut points = Vec::new();
-        for p in s
-            .get("points")
-            .and_then(|x| x.as_arr())
-            .ok_or("series missing points array")?
-        {
-            points.push(SeriesPoint {
-                threads: num_field(&p, "threads")? as usize,
-                mean_mops: num_field(&p, "mean_mops")?,
-                ci_half: num_field(&p, "ci_half")?,
-            });
-        }
-        if points.is_empty() {
+        other => {
             return Err(format!(
-                "series {name:?} has no points — refusing a snapshot the gate cannot compare"
-            ));
+                "unknown snapshot benchmark {other:?} (expected figure2, latency_observatory or cycle_ledger)"
+            ))
         }
-        series.push(Series { name, points });
-    }
-    if series.is_empty() {
-        return Err("snapshot has no series — refusing a snapshot the gate cannot compare".into());
-    }
+    };
     Ok(Snapshot {
-        commit: v.get("commit").and_then(|x| x.as_str().map(str::to_string)),
-        benchmark: str_field(&v, "benchmark")?,
+        commit: v.get("commit").and_then(Value::as_str).map(str::to_string),
         workload: str_field(&v, "workload")?,
-        series,
+        kind,
     })
 }
 
-/// One `(queue, threads)` comparison.
+fn str_field(v: &Value, k: &str) -> Result<String, String> {
+    v.get(k)
+        .and_then(Value::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| format!("snapshot missing string field {k:?}"))
+}
+
+fn num_field(v: &Value, k: &str) -> Result<f64, String> {
+    match v.get(k).and_then(Value::as_num) {
+        None => Err(format!("snapshot missing number field {k:?}")),
+        Some(n) if !n.is_finite() => Err(format!("snapshot field {k:?} is not a finite number")),
+        Some(n) => Ok(n),
+    }
+}
+
+fn bool_field(v: &Value, k: &str) -> Result<bool, String> {
+    match v.get(k) {
+        Some(Value::Bool(b)) => Ok(*b),
+        _ => Err(format!("snapshot missing bool field {k:?}")),
+    }
+}
+
+fn arr_field<'a>(v: &'a Value, k: &str) -> Result<&'a [Value], String> {
+    v.get(k)
+        .and_then(Value::as_arr)
+        .ok_or_else(|| format!("snapshot missing array field {k:?}"))
+}
+
+/// Reads the `series` array every kind shares, refusing an empty `series`
+/// or `points` array.
+fn series<P, S>(
+    v: &Value,
+    point: fn(&Value) -> Result<P, String>,
+    make: fn(String, Vec<P>) -> S,
+) -> Result<Vec<S>, String> {
+    let series = arr_field(v, "series")?;
+    if series.is_empty() {
+        return Err("snapshot has no series — refusing a snapshot the gate cannot compare".into());
+    }
+    series
+        .iter()
+        .map(|s| {
+            let name = str_field(s, "queue")?;
+            let points = arr_field(s, "points")?;
+            if points.is_empty() {
+                return Err(format!(
+                    "series {name:?} has no points — refusing a snapshot the gate cannot compare"
+                ));
+            }
+            Ok(make(
+                name,
+                points.iter().map(point).collect::<Result<_, _>>()?,
+            ))
+        })
+        .collect()
+}
+
+fn throughput_point(p: &Value) -> Result<SeriesPoint, String> {
+    Ok(SeriesPoint {
+        threads: num_field(p, "threads")? as usize,
+        mean_mops: num_field(p, "mean_mops")?,
+        ci_half: num_field(p, "ci_half")?,
+    })
+}
+
+fn latency_point(p: &Value) -> Result<LatencyPoint, String> {
+    let num = |k| num_field(p, k);
+    Ok(LatencyPoint {
+        rate_kops: num("rate_kops")?,
+        achieved_kops: num("achieved_kops")?,
+        saturated: bool_field(p, "saturated")?,
+        drops: num("drops")? as u64,
+        max_lag_ns: num("max_lag_ns")? as u64,
+        backlog: num("backlog")? as i64,
+        p50_ns: num("p50_ns")?,
+        p50_ci: num("p50_ci")?,
+        p90_ns: num("p90_ns")?,
+        p90_ci: num("p90_ci")?,
+        p99_ns: num("p99_ns")?,
+        p99_ci: num("p99_ci")?,
+        p999_ns: num("p999_ns")?,
+        p999_ci: num("p999_ci")?,
+        max_ns: num("max_ns")?,
+        max_ci: num("max_ci")?,
+        share_fast: num("share_fast")?,
+        share_slow: num("share_slow")?,
+        share_helped: num("share_helped")?,
+        sampled: num("sampled")? as u64,
+    })
+}
+
+/// Counter fields are `<kind>_per_op` for every `wfq_obs::CounterKind`, so
+/// a new counter kind extends the parser with the renderer.
+fn cycles_point(p: &Value) -> Result<CyclesPoint, String> {
+    let mut counters_per_op = [0.0; NUM_COUNTERS];
+    for kind in ALL_COUNTERS {
+        counters_per_op[kind as usize] = num_field(p, &format!("{}_per_op", kind.name()))?;
+    }
+    let mut phases = Vec::new();
+    for ph in arr_field(p, "phases")? {
+        let phase = str_field(ph, "phase")?;
+        if Phase::from_name(&phase).is_none() {
+            return Err(format!("cycles point has unknown phase {phase:?}"));
+        }
+        phases.push(PhaseCost {
+            phase,
+            cycles_per_op: num_field(ph, "cycles_per_op")?,
+            ci_half: num_field(ph, "ci_half")?,
+            entries_per_op: num_field(ph, "entries_per_op")?,
+        });
+    }
+    Ok(CyclesPoint {
+        threads: num_field(p, "threads")? as usize,
+        counters_per_op,
+        ci_half: num_field(p, "ci_half")?,
+        estimated: bool_field(p, "estimated")?,
+        attributed_pct: num_field(p, "attributed_pct")?,
+        phases,
+    })
+}
+
+fn gap_attribution(d: &Value) -> Result<GapAttribution, String> {
+    let mut phases = Vec::new();
+    for p in d.get("phases").and_then(Value::as_arr).unwrap_or_default() {
+        phases.push(GapPhase {
+            phase: str_field(p, "phase")?,
+            cycles_per_op: num_field(p, "cycles_per_op")?,
+            gap_contribution: num_field(p, "gap_contribution")?,
+            share_pct: num_field(p, "share_pct")?,
+        });
+    }
+    Ok(GapAttribution {
+        baseline: str_field(d, "baseline")?,
+        candidate: str_field(d, "candidate")?,
+        cycle_delta_per_op: num_field(d, "cycle_delta_per_op")?,
+        attributed_pct: num_field(d, "attributed_pct")?,
+        phases,
+    })
+}
+
+// ----------------------------------------------------------------------
+// Comparison
+// ----------------------------------------------------------------------
+
+/// One matched row of a comparison.
 #[derive(Debug, Clone)]
 pub struct Delta {
-    /// Queue display name.
-    pub queue: String,
-    /// Concurrency level.
-    pub threads: usize,
-    /// Baseline `(mean_mops, ci_half)`.
+    /// The row key.
+    pub key: String,
+    /// Baseline `(value, ci_half)`.
     pub base: (f64, f64),
-    /// Candidate `(mean_mops, ci_half)`.
+    /// Candidate `(value, ci_half)`.
     pub cand: (f64, f64),
-    /// Relative mean change, percent (negative = slower).
+    /// Relative change of the value, percent.
     pub pct_change: f64,
     /// Whether the 95% CIs do not overlap.
     pub significant: bool,
-    /// Significant slowdown past the threshold: fails the gate.
+    /// The candidate saturates where the baseline did not.
+    pub saturation_onset: bool,
+    /// Fails the gate.
     pub regressed: bool,
-    /// Significant speedup past the threshold: reported, never fails.
+    /// Significant improvement past the threshold: reported, never fails.
     pub improved: bool,
 }
 
-/// The result of comparing a candidate snapshot against a baseline.
+/// The result of comparing a candidate snapshot's rows against a baseline's.
 #[derive(Debug)]
 pub struct Comparison {
-    /// Every matched `(queue, threads)` point.
+    /// Every matched row.
     pub deltas: Vec<Delta>,
-    /// `(queue, threads)` keys present in only one snapshot.
+    /// Keys present in only one snapshot.
     pub unmatched: Vec<String>,
 }
 
@@ -134,281 +532,18 @@ impl Comparison {
     /// Human-readable comparison table.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
+        let w = self
+            .deltas
+            .iter()
+            .map(|d| d.key.chars().count())
+            .max()
+            .unwrap_or(0)
+            .max(5);
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<12} {:>7} {:>18} {:>18} {:>8}  verdict",
-            "queue", "threads", "baseline", "candidate", "delta"
-        );
-        for d in &self.deltas {
-            let verdict = if d.regressed {
-                "REGRESSION"
-            } else if d.improved {
-                "improved"
-            } else if d.significant {
-                "within threshold"
-            } else {
-                "ok"
-            };
-            let _ = writeln!(
-                out,
-                "{:<12} {:>7} {:>11.3} ±{:<5.3} {:>11.3} ±{:<5.3} {:>+7.1}%  {}",
-                d.queue,
-                d.threads,
-                d.base.0,
-                d.base.1,
-                d.cand.0,
-                d.cand.1,
-                d.pct_change,
-                verdict
-            );
-        }
-        for u in &self.unmatched {
-            let _ = writeln!(out, "unmatched: {u}");
-        }
-        out
-    }
-}
-
-/// Compares candidate against baseline. `threshold_pct` is the minimum
-/// relative mean drop (percent) a significant slowdown must exceed to
-/// count as a regression (the gate's default is 5).
-pub fn compare(base: &Snapshot, cand: &Snapshot, threshold_pct: f64) -> Comparison {
-    let mut deltas = Vec::new();
-    let mut unmatched = Vec::new();
-    for bs in &base.series {
-        let Some(cs) = cand.series.iter().find(|s| s.name == bs.name) else {
-            unmatched.push(format!("{} (baseline only)", bs.name));
-            continue;
-        };
-        for bp in &bs.points {
-            let Some(cp) = cs.points.iter().find(|p| p.threads == bp.threads) else {
-                unmatched.push(format!("{} @{} (baseline only)", bs.name, bp.threads));
-                continue;
-            };
-            let diff = cp.mean_mops - bp.mean_mops;
-            let pct_change = if bp.mean_mops == 0.0 {
-                0.0
-            } else {
-                100.0 * diff / bp.mean_mops
-            };
-            let significant = diff.abs() > bp.ci_half + cp.ci_half;
-            deltas.push(Delta {
-                queue: bs.name.clone(),
-                threads: bp.threads,
-                base: (bp.mean_mops, bp.ci_half),
-                cand: (cp.mean_mops, cp.ci_half),
-                pct_change,
-                significant,
-                regressed: significant && pct_change < -threshold_pct,
-                improved: significant && pct_change > threshold_pct,
-            });
-        }
-    }
-    for cs in &cand.series {
-        if !base.series.iter().any(|s| s.name == cs.name) {
-            unmatched.push(format!("{} (candidate only)", cs.name));
-        }
-    }
-    Comparison { deltas, unmatched }
-}
-
-/// Renders one snapshot as a single normalized JSON line for the
-/// append-only trajectory file (`results/trajectory.jsonl`): same fields
-/// as the snapshot schema, compacted so each `--record` appends one line
-/// per benchmark run and the perf history stays `git diff`-able.
-pub fn trajectory_line(snap: &Snapshot) -> String {
-    let mut out = String::from("{");
-    if let Some(c) = &snap.commit {
-        out.push_str(&format!(
-            "\"commit\": \"{}\", ",
-            c.replace('\\', "\\\\").replace('"', "\\\"")
-        ));
-    }
-    out.push_str(&format!(
-        "\"benchmark\": \"{}\", \"workload\": \"{}\", \"series\": [",
-        snap.benchmark, snap.workload
-    ));
-    for (si, s) in snap.series.iter().enumerate() {
-        if si > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"queue\": \"{}\", \"points\": [",
-            s.name.replace('\\', "\\\\").replace('"', "\\\"")
-        ));
-        for (pi, p) in s.points.iter().enumerate() {
-            if pi > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"threads\": {}, \"mean_mops\": {:.6}, \"ci_half\": {:.6}}}",
-                p.threads, p.mean_mops, p.ci_half
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
-}
-
-// ----------------------------------------------------------------------
-// Latency snapshots (the p99 regression gate)
-// ----------------------------------------------------------------------
-
-/// A parsed latency-observatory snapshot (`results/BENCH_latency.json`,
-/// the schema of [`report::render_latency_json`]).
-#[derive(Debug, Clone)]
-pub struct LatencySnapshot {
-    /// Commit the snapshot measured.
-    pub commit: Option<String>,
-    /// Benchmark name (`latency_observatory`).
-    pub benchmark: String,
-    /// Workload label (`open_loop_pairs`).
-    pub workload: String,
-    /// Arrival-schedule shape (`fixed`, `poisson`, `bursty`).
-    pub schedule: String,
-    /// Generator thread count.
-    pub threads: usize,
-    /// One frontier per queue.
-    pub series: Vec<LatencySeries>,
-}
-
-/// Parses a latency snapshot JSON document. Same strictness as
-/// [`parse_snapshot`]: empty `series`/`points` and non-finite numbers are
-/// parse errors, not vacuous gate passes.
-pub fn parse_latency_snapshot(doc: &str) -> Result<LatencySnapshot, String> {
-    let v = json::parse(doc)?;
-    let str_field = |v: &Value, k: &str| -> Result<String, String> {
-        v.get(k)
-            .and_then(|x| x.as_str().map(str::to_string))
-            .ok_or_else(|| format!("latency snapshot missing string field {k:?}"))
-    };
-    let num_field = |v: &Value, k: &str| -> Result<f64, String> {
-        let n = v
-            .get(k)
-            .and_then(|x| x.as_num())
-            .ok_or_else(|| format!("latency point missing number field {k:?}"))?;
-        if !n.is_finite() {
-            return Err(format!("latency point field {k:?} is not a finite number"));
-        }
-        Ok(n)
-    };
-    let bool_field = |v: &Value, k: &str| -> Result<bool, String> {
-        match v.get(k) {
-            Some(Value::Bool(b)) => Ok(*b),
-            _ => Err(format!("latency point missing bool field {k:?}")),
-        }
-    };
-    let mut series = Vec::new();
-    for s in v
-        .get("series")
-        .and_then(|x| x.as_arr())
-        .ok_or("latency snapshot missing series array")?
-    {
-        let name = str_field(&s, "queue")?;
-        let mut points = Vec::new();
-        for p in s
-            .get("points")
-            .and_then(|x| x.as_arr())
-            .ok_or("latency series missing points array")?
-        {
-            points.push(LatencyPoint {
-                rate_kops: num_field(&p, "rate_kops")?,
-                achieved_kops: num_field(&p, "achieved_kops")?,
-                saturated: bool_field(&p, "saturated")?,
-                drops: num_field(&p, "drops")? as u64,
-                max_lag_ns: num_field(&p, "max_lag_ns")? as u64,
-                backlog: num_field(&p, "backlog")? as i64,
-                p50_ns: num_field(&p, "p50_ns")?,
-                p50_ci: num_field(&p, "p50_ci")?,
-                p90_ns: num_field(&p, "p90_ns")?,
-                p90_ci: num_field(&p, "p90_ci")?,
-                p99_ns: num_field(&p, "p99_ns")?,
-                p99_ci: num_field(&p, "p99_ci")?,
-                p999_ns: num_field(&p, "p999_ns")?,
-                p999_ci: num_field(&p, "p999_ci")?,
-                max_ns: num_field(&p, "max_ns")?,
-                max_ci: num_field(&p, "max_ci")?,
-                share_fast: num_field(&p, "share_fast")?,
-                share_slow: num_field(&p, "share_slow")?,
-                share_helped: num_field(&p, "share_helped")?,
-                sampled: num_field(&p, "sampled")? as u64,
-            });
-        }
-        if points.is_empty() {
-            return Err(format!(
-                "latency series {name:?} has no points — refusing a snapshot the gate cannot compare"
-            ));
-        }
-        series.push(LatencySeries { name, points });
-    }
-    if series.is_empty() {
-        return Err(
-            "latency snapshot has no series — refusing a snapshot the gate cannot compare".into(),
-        );
-    }
-    Ok(LatencySnapshot {
-        commit: v.get("commit").and_then(|x| x.as_str().map(str::to_string)),
-        benchmark: str_field(&v, "benchmark")?,
-        workload: str_field(&v, "workload")?,
-        schedule: str_field(&v, "schedule")?,
-        threads: v
-            .get("threads")
-            .and_then(|x| x.as_num())
-            .ok_or("latency snapshot missing threads")? as usize,
-        series,
-    })
-}
-
-/// One `(queue, rate_kops)` p99 comparison. The polarity is the mirror of
-/// throughput [`Delta`]: here **higher is worse**.
-#[derive(Debug, Clone)]
-pub struct LatencyDelta {
-    /// Queue display name.
-    pub queue: String,
-    /// Offered rate, kops/s.
-    pub rate_kops: f64,
-    /// Baseline `(p99_ns, ci_half)`.
-    pub base: (f64, f64),
-    /// Candidate `(p99_ns, ci_half)`.
-    pub cand: (f64, f64),
-    /// Relative p99 change, percent (positive = slower).
-    pub pct_change: f64,
-    /// Whether the 95% CIs do not overlap.
-    pub significant: bool,
-    /// Candidate saturates at a rate the baseline served: always gates
-    /// (the frontier itself moved, regardless of the quantile delta).
-    pub saturation_onset: bool,
-    /// Fails the gate.
-    pub regressed: bool,
-    /// Significant speedup past the threshold: reported, never fails.
-    pub improved: bool,
-}
-
-/// The result of comparing candidate latency against a baseline.
-#[derive(Debug)]
-pub struct LatencyComparison {
-    /// Every matched `(queue, rate_kops)` point.
-    pub deltas: Vec<LatencyDelta>,
-    /// `(queue, rate)` keys present in only one snapshot.
-    pub unmatched: Vec<String>,
-}
-
-impl LatencyComparison {
-    /// The deltas that fail the gate.
-    pub fn regressions(&self) -> Vec<&LatencyDelta> {
-        self.deltas.iter().filter(|d| d.regressed).collect()
-    }
-
-    /// Human-readable comparison table (p99 in ns).
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<12} {:>10} {:>20} {:>20} {:>8}  verdict",
-            "queue", "rate_kops", "baseline p99", "candidate p99", "delta"
+            "{:<w$} {:^25} {:^25} {:>8}  verdict",
+            "point", "baseline", "candidate", "delta"
         );
         for d in &self.deltas {
             let verdict = if d.saturation_onset {
@@ -424,15 +559,8 @@ impl LatencyComparison {
             };
             let _ = writeln!(
                 out,
-                "{:<12} {:>10.0} {:>12.0} ±{:<6.0} {:>12.0} ±{:<6.0} {:>+7.1}%  {}",
-                d.queue,
-                d.rate_kops,
-                d.base.0,
-                d.base.1,
-                d.cand.0,
-                d.cand.1,
-                d.pct_change,
-                verdict
+                "{:<w$} {:>12.3} ±{:<11.3} {:>12.3} ±{:<11.3} {:>+7.1}%  {verdict}",
+                d.key, d.base.0, d.base.1, d.cand.0, d.cand.1, d.pct_change
             );
         }
         for u in &self.unmatched {
@@ -442,129 +570,109 @@ impl LatencyComparison {
     }
 }
 
-/// Compares candidate latency against baseline on the `(queue, rate_kops)`
-/// key. A point **regresses** when the candidate p99 is *higher*, the
-/// relative increase exceeds `threshold_pct` (the gate's default is 10 —
-/// quantiles are noisier than means), and the 95% CIs do not overlap —
-/// the same three-part test as the throughput gate with the polarity
-/// flipped. A candidate that *saturates* at a rate the baseline served
-/// regresses unconditionally: its measured p99 under overload is not
-/// comparable (the open loop's lag means the point no longer measures the
-/// offered schedule), but the lost headroom is itself the regression.
-pub fn compare_latency(
-    base: &LatencySnapshot,
-    cand: &LatencySnapshot,
-    threshold_pct: f64,
-) -> LatencyComparison {
+/// Compares candidate rows against baseline rows on their keys.
+/// `threshold_pct` is the minimum relative change (percent) a significant
+/// change in the worse direction must exceed to regress.
+pub fn compare(base: &[Row], cand: &[Row], polarity: Polarity, threshold_pct: f64) -> Comparison {
+    // The sign a worsening change has.
+    let worse = match polarity {
+        Polarity::HigherIsBetter => -1.0,
+        Polarity::LowerIsBetter => 1.0,
+    };
     let mut deltas = Vec::new();
-    let mut unmatched = Vec::new();
-    for bs in &base.series {
-        let Some(cs) = cand.series.iter().find(|s| s.name == bs.name) else {
-            unmatched.push(format!("{} (baseline only)", bs.name));
+    for b in base {
+        let Some(c) = cand.iter().find(|c| c.key == b.key) else {
             continue;
         };
-        for bp in &bs.points {
-            let Some(cp) = cs
-                .points
-                .iter()
-                .find(|p| (p.rate_kops - bp.rate_kops).abs() < 1e-6)
-            else {
-                unmatched.push(format!("{} @{}k (baseline only)", bs.name, bp.rate_kops));
-                continue;
-            };
-            let diff = cp.p99_ns - bp.p99_ns;
-            let pct_change = if bp.p99_ns == 0.0 {
-                0.0
-            } else {
-                100.0 * diff / bp.p99_ns
-            };
-            let significant = diff.abs() > bp.p99_ci + cp.p99_ci;
-            let saturation_onset = cp.saturated && !bp.saturated;
-            deltas.push(LatencyDelta {
-                queue: bs.name.clone(),
-                rate_kops: bp.rate_kops,
-                base: (bp.p99_ns, bp.p99_ci),
-                cand: (cp.p99_ns, cp.p99_ci),
-                pct_change,
-                significant,
-                saturation_onset,
-                regressed: saturation_onset
-                    || (significant && pct_change > threshold_pct),
-                improved: significant && pct_change < -threshold_pct,
-            });
-        }
+        let diff = c.value - b.value;
+        let pct_change = if b.value == 0.0 {
+            0.0
+        } else {
+            100.0 * diff / b.value
+        };
+        let significant = diff.abs() > b.ci_half + c.ci_half;
+        let saturation_onset = c.saturated && !b.saturated;
+        deltas.push(Delta {
+            key: b.key.clone(),
+            base: (b.value, b.ci_half),
+            cand: (c.value, c.ci_half),
+            pct_change,
+            significant,
+            saturation_onset,
+            regressed: saturation_onset || (significant && worse * pct_change > threshold_pct),
+            improved: significant && -worse * pct_change > threshold_pct,
+        });
     }
-    for cs in &cand.series {
-        if !base.series.iter().any(|s| s.name == cs.name) {
-            unmatched.push(format!("{} (candidate only)", cs.name));
-        }
-    }
-    LatencyComparison { deltas, unmatched }
+    let only = |rows: &[Row], other: &[Row], side: &str| -> Vec<String> {
+        rows.iter()
+            .filter(|r| !other.iter().any(|o| o.key == r.key))
+            .map(|r| format!("{} ({side} only)", r.key))
+            .collect()
+    };
+    let mut unmatched = only(base, cand, "baseline");
+    unmatched.extend(only(cand, base, "candidate"));
+    Comparison { deltas, unmatched }
 }
 
-/// Renders one latency snapshot as a single normalized JSON line for
-/// `results/trajectory.jsonl` — compacted to the trajectory quantiles
-/// (p50/p99/p99.9) so the tail history stays `git diff`-able next to the
-/// throughput lines.
-pub fn latency_trajectory_line(snap: &LatencySnapshot) -> String {
-    let mut out = String::from("{");
-    if let Some(c) = &snap.commit {
-        out.push_str(&format!(
-            "\"commit\": \"{}\", ",
-            c.replace('\\', "\\\\").replace('"', "\\\"")
-        ));
+/// The metric both snapshots are gated on. Snapshots of different kinds
+/// share no row and measure different things, so they are an error that
+/// names both kinds.
+pub fn shared_metric(base: &Snapshot, cand: &Snapshot) -> Result<Metric, String> {
+    let (b, c) = (base.kind.metric(), cand.kind.metric());
+    if b == c {
+        Ok(b)
+    } else {
+        Err(format!(
+            "cannot compare a {} baseline with a {} candidate",
+            b.benchmark, c.benchmark
+        ))
     }
-    out.push_str(&format!(
-        "\"benchmark\": \"{}\", \"workload\": \"{}\", \"schedule\": \"{}\", \"threads\": {}, \"series\": [",
-        snap.benchmark, snap.workload, snap.schedule, snap.threads
-    ));
-    for (si, s) in snap.series.iter().enumerate() {
-        if si > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"queue\": \"{}\", \"points\": [",
-            s.name.replace('\\', "\\\\").replace('"', "\\\"")
-        ));
-        for (pi, p) in s.points.iter().enumerate() {
-            if pi > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"rate_kops\": {:.3}, \"p50_ns\": {:.1}, \"p99_ns\": {:.1}, \"p99_ci\": {:.1}, \"p999_ns\": {:.1}, \"saturated\": {}}}",
-                p.rate_kops, p.p50_ns, p.p99_ns, p.p99_ci, p.p999_ns, p.saturated
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::render_json_with_commit;
+    use crate::report::{render_json, render_json_with_commit, render_latency_json};
+
+    /// Gates two snapshots the way `wfq-regress` does.
+    fn gate(base: &Snapshot, cand: &Snapshot, threshold: f64) -> Comparison {
+        let metric = shared_metric(base, cand).unwrap();
+        compare(&base.rows(), &cand.rows(), metric.polarity, threshold)
+    }
 
     fn snap(scale: f64, ci: f64) -> Snapshot {
         Snapshot {
             commit: Some("deadbee".into()),
-            benchmark: "figure2".into(),
             workload: "pairwise".into(),
-            series: vec![Series {
+            kind: Kind::Throughput(vec![Series {
                 name: "WF-10".into(),
                 points: vec![
-                    SeriesPoint { threads: 1, mean_mops: 10.0 * scale, ci_half: ci },
-                    SeriesPoint { threads: 2, mean_mops: 8.0 * scale, ci_half: ci },
+                    SeriesPoint {
+                        threads: 1,
+                        mean_mops: 10.0 * scale,
+                        ci_half: ci,
+                    },
+                    SeriesPoint {
+                        threads: 2,
+                        mean_mops: 8.0 * scale,
+                        ci_half: ci,
+                    },
                 ],
-            }],
+            }]),
+        }
+    }
+
+    fn throughput(s: &Snapshot) -> &[Series] {
+        match &s.kind {
+            Kind::Throughput(series) => series,
+            k => panic!("not a throughput snapshot: {k:?}"),
         }
     }
 
     #[test]
     fn self_comparison_of_identical_runs_passes() {
         let a = snap(1.0, 0.2);
-        let cmp = compare(&a, &a, 5.0);
+        let cmp = gate(&a, &a, 5.0);
         assert!(cmp.regressions().is_empty());
         assert!(cmp.deltas.iter().all(|d| !d.significant));
         assert!(cmp.unmatched.is_empty());
@@ -575,7 +683,7 @@ mod tests {
         // The acceptance criterion: a synthetic ≥20% slowdown must fail.
         let base = snap(1.0, 0.1);
         let cand = snap(0.8, 0.1);
-        let cmp = compare(&base, &cand, 5.0);
+        let cmp = gate(&base, &cand, 5.0);
         assert_eq!(cmp.regressions().len(), 2, "{}", cmp.render());
         assert!(cmp.render().contains("REGRESSION"));
     }
@@ -586,7 +694,7 @@ mod tests {
         // so the gate must not fire on noise.
         let base = snap(1.0, 1.5);
         let cand = snap(0.8, 1.5);
-        let cmp = compare(&base, &cand, 5.0);
+        let cmp = gate(&base, &cand, 5.0);
         assert!(cmp.regressions().is_empty(), "{}", cmp.render());
     }
 
@@ -594,7 +702,7 @@ mod tests {
     fn a_significant_but_sub_threshold_drop_passes() {
         let base = snap(1.0, 0.01);
         let cand = snap(0.97, 0.01); // −3%, tight CIs
-        let cmp = compare(&base, &cand, 5.0);
+        let cmp = gate(&base, &cand, 5.0);
         assert!(cmp.regressions().is_empty());
         assert!(cmp.deltas.iter().all(|d| d.significant));
         assert!(cmp.render().contains("within threshold"));
@@ -604,7 +712,7 @@ mod tests {
     fn improvements_are_reported_but_never_fail() {
         let base = snap(1.0, 0.05);
         let cand = snap(1.5, 0.05);
-        let cmp = compare(&base, &cand, 5.0);
+        let cmp = gate(&base, &cand, 5.0);
         assert!(cmp.regressions().is_empty());
         assert!(cmp.deltas.iter().all(|d| d.improved));
         assert!(cmp.render().contains("improved"));
@@ -613,43 +721,53 @@ mod tests {
     #[test]
     fn snapshots_roundtrip_through_render_and_parse() {
         let s = snap(1.0, 0.2);
-        let doc = render_json_with_commit(
-            &s.benchmark,
-            &s.workload,
-            s.commit.as_deref(),
-            &s.series,
-        );
+        let doc =
+            render_json_with_commit("figure2", &s.workload, s.commit.as_deref(), throughput(&s));
         let back = parse_snapshot(&doc).unwrap();
         assert_eq!(back.commit.as_deref(), Some("deadbee"));
-        assert_eq!(back.benchmark, "figure2");
+        assert_eq!(back.kind.metric().benchmark, "figure2");
         assert_eq!(back.workload, "pairwise");
-        assert_eq!(back.series, s.series);
+        assert_eq!(throughput(&back), throughput(&s));
     }
 
     #[test]
     fn legacy_snapshots_without_commit_still_parse() {
-        let doc = crate::report::render_json("figure2", "pairwise", &snap(1.0, 0.2).series);
+        let doc = render_json("figure2", "pairwise", throughput(&snap(1.0, 0.2)));
         let back = parse_snapshot(&doc).unwrap();
         assert_eq!(back.commit, None);
-        assert_eq!(back.series.len(), 1);
+        assert_eq!(throughput(&back).len(), 1);
     }
 
     #[test]
     fn missing_points_surface_as_unmatched_not_panics() {
         let base = snap(1.0, 0.2);
         let mut cand = snap(1.0, 0.2);
-        cand.series[0].points.pop();
-        cand.series.push(Series { name: "EXTRA".into(), points: vec![] });
-        let cmp = compare(&base, &cand, 5.0);
+        let Kind::Throughput(series) = &mut cand.kind else {
+            unreachable!()
+        };
+        series[0].points.pop();
+        series.push(Series {
+            name: "EXTRA".into(),
+            points: vec![SeriesPoint {
+                threads: 1,
+                mean_mops: 1.0,
+                ci_half: 0.1,
+            }],
+        });
+        let cmp = gate(&base, &cand, 5.0);
         assert_eq!(cmp.deltas.len(), 1);
-        assert_eq!(cmp.unmatched.len(), 2, "{:?}", cmp.unmatched);
+        assert_eq!(
+            cmp.unmatched,
+            ["WF-10 @2 (baseline only)", "EXTRA @1 (candidate only)"],
+            "unmatched keys are reported in both directions"
+        );
     }
 
     #[test]
     fn trajectory_line_is_one_line_of_valid_json() {
-        let line = trajectory_line(&snap(1.0, 0.2));
+        let line = snap(1.0, 0.2).trajectory_line();
         assert_eq!(line.lines().count(), 1);
-        let v = crate::json::parse(&line).unwrap();
+        let v = json::parse(&line).unwrap();
         assert_eq!(v.get("commit").unwrap().as_str(), Some("deadbee"));
         let series = v.get("series").unwrap().as_arr().unwrap();
         assert_eq!(series[0].get("queue").unwrap().as_str(), Some("WF-10"));
@@ -658,9 +776,10 @@ mod tests {
     #[test]
     fn malformed_snapshots_return_errors() {
         assert!(parse_snapshot("not json").is_err());
-        assert!(parse_snapshot("{\"benchmark\": \"x\"}").is_err());
+        assert!(parse_snapshot("{\"benchmark\": \"figure2\"}").is_err());
         assert!(
-            parse_snapshot("{\"benchmark\": \"x\", \"workload\": \"y\", \"series\": 3}").is_err()
+            parse_snapshot("{\"benchmark\": \"figure2\", \"workload\": \"y\", \"series\": 3}")
+                .is_err()
         );
     }
 
@@ -670,17 +789,20 @@ mod tests {
                    {\"queue\": \"WF-10\", \"points\": [\
                    {\"threads\": 1, \"mean_mops\": 10.0}]}]}";
         let err = parse_snapshot(doc).unwrap_err();
-        assert!(err.contains("ci_half"), "message must name the field: {err}");
+        assert!(
+            err.contains("ci_half"),
+            "message must name the field: {err}"
+        );
     }
 
     #[test]
     fn empty_series_and_empty_points_are_parse_errors_not_vacuous_passes() {
         // Zero series: the gate would compare nothing and print PASS.
-        let doc = "{\"benchmark\": \"x\", \"workload\": \"y\", \"series\": []}";
+        let doc = "{\"benchmark\": \"figure2\", \"workload\": \"y\", \"series\": []}";
         let err = parse_snapshot(doc).unwrap_err();
         assert!(err.contains("no series"), "{err}");
         // A series with zero points: same vacuity, one level down.
-        let doc = "{\"benchmark\": \"x\", \"workload\": \"y\", \"series\": [\
+        let doc = "{\"benchmark\": \"figure2\", \"workload\": \"y\", \"series\": [\
                    {\"queue\": \"WF-10\", \"points\": []}]}";
         let err = parse_snapshot(doc).unwrap_err();
         assert!(err.contains("no points") && err.contains("WF-10"), "{err}");
@@ -690,7 +812,7 @@ mod tests {
     fn non_finite_numbers_are_parse_errors() {
         // `1e999` overflows f64 to +inf, which `str::parse` accepts — a
         // CI comparison against infinity would never be significant.
-        let doc = "{\"benchmark\": \"x\", \"workload\": \"y\", \"series\": [\
+        let doc = "{\"benchmark\": \"figure2\", \"workload\": \"y\", \"series\": [\
                    {\"queue\": \"WF-10\", \"points\": [\
                    {\"threads\": 1, \"mean_mops\": 1e999, \"ci_half\": 0.1}]}]}";
         let err = parse_snapshot(doc).unwrap_err();
@@ -698,7 +820,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Latency gate
+    // Latency rows
     // ------------------------------------------------------------------
 
     fn lat_point(rate: f64, p99: f64, ci: f64, saturated: bool) -> LatencyPoint {
@@ -726,37 +848,45 @@ mod tests {
         }
     }
 
-    fn lat_snap(scale: f64, ci: f64) -> LatencySnapshot {
-        LatencySnapshot {
+    fn lat_snap(scale: f64, ci: f64) -> Snapshot {
+        Snapshot {
             commit: Some("deadbee".into()),
-            benchmark: "latency_observatory".into(),
             workload: "open_loop_pairs".into(),
-            schedule: "fixed".into(),
-            threads: 2,
-            series: vec![LatencySeries {
-                name: "WF-10".into(),
-                points: vec![
-                    lat_point(250.0, 800.0 * scale, ci, false),
-                    lat_point(1000.0, 1200.0 * scale, ci, false),
-                ],
-            }],
+            kind: Kind::Latency {
+                schedule: "fixed".into(),
+                threads: 2,
+                series: vec![LatencySeries {
+                    name: "WF-10".into(),
+                    points: vec![
+                        lat_point(250.0, 800.0 * scale, ci, false),
+                        lat_point(1000.0, 1200.0 * scale, ci, false),
+                    ],
+                }],
+            },
+        }
+    }
+
+    fn lat_points(s: &mut Snapshot) -> &mut Vec<LatencyPoint> {
+        match &mut s.kind {
+            Kind::Latency { series, .. } => &mut series[0].points,
+            k => panic!("not a latency snapshot: {k:?}"),
         }
     }
 
     #[test]
     fn latency_self_comparison_passes() {
         let a = lat_snap(1.0, 10.0);
-        let cmp = compare_latency(&a, &a, 10.0);
+        let cmp = gate(&a, &a, 10.0);
         assert!(cmp.regressions().is_empty(), "{}", cmp.render());
         assert!(cmp.unmatched.is_empty());
     }
 
     #[test]
     fn a_significant_p99_inflation_regresses() {
-        // Higher-is-worse polarity: +50% p99 with tight CIs must fail.
+        // Lower-is-better polarity: +50% p99 with tight CIs must fail.
         let base = lat_snap(1.0, 10.0);
         let cand = lat_snap(1.5, 10.0);
-        let cmp = compare_latency(&base, &cand, 10.0);
+        let cmp = gate(&base, &cand, 10.0);
         assert_eq!(cmp.regressions().len(), 2, "{}", cmp.render());
         assert!(cmp.render().contains("REGRESSION"));
     }
@@ -765,7 +895,7 @@ mod tests {
     fn a_p99_drop_is_an_improvement_not_a_regression() {
         let base = lat_snap(1.0, 10.0);
         let cand = lat_snap(0.5, 10.0);
-        let cmp = compare_latency(&base, &cand, 10.0);
+        let cmp = gate(&base, &cand, 10.0);
         assert!(cmp.regressions().is_empty());
         assert!(cmp.deltas.iter().all(|d| d.improved));
         assert!(cmp.render().contains("improved"));
@@ -773,10 +903,10 @@ mod tests {
 
     #[test]
     fn overlapping_cis_mask_latency_deltas() {
-        // |Δ| = 160 ns at the low point < 100+100: not significant.
+        // |Δ| = 160 ns at the low point < 500+500: not significant.
         let base = lat_snap(1.0, 500.0);
         let cand = lat_snap(1.2, 500.0);
-        let cmp = compare_latency(&base, &cand, 10.0);
+        let cmp = gate(&base, &cand, 10.0);
         assert!(cmp.regressions().is_empty(), "{}", cmp.render());
     }
 
@@ -784,7 +914,7 @@ mod tests {
     fn sub_threshold_latency_inflation_passes() {
         let base = lat_snap(1.0, 0.5);
         let cand = lat_snap(1.05, 0.5); // +5% < 10% threshold, tight CIs
-        let cmp = compare_latency(&base, &cand, 10.0);
+        let cmp = gate(&base, &cand, 10.0);
         assert!(cmp.regressions().is_empty());
         assert!(cmp.deltas.iter().all(|d| d.significant));
     }
@@ -793,37 +923,39 @@ mod tests {
     fn saturation_onset_regresses_even_with_equal_p99() {
         let base = lat_snap(1.0, 10.0);
         let mut cand = lat_snap(1.0, 10.0);
-        cand.series[0].points[1].saturated = true;
-        let cmp = compare_latency(&base, &cand, 10.0);
+        lat_points(&mut cand)[1].saturated = true;
+        let cmp = gate(&base, &cand, 10.0);
         assert_eq!(cmp.regressions().len(), 1);
         assert!(cmp.render().contains("saturates"), "{}", cmp.render());
         // The reverse direction (candidate de-saturates) never fails.
-        let cmp = compare_latency(&cand, &base, 10.0);
+        let cmp = gate(&cand, &base, 10.0);
         assert!(cmp.regressions().is_empty());
     }
 
     #[test]
     fn latency_snapshots_roundtrip_through_render_and_parse() {
-        let s = lat_snap(1.0, 10.0);
-        let doc = crate::report::render_latency_json(
-            &s.schedule,
-            s.threads,
-            s.commit.as_deref(),
-            &s.series,
-        );
-        let back = parse_latency_snapshot(&doc).unwrap();
+        let mut s = lat_snap(1.0, 10.0);
+        let Kind::Latency {
+            schedule,
+            threads,
+            series,
+        } = &s.kind
+        else {
+            unreachable!()
+        };
+        let doc = render_latency_json(schedule, *threads, s.commit.as_deref(), series);
+        let mut back = parse_snapshot(&doc).unwrap();
         assert_eq!(back.commit.as_deref(), Some("deadbee"));
-        assert_eq!(back.benchmark, "latency_observatory");
-        assert_eq!(back.schedule, "fixed");
-        assert_eq!(back.threads, 2);
-        assert_eq!(back.series, s.series);
+        assert_eq!(back.kind.metric().benchmark, "latency_observatory");
+        assert_eq!(back.config(), "fixed/2 threads");
+        assert_eq!(lat_points(&mut back), lat_points(&mut s));
     }
 
     #[test]
     fn latency_trajectory_line_is_one_line_of_valid_json() {
-        let line = latency_trajectory_line(&lat_snap(1.0, 10.0));
+        let line = lat_snap(1.0, 10.0).trajectory_line();
         assert_eq!(line.lines().count(), 1);
-        let v = crate::json::parse(&line).unwrap();
+        let v = json::parse(&line).unwrap();
         assert_eq!(
             v.get("benchmark").unwrap().as_str(),
             Some("latency_observatory")
@@ -835,32 +967,42 @@ mod tests {
 
     #[test]
     fn malformed_latency_snapshots_return_errors() {
-        assert!(parse_latency_snapshot("not json").is_err());
-        // A throughput snapshot is not a latency snapshot (missing
-        // schedule/threads and the per-point latency fields).
-        let tp = crate::report::render_json("figure2", "pairwise", &snap(1.0, 0.2).series);
-        assert!(parse_latency_snapshot(&tp).is_err());
+        assert!(parse_snapshot("not json").is_err());
+        // A throughput document relabeled as latency is not a latency
+        // snapshot (missing schedule/threads and the per-point fields).
+        let tp = render_json(
+            "latency_observatory",
+            "pairwise",
+            throughput(&snap(1.0, 0.2)),
+        );
+        assert!(parse_snapshot(&tp).is_err());
     }
 
     #[test]
     fn empty_latency_series_and_points_are_parse_errors() {
         let doc = "{\"benchmark\": \"latency_observatory\", \"workload\": \"w\", \
                    \"schedule\": \"fixed\", \"threads\": 2, \"series\": []}";
-        assert!(parse_latency_snapshot(doc).unwrap_err().contains("no series"));
+        assert!(parse_snapshot(doc).unwrap_err().contains("no series"));
         let doc = "{\"benchmark\": \"latency_observatory\", \"workload\": \"w\", \
                    \"schedule\": \"fixed\", \"threads\": 2, \"series\": [\
                    {\"queue\": \"WF-10\", \"points\": []}]}";
-        assert!(parse_latency_snapshot(doc).unwrap_err().contains("no points"));
+        assert!(parse_snapshot(doc).unwrap_err().contains("no points"));
     }
 
     #[test]
     fn latency_rate_mismatches_surface_as_unmatched() {
         let base = lat_snap(1.0, 10.0);
         let mut cand = lat_snap(1.0, 10.0);
-        cand.series[0].points[1].rate_kops = 4000.0;
-        let cmp = compare_latency(&base, &cand, 10.0);
+        lat_points(&mut cand)[1].rate_kops = 4000.0;
+        let cmp = gate(&base, &cand, 10.0);
         assert_eq!(cmp.deltas.len(), 1);
-        assert_eq!(cmp.unmatched.len(), 1, "{:?}", cmp.unmatched);
+        assert_eq!(
+            cmp.unmatched,
+            [
+                "WF-10 @1000k (baseline only)",
+                "WF-10 @4000k (candidate only)"
+            ]
+        );
     }
 
     // ------------------------------------------------------------------
@@ -874,7 +1016,10 @@ mod tests {
     const CYCLES: &str = include_str!("../../../results/BENCH_cycles.json");
 
     fn assert_committed_line(line: &str, commit: &str) {
-        assert!(line.starts_with(&format!("{{\"commit\": \"{commit}\", ")), "{line}");
+        assert!(
+            line.starts_with(&format!("{{\"commit\": \"{commit}\", ")),
+            "{line}"
+        );
         assert!(
             TRAJECTORY.lines().any(|l| l == line),
             "re-recorded line is not byte-identical to results/trajectory.jsonl:\n{line}"
@@ -883,51 +1028,115 @@ mod tests {
 
     #[test]
     fn golden_snapshots_re_record_their_committed_trajectory_lines() {
-        assert_committed_line(&trajectory_line(&parse_snapshot(PAIRWISE).unwrap()), "6a3df09");
-        assert_committed_line(&trajectory_line(&parse_snapshot(BATCH).unwrap()), "d020c1c");
-        assert_committed_line(
-            &latency_trajectory_line(&parse_latency_snapshot(LATENCY).unwrap()),
-            "a7593b1",
-        );
-        assert_committed_line(
-            &crate::cycles::cycles_trajectory_line(
-                &crate::cycles::parse_cycles_snapshot(CYCLES).unwrap(),
-            ),
-            "8d70846",
-        );
+        for (doc, commit) in [
+            (PAIRWISE, "6a3df09"),
+            (BATCH, "d020c1c"),
+            (LATENCY, "a7593b1"),
+            (CYCLES, "8d70846"),
+        ] {
+            assert_committed_line(&parse_snapshot(doc).unwrap().trajectory_line(), commit);
+        }
     }
 
     #[test]
     fn golden_snapshots_pass_against_themselves() {
-        for (doc, points) in [(PAIRWISE, 30), (BATCH, 24)] {
+        for (doc, points) in [(PAIRWISE, 30), (BATCH, 24), (LATENCY, 15), (CYCLES, 13)] {
             let s = parse_snapshot(doc).unwrap();
-            let cmp = compare(&s, &s, 5.0);
+            let cmp = gate(&s, &s, s.kind.metric().default_threshold);
             assert_eq!((cmp.deltas.len(), cmp.regressions().len()), (points, 0));
             assert!(cmp.unmatched.is_empty());
         }
-        let s = parse_latency_snapshot(LATENCY).unwrap();
-        let cmp = compare_latency(&s, &s, 10.0);
-        assert_eq!((cmp.deltas.len(), cmp.regressions().len()), (15, 0));
-        assert!(cmp.unmatched.is_empty());
-        let s = crate::cycles::parse_cycles_snapshot(CYCLES).unwrap();
-        let cmp = crate::cycles::compare_cycles(&s, &s, 10.0);
-        assert_eq!((cmp.deltas.len(), cmp.regressions().len()), (13, 0));
-        assert!(cmp.unmatched.is_empty());
     }
 
     #[test]
     fn golden_batch_against_pairwise_regresses_with_the_rings_unmatched() {
-        let cmp = compare(&parse_snapshot(BATCH).unwrap(), &parse_snapshot(PAIRWISE).unwrap(), 5.0);
-        assert_eq!((cmp.deltas.len(), cmp.regressions().len()), (24, 21), "{}", cmp.render());
+        let cmp = gate(
+            &parse_snapshot(BATCH).unwrap(),
+            &parse_snapshot(PAIRWISE).unwrap(),
+            5.0,
+        );
+        assert_eq!(
+            (cmp.deltas.len(), cmp.regressions().len()),
+            (24, 21),
+            "{}",
+            cmp.render()
+        );
         for ring in ["SCQ", "wCQ"] {
-            assert!(cmp.unmatched.iter().any(|u| u.starts_with(ring)), "{:?}", cmp.unmatched);
+            assert!(
+                cmp.unmatched.iter().any(|u| u.starts_with(ring)),
+                "{:?}",
+                cmp.unmatched
+            );
         }
         assert!(
             cmp.unmatched
                 .iter()
-                .all(|u| (u.starts_with("SCQ") || u.starts_with("wCQ")) && u.ends_with("(candidate only)")),
+                .all(|u| (u.starts_with("SCQ") || u.starts_with("wCQ"))
+                    && u.ends_with("(candidate only)")),
             "{:?}",
             cmp.unmatched
         );
+    }
+
+    // ------------------------------------------------------------------
+    // Kind detection
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn regress_reads_the_kind_from_the_benchmark_field() {
+        for (doc, benchmark, polarity, threshold) in [
+            (PAIRWISE, "figure2", Polarity::HigherIsBetter, 5.0),
+            (
+                LATENCY,
+                "latency_observatory",
+                Polarity::LowerIsBetter,
+                10.0,
+            ),
+            (CYCLES, "cycle_ledger", Polarity::LowerIsBetter, 10.0),
+        ] {
+            let metric = parse_snapshot(doc).unwrap().kind.metric();
+            assert_eq!(
+                (metric.benchmark, metric.polarity, metric.default_threshold),
+                (benchmark, polarity, threshold)
+            );
+        }
+    }
+
+    #[test]
+    fn regress_records_and_gates_a_cycles_document_with_no_flag() {
+        let s = parse_snapshot(CYCLES).unwrap();
+        assert!(matches!(s.kind, Kind::Cycles { .. }));
+        assert_eq!(s.config(), "tsc-only");
+        assert_committed_line(&s.trajectory_line(), "8d70846");
+        let rows = s.rows();
+        assert!(rows.iter().any(|r| r.key == "WF-10 @1 total"), "{rows:?}");
+        assert!(
+            rows.iter().any(|r| r.key == "WF-10 @1 find_cell"),
+            "{rows:?}"
+        );
+        assert!(gate(&s, &s, 10.0).regressions().is_empty());
+    }
+
+    #[test]
+    fn regress_refuses_to_compare_mixed_kinds() {
+        let pairwise = parse_snapshot(PAIRWISE).unwrap();
+        let cycles = parse_snapshot(CYCLES).unwrap();
+        let err = shared_metric(&pairwise, &cycles).unwrap_err();
+        assert!(
+            err.contains("figure2") && err.contains("cycle_ledger"),
+            "{err}"
+        );
+        let err = shared_metric(&cycles, &parse_snapshot(LATENCY).unwrap()).unwrap_err();
+        assert!(
+            err.contains("cycle_ledger") && err.contains("latency_observatory"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn regress_rejects_an_unknown_benchmark() {
+        let doc = PAIRWISE.replace("\"figure2\"", "\"figure9\"");
+        let err = parse_snapshot(&doc).unwrap_err();
+        assert!(err.contains("figure9"), "{err}");
     }
 }

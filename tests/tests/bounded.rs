@@ -421,6 +421,7 @@ mod stall_soak {
                     let mut h = q.register();
                     let cap = CEILING * SEG as u64 * 2;
                     let mut v = 0u64;
+                    let mut breach = None;
                     let saw_full = loop {
                         if v >= cap {
                             break false;
@@ -432,22 +433,27 @@ mod stall_soak {
                                 // Degradation invariant, sampled on every
                                 // accepted enqueue: never above the ceiling.
                                 let g = q.gauges();
-                                assert!(
-                                    g.live_segments <= CEILING,
-                                    "ceiling breached mid-fill: {g:?}"
-                                );
+                                if g.live_segments > CEILING {
+                                    breach.get_or_insert(g);
+                                }
                             }
                             Err(_) => break true,
                         }
                     };
-                    assert!(saw_full, "parked hazard never produced Full");
 
                     // Steady-state degradation: rejections repeat, memory
                     // stays put, and the gauges name the culprit.
-                    for _ in 0..32 {
-                        assert!(q.register().try_enqueue(12345).is_err());
-                    }
+                    let rejected = (0..32)
+                        .filter(|_| q.register().try_enqueue(12345).is_err())
+                        .count();
                     let g = q.gauges();
+                    let st = q.stats();
+                    // Release before asserting, so a failure fails the
+                    // test instead of leaving the victim parked forever.
+                    release.set();
+                    assert!(breach.is_none(), "ceiling breached mid-fill: {breach:?}");
+                    assert!(saw_full, "parked hazard never produced Full");
+                    assert_eq!(rejected, 32, "a rejection did not repeat");
                     assert!(g.live_segments <= CEILING, "{g:?}");
                     assert_eq!(
                         g.min_hazard,
@@ -455,12 +461,9 @@ mod stall_soak {
                         "watchdog gauge must expose the pinning hazard: {g:?}"
                     );
                     assert_eq!(g.ceiling_headroom, Some(0), "{g:?}");
-                    let st = q.stats();
                     assert!(st.enq_rejected >= 32, "{st:?}");
                     assert!(st.forced_cleanups > 0, "{st:?}");
                     assert_eq!(st.segs_recycled, 0, "freed past a live hazard: {st:?}");
-
-                    release.set();
                 });
             }
         });

@@ -1163,6 +1163,11 @@ mod fuzz {
                         let _ = h.dequeue();
                     }
                     let s1 = q.stats();
+                    let oid = q.oldest_segment_id();
+                    dwp.store(s1.segs_freed as i64, Ordering::SeqCst);
+                    // Release before asserting, so a failure fails the
+                    // test instead of leaving A parked forever.
+                    release.set();
                     // Cleanups ran (the traffic crossed ~40 segment
                     // boundaries with a garbage bound of 1)…
                     assert!(
@@ -1180,13 +1185,10 @@ mod fuzz {
                     );
                     // The oldest-segment token, whenever free, still names
                     // segment 0 — the boundary never advanced.
-                    let oid = q.oldest_segment_id();
                     assert!(
                         oid <= 0,
                         "oldest segment advanced to {oid} past the parked hazard"
                     );
-                    dwp.store(s1.segs_freed as i64, Ordering::SeqCst);
-                    release.set();
                 });
             }
         });
@@ -1373,6 +1375,9 @@ mod fuzz {
                         let _ = h.dequeue_batch(&mut out, 8);
                     }
                     let s1 = q.stats();
+                    // Release before asserting, so a failure fails the
+                    // test instead of leaving A parked forever.
+                    release.set();
                     assert!(s1.enq_batches > 0 && s1.deq_batches > 0);
                     assert!(
                         s1.cleanups > 0,
@@ -1382,7 +1387,6 @@ mod fuzz {
                         s1.segs_freed, 0,
                         "reclaimer freed past a parked batch dequeuer: {s1:?}"
                     );
-                    release.set();
                 });
             }
         });
