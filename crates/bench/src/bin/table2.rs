@@ -74,10 +74,9 @@ fn main() {
     };
     println!(
         "Table 2: breakdown of execution paths of {title} \
-         ({} benchmark, {} hardware threads; counts beyond {} are oversubscribed)\n",
+         ({} benchmark, {hw} hardware thread{}; counts beyond {hw} are oversubscribed)\n",
         workload.name(),
-        hw,
-        hw
+        if hw == 1 { "" } else { "s" },
     );
     println!("{}", render_table2(&rows));
     // The full per-run path breakdown, in QueueStats' own Table-2 layout

@@ -83,6 +83,7 @@ impl Config {
     }
 
     /// Resolves the reclamation threshold given the current handle count.
+    #[inline]
     pub(crate) fn garbage_threshold(&self, handles: u64) -> u64 {
         self.max_garbage.unwrap_or_else(|| (2 * handles).max(4))
     }

@@ -23,7 +23,10 @@
 //! ## Two API levels
 //!
 //! - [`WfQueue<T>`] — a typed, owning queue for arbitrary `T: Send`. Values
-//!   are boxed; the queue drains and drops leftovers on `Drop`.
+//!   are boxed; the queue drains and drops leftovers on `Drop`. A handle
+//!   keeps at most one freed box (`size_of::<T>()` bytes) until its next
+//!   enqueue or its drop, so enqueue-dequeue pairs on one handle reuse one
+//!   box instead of calling the allocator.
 //! - [`RawQueue`] — the paper's algorithm verbatim over 64-bit machine words
 //!   (values must avoid the two reserved patterns `0` and `u64::MAX`). This
 //!   is what the benchmarks drive, mirroring the authors' C benchmark which

@@ -1217,14 +1217,26 @@ impl<const N: usize> RawQueue<N> {
     // help_deq (Listing 4 lines 158–205 + Listing 5 line 220)
     // ------------------------------------------------------------------
 
+    /// Lines 158–162, the bail-out every successful dequeue pays for its
+    /// peer: inlined, so a peer with no pending request costs two loads
+    /// and no call. The work on a pending request is [`Self::help_deq_pending`].
+    #[inline]
     pub(crate) fn help_deq(&self, h: &HandleNode<N>, helpee: &HandleNode<N>) {
         let r = &helpee.deq_req;
         // Line 160: state before id (writers publish id before state).
-        let mut s = r.state();
+        let s = r.state();
         let id = r.id();
         if !s.pending || s.index < id {
             return; // line 162
         }
+        self.help_deq_pending(h, helpee, id);
+    }
+
+    /// Lines 163–205: helps `helpee`'s request `id`, which the bail-out saw
+    /// pending.
+    #[cold]
+    fn help_deq_pending(&self, h: &HandleNode<N>, helpee: &HandleNode<N>, id: u64) {
+        let r = &helpee.deq_req;
         // Past the cheap bail-out: this call will actually work on the
         // request, so open a helper span tagged with the helpee's op id.
         // When `deq_slow` self-helps this nests inside its own slow span.
@@ -1245,7 +1257,7 @@ impl<const N: usize> RawQueue<N> {
         // already scanned — exactly what the reverse pass must catch.
         inject!("help_deq::hazard_adopted");
         wfq_obs::record!(wfq_obs::EventKind::HazardAdopt, adopted as u64, id);
-        s = r.state(); // line 165: must re-read after hazard adoption
+        let mut s = r.state(); // line 165: must re-read after hazard adoption
 
         let mut prior = id; // line 166
         let mut i = id;

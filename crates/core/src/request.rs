@@ -112,10 +112,12 @@ impl DeqReq {
         self.state.store(pack::pack(true, cid), Ordering::SeqCst);
     }
 
+    #[inline]
     pub(crate) fn state(&self) -> ReqState {
         pack::unpack(self.state.load(Ordering::SeqCst))
     }
 
+    #[inline]
     pub(crate) fn id(&self) -> u64 {
         self.id.load(Ordering::SeqCst)
     }
