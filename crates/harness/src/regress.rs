@@ -1032,7 +1032,7 @@ mod tests {
             (PAIRWISE, "6a3df09"),
             (BATCH, "d020c1c"),
             (LATENCY, "a7593b1"),
-            (CYCLES, "8d70846"),
+            (CYCLES, "8c19656"),
         ] {
             assert_committed_line(&parse_snapshot(doc).unwrap().trajectory_line(), commit);
         }
@@ -1107,7 +1107,7 @@ mod tests {
         let s = parse_snapshot(CYCLES).unwrap();
         assert!(matches!(s.kind, Kind::Cycles { .. }));
         assert_eq!(s.config(), "tsc-only");
-        assert_committed_line(&s.trajectory_line(), "8d70846");
+        assert_committed_line(&s.trajectory_line(), "8c19656");
         let rows = s.rows();
         assert!(rows.iter().any(|r| r.key == "WF-10 @1 total"), "{rows:?}");
         assert!(
