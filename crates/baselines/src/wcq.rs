@@ -408,10 +408,19 @@ impl Wcq {
                     continue;
                 }
                 // A foreign value at our exclusive ticket is impossible;
-                // dropping the enqueue here would lose it silently.
+                // dropping the enqueue here would lose it silently. The
+                // message decodes the entry and snapshots the ring so one
+                // failing run says which cycle and index it found.
                 panic!(
                     "foreign entry at exclusive enq ticket: ticket={ticket} \
-                     tc={tc} e={e:#018x} tid={tid}"
+                     tc={tc} e={e:#018x} (cycle={} safe={} idx={:#x}, ours={pattern:#x}) \
+                     tid={tid} ring head={} tail={} threshold={}",
+                    ecycle(e),
+                    esafe(e),
+                    eidx(e),
+                    self.aq.head.load(Ordering::SeqCst),
+                    self.aq.tail.load(Ordering::SeqCst),
+                    self.aq.threshold.load(Ordering::SeqCst),
                 );
             }
             if ecycle(e) > tc {

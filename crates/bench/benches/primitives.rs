@@ -286,45 +286,6 @@ fn bench_persist_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-/// Guardrail for the cycle-ledger `phase!` hooks: in the default build the
-/// macro is a pure pass-through of its body — the const proof in `wfq_obs`
-/// shows the expansion of a const body stays const, so no clock read, no
-/// thread-local, nothing. This bench makes the claim observable: the
-/// `faa_with_phase_marker` loop must price identically to `faa_bare` in
-/// default builds (the CI `cycles` job compares them), and the `pair` loop
-/// on the instrumented queue prices what a `--features cycles` build pays
-/// for the full per-op ledger (compare across builds; `cycle_ledger`
-/// de-biases with the probed per-span cost).
-fn bench_phase_hooks_overhead(c: &mut Criterion) {
-    let mut g = c.benchmark_group("phase_hooks_overhead");
-    g.sample_size(20).measurement_time(Duration::from_secs(1));
-
-    let counter = AtomicU64::new(0);
-    g.bench_function("faa_bare", |b| {
-        b.iter(|| std::hint::black_box(counter.fetch_add(1, Ordering::SeqCst)))
-    });
-    g.bench_function("faa_with_phase_marker", |b| {
-        b.iter(|| {
-            wfq_obs::phase!(
-                wfq_obs::Phase::Faa,
-                std::hint::black_box(counter.fetch_add(1, Ordering::SeqCst))
-            )
-        })
-    });
-
-    let q = <RawQueue as BenchQueue>::new();
-    let mut h = RawQueue::register(&q);
-    let mut i = 0u64;
-    g.bench_function("pair", |b| {
-        b.iter(|| {
-            i += 1;
-            h.enqueue(i);
-            std::hint::black_box(h.dequeue())
-        })
-    });
-    g.finish();
-}
-
 fn main() {
     let mut c = Criterion::new();
     bench_atomics(&mut c);
@@ -334,5 +295,4 @@ fn main() {
     bench_try_enqueue_overhead(&mut c);
     bench_batch_amortization(&mut c);
     bench_persist_overhead(&mut c);
-    bench_phase_hooks_overhead(&mut c);
 }

@@ -1,17 +1,15 @@
 //! `wfq-regress` — the statistical performance-regression gate.
 //!
 //! Compares two benchmark snapshot JSONs (the normalized documents that
-//! `figure2 --json`, `latency_observatory --json` and `cycle_ledger --json`
-//! write, committed under `results/`) point by point, using the harness's
+//! `figure2 --json` and `latency_observatory --json` write, committed
+//! under `results/`) point by point, using the harness's
 //! Student-t 95% CI machinery (Georges et al. §5.1). Each document's
 //! `benchmark` field names its kind, and the kind fixes what is gated:
 //!
 //! - `figure2`: mean Mops/s per `queue @threads`, higher is better,
 //!   default threshold 5%;
 //! - `latency_observatory`: p99 ns per `queue @rate`, lower is better,
-//!   default threshold 10%;
-//! - `cycle_ledger`: cycles/op per `queue @threads phase` (the `total`
-//!   pseudo-phase gates the whole op), lower is better, default 10%.
+//!   default threshold 10%.
 //!
 //! A point regresses when the candidate is worse by more than
 //! `--threshold` percent **and** the two confidence intervals do not

@@ -72,6 +72,11 @@ pub(crate) struct HandleNode<const N: usize> {
     pub spare: AtomicPtr<Segment<N>>,
     /// Path counters (Table 2).
     pub stats: HandleStats,
+    /// The ring nodes a reclamation pass visits, kept between passes so a
+    /// pass does not allocate once the list has grown to the ring's size.
+    /// Owner-local: only the node's owner runs a pass with its node, so a
+    /// plain `Cell` is sound here for the same reason as `last_sample`.
+    pub reclaim_scratch: core::cell::Cell<Vec<*mut HandleNode<N>>>,
     /// Execution-path sample of the owner's most recent single-value
     /// operation (feature `op-sample`; see `crate::sample`). A plain
     /// `Cell` is sound here even though nodes are shared: only the owning
@@ -101,6 +106,7 @@ impl<const N: usize> HandleNode<N> {
             active: AtomicBool::new(true),
             spare: AtomicPtr::new(core::ptr::null_mut()),
             stats: HandleStats::default(),
+            reclaim_scratch: core::cell::Cell::new(Vec::new()),
             #[cfg(feature = "op-sample")]
             last_sample: core::cell::Cell::new(None),
         }));

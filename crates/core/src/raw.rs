@@ -55,14 +55,6 @@ const _OP_SAMPLE_ZERO_OVERHEAD_PROOF: () =
 #[cfg(not(feature = "durable"))]
 const _PERSIST_ZERO_OVERHEAD_PROOF: () = persist!(no_queue, deposit(0u64, 0u64));
 
-// Same guard for the cycle ledger: with `cycles` off the phase markers
-// bracketing the hot path must expand to exactly their body — a const body
-// stays const, which no clock read or thread-local access would allow. The
-// runtime twin is the `phase_hooks_overhead` group of the `primitives`
-// bench.
-#[cfg(not(feature = "cycles"))]
-const _PHASE_ZERO_OVERHEAD_PROOF: u64 = wfq_obs::phase!(wfq_obs::Phase::Faa, 40u64 + 2);
-
 /// Result of `help_enq` (paper Listing 3, lines 90–127): the cell either
 /// yields a value, is permanently unusable (⊤), or witnesses emptiness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -449,10 +441,7 @@ impl<const N: usize> RawQueue<N> {
             is_valid_value(v),
             "RawQueue values must not be 0 or u64::MAX (reserved ⊥/⊤); got {v:#x}"
         );
-        wfq_obs::phase!(
-            wfq_obs::Phase::Hazard,
-            h.publish_hazard_before_faa(h.tail_seg_id.load(Ordering::Relaxed) as i64)
-        );
+        h.publish_hazard_before_faa(h.tail_seg_id.load(Ordering::Relaxed) as i64);
         inject!("enq::hazard_published");
 
         // Lines 57–59: fast path up to PATIENCE extra times, then slow path.
@@ -465,20 +454,13 @@ impl<const N: usize> RawQueue<N> {
             }
         }
         let last_index = if done {
-            wfq_obs::phase!(
-                wfq_obs::Phase::Stats,
-                HandleStats::bump(&h.stats.enq_fast)
-            );
+            HandleStats::bump(&h.stats.enq_fast);
             wfq_obs::record!(wfq_obs::EventKind::EnqFast, cell_id);
             op_sample!(h, crate::sample::OpSide::Enq, OpPath::Fast, cell_id);
             cell_id
         } else {
-            let claimed =
-                wfq_obs::phase!(wfq_obs::Phase::SlowPath, self.enq_slow(h, v, cell_id));
-            wfq_obs::phase!(
-                wfq_obs::Phase::Stats,
-                HandleStats::bump(&h.stats.enq_slow)
-            );
+            let claimed = self.enq_slow(h, v, cell_id);
+            HandleStats::bump(&h.stats.enq_slow);
             claimed
         };
 
@@ -488,10 +470,8 @@ impl<const N: usize> RawQueue<N> {
         // overwrites a deref here would not be protected, and the mirror
         // only needs to be ≤ the true segment id (it is exactly equal:
         // h.tail ends the operation at segment last_index / N).
-        wfq_obs::phase!(wfq_obs::Phase::Hazard, {
-            h.tail_seg_id.store(last_index / N as u64, Ordering::Relaxed);
-            h.clear_hazard();
-        });
+        h.tail_seg_id.store(last_index / N as u64, Ordering::Relaxed);
+        h.clear_hazard();
     }
 
     /// The fallible enqueue behind [`Handle::try_enqueue`]: an admission
@@ -525,19 +505,14 @@ impl<const N: usize> RawQueue<N> {
     /// the slow-path request id on failure and the mirror update on
     /// success).
     fn enq_fast(&self, h: &HandleNode<N>, v: u64, cell_id: &mut u64) -> bool {
-        let i = wfq_obs::phase!(
-            wfq_obs::Phase::Faa,
-            self.tail_index.fetch_add(1, Ordering::SeqCst)
-        );
+        let i = self.tail_index.fetch_add(1, Ordering::SeqCst);
         inject!("enq_fast::post_faa");
         persist!(self, advance_tail(i + 1));
         *cell_id = i;
         // SAFETY: h.tail is ≥ the hazard this thread published and ≤ i/N
         // (it only ever advances through cells this thread obtained by FAA).
-        let c = wfq_obs::phase!(wfq_obs::Phase::FindCell, unsafe {
-            &*find_cell(&h.tail, i, &self.src(h))
-        });
-        if wfq_obs::phase!(wfq_obs::Phase::CellCas, c.try_deposit(v)) {
+        let c = unsafe { &*find_cell(&h.tail, i, &self.src(h)) };
+        if c.try_deposit(v) {
             // Crash window: the value is volatile-visible but durably
             // absent until the persist below lands — a crash here is
             // recovered as "enqueue never happened" (provably rejected).
@@ -757,25 +732,18 @@ impl<const N: usize> RawQueue<N> {
         // thread whose every dequeue fast-outs would otherwise keep
         // republishing that stale mirror as its hazard, pinning
         // reclamation at it for as long as it polls.
-        let (h_idx, t_idx) = wfq_obs::phase!(wfq_obs::Phase::Faa, {
-            (
-                self.head_index.load(Ordering::SeqCst),
-                self.tail_index.load(Ordering::SeqCst),
-            )
-        });
+        let (h_idx, t_idx) = (
+            self.head_index.load(Ordering::SeqCst),
+            self.tail_index.load(Ordering::SeqCst),
+        );
         if h_idx > t_idx {
-            wfq_obs::phase!(wfq_obs::Phase::Stats, {
-                HandleStats::bump(&h.stats.deq_fast);
-                HandleStats::bump(&h.stats.deq_empty);
-            });
+            HandleStats::bump(&h.stats.deq_fast);
+            HandleStats::bump(&h.stats.deq_empty);
             wfq_obs::record!(wfq_obs::EventKind::DeqEmpty, h_idx);
             op_sample!(h, crate::sample::OpSide::Deq, OpPath::Fast, h_idx);
             return None;
         }
-        wfq_obs::phase!(
-            wfq_obs::Phase::Hazard,
-            h.publish_hazard_before_faa(h.head_seg_id.load(Ordering::Relaxed) as i64)
-        );
+        h.publish_hazard_before_faa(h.head_seg_id.load(Ordering::Relaxed) as i64);
         inject!("deq::hazard_published");
 
         // Lines 129–133.
@@ -802,10 +770,7 @@ impl<const N: usize> RawQueue<N> {
         }
         let result = match outcome {
             Some(r) => {
-                wfq_obs::phase!(
-                    wfq_obs::Phase::Stats,
-                    HandleStats::bump(&h.stats.deq_fast)
-                );
+                HandleStats::bump(&h.stats.deq_fast);
                 if r.is_some() {
                     wfq_obs::record!(wfq_obs::EventKind::DeqFast, last_index);
                 }
@@ -813,21 +778,14 @@ impl<const N: usize> RawQueue<N> {
                 r
             }
             None => {
-                let (r, i) =
-                    wfq_obs::phase!(wfq_obs::Phase::SlowPath, self.deq_slow(h, cell_id));
+                let (r, i) = self.deq_slow(h, cell_id);
                 last_index = i;
-                wfq_obs::phase!(
-                    wfq_obs::Phase::Stats,
-                    HandleStats::bump(&h.stats.deq_slow)
-                );
+                HandleStats::bump(&h.stats.deq_slow);
                 r
             }
         };
         if result.is_none() {
-            wfq_obs::phase!(
-                wfq_obs::Phase::Stats,
-                HandleStats::bump(&h.stats.deq_empty)
-            );
+            HandleStats::bump(&h.stats.deq_empty);
             wfq_obs::record!(wfq_obs::EventKind::DeqEmpty, last_index);
         }
 
@@ -837,45 +795,34 @@ impl<const N: usize> RawQueue<N> {
         // segments (which is why the mirror below is computed from the
         // cell index rather than through h.head).
         if result.is_some() {
-            wfq_obs::phase!(wfq_obs::Phase::Helping, {
-                let peer = h.deq_peer.load(Ordering::Relaxed);
-                // SAFETY: ring nodes live for the queue's lifetime.
-                let peer_ref = unsafe { &*peer };
-                if !core::ptr::eq(peer_ref, h) {
-                    HandleStats::bump(&h.stats.help_deq);
-                }
-                self.help_deq(h, peer_ref);
-                h.deq_peer.store(peer_ref.next_node(), Ordering::Relaxed);
-            });
+            let peer = h.deq_peer.load(Ordering::Relaxed);
+            // SAFETY: ring nodes live for the queue's lifetime.
+            let peer_ref = unsafe { &*peer };
+            if !core::ptr::eq(peer_ref, h) {
+                HandleStats::bump(&h.stats.help_deq);
+            }
+            self.help_deq(h, peer_ref);
+            h.deq_peer.store(peer_ref.next_node(), Ordering::Relaxed);
         }
 
         // Epilogue (Listing 5 lines 212–217). h.head finished this
         // operation at segment last_index / N.
-        wfq_obs::phase!(wfq_obs::Phase::Hazard, {
-            h.head_seg_id.store(last_index / N as u64, Ordering::Relaxed);
-            h.clear_hazard();
-        });
-        wfq_obs::phase!(wfq_obs::Phase::Helping, self.cleanup(h));
+        h.head_seg_id.store(last_index / N as u64, Ordering::Relaxed);
+        h.clear_hazard();
+        self.cleanup(h);
         result
     }
 
     /// Lines 140–148.
     fn deq_fast(&self, h: &HandleNode<N>) -> FastDeq {
-        let i = wfq_obs::phase!(
-            wfq_obs::Phase::Faa,
-            self.head_index.fetch_add(1, Ordering::SeqCst)
-        );
+        let i = self.head_index.fetch_add(1, Ordering::SeqCst);
         inject!("deq_fast::post_faa");
         persist!(self, advance_head(i + 1));
         // SAFETY: h.head hazard-protected, ≤ i/N.
-        let c = wfq_obs::phase!(wfq_obs::Phase::FindCell, unsafe {
-            &*find_cell(&h.head, i, &self.src(h))
-        });
-        match wfq_obs::phase!(wfq_obs::Phase::CellCas, self.help_enq(h, c, i)) {
+        let c = unsafe { &*find_cell(&h.head, i, &self.src(h)) };
+        match self.help_enq(h, c, i) {
             HelpEnq::Empty => FastDeq::Empty(i),
-            HelpEnq::Value(v)
-                if wfq_obs::phase!(wfq_obs::Phase::CellCas, c.try_claim_deq_fast()) =>
-            {
+            HelpEnq::Value(v) if c.try_claim_deq_fast() => {
                 // Crash window: the claim is volatile-only until the
                 // persist below — a crash here leaves the cell durably
                 // DEPOSITED and recovery redelivers the value (the
@@ -1417,13 +1364,7 @@ impl<Q: QueueRef<N>, const N: usize> RawHandle<Q, N> {
     /// respect the ceiling.
     #[inline]
     pub fn enqueue(&mut self, v: u64) {
-        // The Glue envelope: every named phase inside nests under it, so
-        // its self-time is exactly the instruction glue no named phase
-        // covers — the ledger's explicit remainder.
-        wfq_obs::phase!(
-            wfq_obs::Phase::Glue,
-            self.raw().enqueue_internal(self.node(), v)
-        );
+        self.raw().enqueue_internal(self.node(), v);
     }
 
     /// Enqueues `v`, failing fast with [`Full`] if the queue is at its
@@ -1443,10 +1384,7 @@ impl<Q: QueueRef<N>, const N: usize> RawHandle<Q, N> {
     /// observed empty (the paper's EMPTY). Wait-free.
     #[inline]
     pub fn dequeue(&mut self) -> Option<u64> {
-        wfq_obs::phase!(
-            wfq_obs::Phase::Glue,
-            self.raw().dequeue_internal(self.node())
-        )
+        self.raw().dequeue_internal(self.node())
     }
 
     /// Enqueues every value in `vs`, claiming `vs.len()` consecutive cells

@@ -149,7 +149,8 @@ impl<const N: usize> RawQueue<N> {
         // the queue, and skipping it frees the segment its own tail still
         // references (erratum #3 in DESIGN.md — the authors' released C
         // code iterates with a do-while that visits `th` first).
-        let mut visited: Vec<*mut HandleNode<N>> = Vec::new();
+        let mut visited = h.reclaim_scratch.take();
+        visited.clear();
         let self_ptr = h as *const HandleNode<N> as *mut HandleNode<N>;
         let mut p = self_ptr;
         loop {
@@ -189,6 +190,7 @@ impl<const N: usize> RawQueue<N> {
                 wfq_obs::record!(wfq_obs::EventKind::HazardClamp, boundary);
             }
         }
+        h.reclaim_scratch.set(visited);
 
         // Line 236 (fixed per the released C code): nothing reclaimable —
         // put the token back unchanged.

@@ -187,50 +187,46 @@ pub(crate) unsafe fn find_cell<const N: usize>(
         // protected by the same hazard that protects `s`.
         let mut next = unsafe { (*s).next.load(Ordering::Acquire) };
         if next.is_null() {
-            // List extension is a *nested* ledger phase: its self-time is
-            // carved out of the enclosing find_cell walk.
-            next = wfq_obs::phase!(wfq_obs::Phase::SegAlloc, {
-                // The list needs another segment: take the spare or draw
-                // from the pool (= the allocator in unbounded mode; in
-                // bounded mode this may wait for a recycled segment, see
-                // crate::pool).
-                let tmp = {
-                    let cached = src.spare.load(Ordering::Relaxed);
-                    if cached.is_null() {
-                        src.pool.acquire(id + 1)
-                    } else {
-                        src.spare.store(core::ptr::null_mut(), Ordering::Relaxed);
-                        // SAFETY: the spare is owner-local and never
-                        // published; we own it exclusively and may restamp
-                        // its id.
-                        unsafe { Segment::restamp(cached, id + 1) };
-                        cached
-                    }
-                };
-                // SAFETY: `s` live; release on success publishes tmp's
-                // contents.
-                match unsafe {
-                    (*s).next.compare_exchange(
-                        core::ptr::null_mut(),
-                        tmp,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    )
-                } {
-                    Ok(_) => {
-                        crate::stats::HandleStats::bump(src.alloc_count);
-                        wfq_obs::record!(wfq_obs::EventKind::SegAlloc, id + 1);
-                        tmp
-                    }
-                    Err(winner) => {
-                        // Another thread extended the list first; park ours
-                        // in the spare slot for next time (it was never
-                        // published).
-                        src.spare.store(tmp, Ordering::Relaxed);
-                        winner
-                    }
+            // The list needs another segment: take the spare or draw
+            // from the pool (= the allocator in unbounded mode; in
+            // bounded mode this may wait for a recycled segment, see
+            // crate::pool).
+            let tmp = {
+                let cached = src.spare.load(Ordering::Relaxed);
+                if cached.is_null() {
+                    src.pool.acquire(id + 1)
+                } else {
+                    src.spare.store(core::ptr::null_mut(), Ordering::Relaxed);
+                    // SAFETY: the spare is owner-local and never
+                    // published; we own it exclusively and may restamp
+                    // its id.
+                    unsafe { Segment::restamp(cached, id + 1) };
+                    cached
                 }
-            });
+            };
+            // SAFETY: `s` live; release on success publishes tmp's
+            // contents.
+            next = match unsafe {
+                (*s).next.compare_exchange(
+                    core::ptr::null_mut(),
+                    tmp,
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
+                )
+            } {
+                Ok(_) => {
+                    crate::stats::HandleStats::bump(src.alloc_count);
+                    wfq_obs::record!(wfq_obs::EventKind::SegAlloc, id + 1);
+                    tmp
+                }
+                Err(winner) => {
+                    // Another thread extended the list first; park ours
+                    // in the spare slot for next time (it was never
+                    // published).
+                    src.spare.store(tmp, Ordering::Relaxed);
+                    winner
+                }
+            };
         }
         s = next;
         // SAFETY: `s` live (just published or already reachable).

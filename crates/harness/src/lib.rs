@@ -23,7 +23,6 @@
 
 pub mod attribution;
 pub mod breakdown;
-pub mod cycles;
 pub mod histogram;
 pub mod json;
 pub mod measure;
@@ -36,10 +35,6 @@ pub mod topology;
 pub mod workload;
 
 pub use attribution::{Attribution, OpClass};
-pub use cycles::{
-    attribute_gap, render_cycles_json, render_cycles_prometheus, CyclesPoint, CyclesSeries,
-    CyclesSnapshot, GapAttribution, PerfMode, PhaseCost,
-};
 pub use measure::{measure_open_loop, measure_queue, Measurement, OpenLoopMeasurement};
 pub use obs::{dump_chrome_trace, render_latency_prometheus, render_prometheus, write_metrics};
 pub use report::{

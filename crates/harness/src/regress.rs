@@ -7,14 +7,11 @@
 //! |-----------------------|------------------------|-----------------------|--------|
 //! | `figure2`             | `queue @threads`       | `mean_mops ± ci_half` | higher |
 //! | `latency_observatory` | `queue @rate`          | `p99_ns ± p99_ci`     | lower  |
-//! | `cycle_ledger`        | `queue @threads phase` | cycles/op ± `ci_half` | lower  |
 //!
-//! (a cycles point gives one row for its `total` and one per ledgered
-//! phase). [`parse_snapshot`] reads every kind, [`Snapshot::rows`]
-//! flattens one into keyed [`Row`]s, and one [`compare`] gates two row
-//! sets. Each `ci_half` is the Student-t 95% half-width over benchmark
-//! invocations (Georges et al. §5.1). A row **regresses** when all three
-//! hold —
+//! [`parse_snapshot`] reads every kind, [`Snapshot::rows`] flattens one
+//! into keyed [`Row`]s, and one [`compare`] gates two row sets. Each
+//! `ci_half` is the Student-t 95% half-width over benchmark invocations
+//! (Georges et al. §5.1). A row **regresses** when all three hold —
 //!
 //! 1. the candidate is worse in the kind's [`Polarity`],
 //! 2. by more than the threshold (relative change, percent), and
@@ -28,10 +25,8 @@
 //! are reported but never fail, and keys present in only one snapshot are
 //! reported as unmatched.
 
-use crate::cycles::{CyclesPoint, CyclesSeries, GapAttribution, GapPhase, PerfMode, PhaseCost};
 use crate::json::{self, escape, Value};
 use crate::report::{LatencyPoint, LatencySeries, Series, SeriesPoint};
-use wfq_obs::{Phase, ALL_COUNTERS, NUM_COUNTERS};
 
 /// A parsed benchmark snapshot.
 #[derive(Debug, Clone)]
@@ -58,15 +53,6 @@ pub enum Kind {
         /// One frontier per queue.
         series: Vec<LatencySeries>,
     },
-    /// `cycle_ledger`: per-op cycles, whole-op and per ledger phase.
-    Cycles {
-        /// Counter sourcing for the whole run.
-        perf: PerfMode,
-        /// One series per backend.
-        series: Vec<CyclesSeries>,
-        /// The single-thread gap attribution, when the run had both ends.
-        delta: Option<GapAttribution>,
-    },
 }
 
 /// Which direction of change is worse.
@@ -74,7 +60,7 @@ pub enum Kind {
 pub enum Polarity {
     /// Throughput: a drop is a regression.
     HigherIsBetter,
-    /// Latency and cycles: growth is a regression.
+    /// Latency: growth is a regression.
     LowerIsBetter,
 }
 
@@ -92,14 +78,12 @@ pub struct Metric {
 }
 
 impl Kind {
-    /// The kind's gate parameters. Quantiles and per-phase cycle counts are
-    /// noisier than throughput means, so their default threshold is 10%
-    /// rather than 5%.
+    /// The kind's gate parameters. Quantiles are noisier than throughput
+    /// means, so their default threshold is 10% rather than 5%.
     pub fn metric(&self) -> Metric {
         let (benchmark, name, polarity, default_threshold) = match self {
             Kind::Throughput(_) => ("figure2", "throughput", Polarity::HigherIsBetter, 5.0),
             Kind::Latency { .. } => ("latency_observatory", "p99", Polarity::LowerIsBetter, 10.0),
-            Kind::Cycles { .. } => ("cycle_ledger", "cycles/op", Polarity::LowerIsBetter, 10.0),
         };
         Metric {
             benchmark,
@@ -113,8 +97,7 @@ impl Kind {
 /// One gated point of a snapshot.
 #[derive(Debug, Clone)]
 pub struct Row {
-    /// Match key across snapshots (`WF-10 @2`, `WF-10 @250k`,
-    /// `WF-10 @1 find_cell`).
+    /// Match key across snapshots (`WF-10 @2`, `WF-10 @250k`).
     pub key: String,
     /// The gated value.
     pub value: f64,
@@ -127,14 +110,13 @@ pub struct Row {
 impl Snapshot {
     /// The configuration two snapshots must share for their numbers to be
     /// commensurable: the workload for throughput, the schedule and
-    /// generator threads for latency, the counter source for cycles.
+    /// generator threads for latency.
     pub fn config(&self) -> String {
         match &self.kind {
             Kind::Throughput(_) => self.workload.clone(),
             Kind::Latency {
                 schedule, threads, ..
             } => format!("{schedule}/{threads} threads"),
-            Kind::Cycles { perf, .. } => perf.mode.clone(),
         }
     }
 
@@ -166,21 +148,6 @@ impl Snapshot {
                             saturated: p.saturated,
                             ..row(format!("{} @{}k", s.name, p.rate_kops), p.p99_ns, p.p99_ci)
                         });
-                    }
-                }
-            }
-            Kind::Cycles { series, .. } => {
-                for s in series {
-                    for p in &s.points {
-                        let at = format!("{} @{}", s.name, p.threads);
-                        rows.push(row(format!("{at} total"), p.cycles_per_op(), p.ci_half));
-                        for ph in &p.phases {
-                            rows.push(row(
-                                format!("{at} {}", ph.phase),
-                                ph.cycles_per_op,
-                                ph.ci_half,
-                            ));
-                        }
                     }
                 }
             }
@@ -231,18 +198,6 @@ impl Snapshot {
                     })
                     .collect()
             }
-            Kind::Cycles { perf, series, .. } => {
-                out.push_str(&format!("\"perf\": \"{}\", ", escape(&perf.mode)));
-                series
-                    .iter()
-                    .map(|s| {
-                        (
-                            s.name.as_str(),
-                            s.points.iter().map(cycles_point_json).collect(),
-                        )
-                    })
-                    .collect()
-            }
         };
         out.push_str("\"series\": [");
         for (i, (queue, points)) in series.iter().enumerate() {
@@ -256,12 +211,6 @@ impl Snapshot {
             ));
         }
         out.push(']');
-        if let Kind::Cycles { delta: Some(d), .. } = &self.kind {
-            out.push_str(&format!(
-                ", \"delta\": {{\"baseline\": \"{}\", \"candidate\": \"{}\", \"cycle_delta_per_op\": {:.3}, \"attributed_pct\": {:.1}}}",
-                escape(&d.baseline), escape(&d.candidate), d.cycle_delta_per_op, d.attributed_pct
-            ));
-        }
         out.push('}');
         out
     }
@@ -282,26 +231,6 @@ fn latency_point_json(p: &LatencyPoint) -> String {
     )
 }
 
-fn cycles_point_json(p: &CyclesPoint) -> String {
-    let mut out = format!(
-        "{{\"threads\": {}, \"cycles_per_op\": {:.3}, \"ci_half\": {:.3}, \"attributed_pct\": {:.1}",
-        p.threads,
-        p.cycles_per_op(),
-        p.ci_half,
-        p.attributed_pct
-    );
-    if !p.phases.is_empty() {
-        let phases: Vec<String> = p
-            .phases
-            .iter()
-            .map(|ph| format!("\"{}\": {:.3}", escape(&ph.phase), ph.cycles_per_op))
-            .collect();
-        out.push_str(&format!(", \"phases\": {{{}}}", phases.join(", ")));
-    }
-    out.push('}');
-    out
-}
-
 // ----------------------------------------------------------------------
 // Parsing
 // ----------------------------------------------------------------------
@@ -311,10 +240,9 @@ fn cycles_point_json(p: &CyclesPoint) -> String {
 ///
 /// Rejects (rather than silently accepting) documents that a gate could
 /// never meaningfully compare: an empty `series` array, a series with an
-/// empty `points` array, non-finite numbers, and — for cycles — unknown
-/// phase names and a missing `perf` block. A truncated or mis-generated
-/// snapshot must fail loudly at parse time: a comparison over zero points
-/// would otherwise print `PASS` and mean nothing.
+/// empty `points` array, and non-finite numbers. A truncated or
+/// mis-generated snapshot must fail loudly at parse time: a comparison
+/// over zero points would otherwise print `PASS` and mean nothing.
 pub fn parse_snapshot(doc: &str) -> Result<Snapshot, String> {
     let v = json::parse(doc)?;
     let kind = match str_field(&v, "benchmark")?.as_str() {
@@ -324,21 +252,9 @@ pub fn parse_snapshot(doc: &str) -> Result<Snapshot, String> {
             threads: num_field(&v, "threads")? as usize,
             series: series(&v, latency_point, |name, points| LatencySeries { name, points })?,
         },
-        "cycle_ledger" => {
-            let perf = v.get("perf").ok_or("snapshot missing perf block")?;
-            Kind::Cycles {
-                perf: PerfMode {
-                    mode: str_field(perf, "mode")?,
-                    rdpmc: bool_field(perf, "rdpmc")?,
-                    reason: str_field(perf, "reason")?,
-                },
-                series: series(&v, cycles_point, |name, points| CyclesSeries { name, points })?,
-                delta: v.get("delta").map(gap_attribution).transpose()?,
-            }
-        }
         other => {
             return Err(format!(
-                "unknown snapshot benchmark {other:?} (expected figure2, latency_observatory or cycle_ledger)"
+                "unknown snapshot benchmark {other:?} (expected figure2 or latency_observatory)"
             ))
         }
     };
@@ -437,55 +353,6 @@ fn latency_point(p: &Value) -> Result<LatencyPoint, String> {
         share_slow: num("share_slow")?,
         share_helped: num("share_helped")?,
         sampled: num("sampled")? as u64,
-    })
-}
-
-/// Counter fields are `<kind>_per_op` for every `wfq_obs::CounterKind`, so
-/// a new counter kind extends the parser with the renderer.
-fn cycles_point(p: &Value) -> Result<CyclesPoint, String> {
-    let mut counters_per_op = [0.0; NUM_COUNTERS];
-    for kind in ALL_COUNTERS {
-        counters_per_op[kind as usize] = num_field(p, &format!("{}_per_op", kind.name()))?;
-    }
-    let mut phases = Vec::new();
-    for ph in arr_field(p, "phases")? {
-        let phase = str_field(ph, "phase")?;
-        if Phase::from_name(&phase).is_none() {
-            return Err(format!("cycles point has unknown phase {phase:?}"));
-        }
-        phases.push(PhaseCost {
-            phase,
-            cycles_per_op: num_field(ph, "cycles_per_op")?,
-            ci_half: num_field(ph, "ci_half")?,
-            entries_per_op: num_field(ph, "entries_per_op")?,
-        });
-    }
-    Ok(CyclesPoint {
-        threads: num_field(p, "threads")? as usize,
-        counters_per_op,
-        ci_half: num_field(p, "ci_half")?,
-        estimated: bool_field(p, "estimated")?,
-        attributed_pct: num_field(p, "attributed_pct")?,
-        phases,
-    })
-}
-
-fn gap_attribution(d: &Value) -> Result<GapAttribution, String> {
-    let mut phases = Vec::new();
-    for p in d.get("phases").and_then(Value::as_arr).unwrap_or_default() {
-        phases.push(GapPhase {
-            phase: str_field(p, "phase")?,
-            cycles_per_op: num_field(p, "cycles_per_op")?,
-            gap_contribution: num_field(p, "gap_contribution")?,
-            share_pct: num_field(p, "share_pct")?,
-        });
-    }
-    Ok(GapAttribution {
-        baseline: str_field(d, "baseline")?,
-        candidate: str_field(d, "candidate")?,
-        cycle_delta_per_op: num_field(d, "cycle_delta_per_op")?,
-        attributed_pct: num_field(d, "attributed_pct")?,
-        phases,
     })
 }
 
@@ -1013,7 +880,6 @@ mod tests {
     const PAIRWISE: &str = include_str!("../../../results/BENCH_pairwise.json");
     const BATCH: &str = include_str!("../../../results/BENCH_batch.json");
     const LATENCY: &str = include_str!("../../../results/BENCH_latency.json");
-    const CYCLES: &str = include_str!("../../../results/BENCH_cycles.json");
 
     fn assert_committed_line(line: &str, commit: &str) {
         assert!(
@@ -1032,7 +898,6 @@ mod tests {
             (PAIRWISE, "6a3df09"),
             (BATCH, "d020c1c"),
             (LATENCY, "a7593b1"),
-            (CYCLES, "8c19656"),
         ] {
             assert_committed_line(&parse_snapshot(doc).unwrap().trajectory_line(), commit);
         }
@@ -1040,7 +905,7 @@ mod tests {
 
     #[test]
     fn golden_snapshots_pass_against_themselves() {
-        for (doc, points) in [(PAIRWISE, 30), (BATCH, 24), (LATENCY, 15), (CYCLES, 13)] {
+        for (doc, points) in [(PAIRWISE, 30), (BATCH, 24), (LATENCY, 15)] {
             let s = parse_snapshot(doc).unwrap();
             let cmp = gate(&s, &s, s.kind.metric().default_threshold);
             assert_eq!((cmp.deltas.len(), cmp.regressions().len()), (points, 0));
@@ -1092,7 +957,6 @@ mod tests {
                 Polarity::LowerIsBetter,
                 10.0,
             ),
-            (CYCLES, "cycle_ledger", Polarity::LowerIsBetter, 10.0),
         ] {
             let metric = parse_snapshot(doc).unwrap().kind.metric();
             assert_eq!(
@@ -1103,34 +967,32 @@ mod tests {
     }
 
     #[test]
-    fn regress_records_and_gates_a_cycles_document_with_no_flag() {
-        let s = parse_snapshot(CYCLES).unwrap();
-        assert!(matches!(s.kind, Kind::Cycles { .. }));
-        assert_eq!(s.config(), "tsc-only");
-        assert_committed_line(&s.trajectory_line(), "8c19656");
-        let rows = s.rows();
-        assert!(rows.iter().any(|r| r.key == "WF-10 @1 total"), "{rows:?}");
-        assert!(
-            rows.iter().any(|r| r.key == "WF-10 @1 find_cell"),
-            "{rows:?}"
-        );
-        assert!(gate(&s, &s, 10.0).regressions().is_empty());
+    fn regress_refuses_the_retired_cycles_documents() {
+        // The trajectory keeps the retired cycle-ledger lines (the only ones
+        // with a `perf` field) as history; their kind is gone, so each must
+        // be refused as an unknown benchmark rather than misread.
+        let retired: Vec<&str> = TRAJECTORY
+            .lines()
+            .filter(|l| l.contains("\"perf\": "))
+            .collect();
+        assert_eq!(retired.len(), 5);
+        for line in retired {
+            let err = parse_snapshot(line).unwrap_err();
+            assert!(err.starts_with("unknown snapshot benchmark"), "{err}");
+        }
     }
 
     #[test]
     fn regress_refuses_to_compare_mixed_kinds() {
         let pairwise = parse_snapshot(PAIRWISE).unwrap();
-        let cycles = parse_snapshot(CYCLES).unwrap();
-        let err = shared_metric(&pairwise, &cycles).unwrap_err();
-        assert!(
-            err.contains("figure2") && err.contains("cycle_ledger"),
-            "{err}"
-        );
-        let err = shared_metric(&cycles, &parse_snapshot(LATENCY).unwrap()).unwrap_err();
-        assert!(
-            err.contains("cycle_ledger") && err.contains("latency_observatory"),
-            "{err}"
-        );
+        let latency = parse_snapshot(LATENCY).unwrap();
+        for (base, cand) in [(&pairwise, &latency), (&latency, &pairwise)] {
+            let err = shared_metric(base, cand).unwrap_err();
+            assert!(
+                err.contains("figure2") && err.contains("latency_observatory"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

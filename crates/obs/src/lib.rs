@@ -37,22 +37,12 @@
 pub mod chrome;
 pub mod clock;
 mod event;
-pub mod ledger;
-pub mod perf;
 mod recorder;
 mod ring;
 pub mod watchdog;
 
 pub use chrome::chrome_trace_json;
 pub use event::{Event, EventKind, HandleTrace, ALL_KINDS};
-pub use ledger::{
-    ledger_totals, probe_overhead_split, probe_overhead_ticks, LedgerTotals, NestState, Phase,
-    ALL_PHASES, CYCLES_ENABLED, NUM_PHASES,
-};
-pub use perf::{
-    scale_count, CounterGroup, CounterKind, GroupSnapshot, PerfStatus, ALL_COUNTERS, NUM_COUNTERS,
-    PERF_DENY_ENV,
-};
 pub use recorder::{
     drain, mark_ns, recorder_count, register_current_thread, resident_events, RecorderShared,
     DEFAULT_RING_CAPACITY, RING_CAPACITY_ENV,
@@ -110,46 +100,6 @@ macro_rules! record {
 #[doc(hidden)]
 pub use recorder::record as rt_record;
 
-/// Brackets an expression as one cycle-ledger phase, yielding the
-/// expression's value.
-///
-/// This is the default build (`cycles` off): the expansion is **exactly
-/// the body** — the phase token is discarded, no clock is read, no
-/// thread-local is touched. Provably so: the expansion of a const body
-/// stays a valid constant expression (see `_PHASE_ZERO_OVERHEAD_PROOF`).
-///
-/// ```
-/// use wfq_obs::{phase, Phase};
-/// let claimed = phase!(Phase::Faa, 40u64 + 2);
-/// assert_eq!(claimed, 42);
-/// ```
-#[macro_export]
-#[cfg(not(feature = "cycles"))]
-macro_rules! phase {
-    ($phase:expr, $body:expr) => {
-        $body
-    };
-}
-
-/// Brackets an expression as one cycle-ledger phase, yielding the
-/// expression's value.
-///
-/// This build has `cycles` enabled: the expansion takes a raw timestamp on
-/// entry and exit and accumulates the phase's **self-time** (nested
-/// `phase!` spans are subtracted) into the calling thread's ledger,
-/// registering it on first use. Drain cumulative totals with
-/// [`ledger_totals`].
-#[macro_export]
-#[cfg(feature = "cycles")]
-macro_rules! phase {
-    ($phase:expr, $body:expr) => {{
-        $crate::ledger::rt_phase_enter($phase);
-        let __wfq_phase_result = $body;
-        $crate::ledger::rt_phase_exit($phase);
-        __wfq_phase_result
-    }};
-}
-
 // Zero-overhead guard, statically checked (the mirror of
 // `wfq_sync::fault::_ZERO_OVERHEAD_PROOF`): with the feature off, the
 // macro's expansion must be a constant expression. Thread-local access,
@@ -162,13 +112,6 @@ const _ZERO_OVERHEAD_PROOF: () = {
     record!(EventKind::EnqFast, 0u64);
     record!(EventKind::EnqSlowEnter, 0u64, 0u64);
 };
-
-// The ledger's zero-overhead guard: with `cycles` off, `phase!` must be a
-// pure pass-through of its body — a const body stays const, which no clock
-// read or thread-local access would allow. The runtime twin is the
-// `phase_hooks_overhead` group of the `primitives` bench.
-#[cfg(not(feature = "cycles"))]
-const _PHASE_ZERO_OVERHEAD_PROOF: u64 = phase!(Phase::Faa, 40u64 + 2);
 
 #[cfg(test)]
 mod tests {

@@ -4,7 +4,8 @@
 //! emptied and fills it on its next enqueue, so a handle that both
 //! enqueues and dequeues makes no allocator call per pair. This binary
 //! installs a counting global allocator to check that, and that the kept
-//! box is freed with its handle.
+//! box is freed with its handle. It also checks that the queue's own
+//! reclamation passes stop allocating once they are warm.
 //!
 //! The counters are per thread, so the tests stay exact while the test
 //! runner allocates on its own threads; each check therefore allocates and
@@ -14,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use wfqueue::{OwnedLocalHandle, WfQueue};
+use wfqueue::{Config, OwnedLocalHandle, WfQueue};
 
 /// Counts this thread's allocator calls and live bytes.
 struct Counting;
@@ -23,6 +24,8 @@ struct Counting;
 /// reading it never allocates and stays valid during thread teardown.
 #[derive(Clone, Copy)]
 struct Tally {
+    /// Allocations of any layout.
+    allocs: u64,
     /// Allocations of a payload box's layout.
     payload_allocs: u64,
     /// Bytes allocated minus bytes freed.
@@ -31,7 +34,7 @@ struct Tally {
 
 thread_local! {
     static TALLY: Cell<Tally> = const {
-        Cell::new(Tally { payload_allocs: 0, live: 0 })
+        Cell::new(Tally { allocs: 0, payload_allocs: 0, live: 0 })
     };
 }
 
@@ -45,6 +48,9 @@ fn note(layout: Layout, sign: i64) {
     let _ = TALLY.try_with(|t| {
         let mut v = t.get();
         v.live += sign * layout.size() as i64;
+        if sign > 0 {
+            v.allocs += 1;
+        }
         if sign > 0 && layout == Layout::new::<Payload>() {
             v.payload_allocs += 1;
         }
@@ -105,6 +111,37 @@ fn pairs_on_one_handle_allocate_at_most_one_box() {
     assert!(
         payload_allocs <= 1,
         "{PAIRS} pairs made {payload_allocs} payload allocations; the spare box should be reused"
+    );
+}
+
+#[test]
+fn warm_reclamation_passes_make_no_allocation() {
+    const PAIRS: u64 = 10_000;
+    // 64-cell segments and a pass at every segment boundary make a few
+    // hundred passes; bounded mode recycles the retired segments through
+    // the pool, so a warm pair loop has nothing left to allocate.
+    let q: WfQueue<Payload, 64> = WfQueue::with_config(
+        Config::default()
+            .with_max_garbage(1)
+            .with_segment_ceiling(8),
+    );
+    let mut h = q.handle();
+    let mut run = |from: u64| {
+        for i in from..from + PAIRS {
+            h.enqueue(payload(i));
+            assert_eq!(h.dequeue(), Some(payload(i)));
+        }
+    };
+    run(0);
+    let cleanups = q.stats().cleanups;
+    let before = tally();
+    run(PAIRS);
+    let allocs = tally().allocs - before.allocs;
+    let cleanups = q.stats().cleanups - cleanups;
+    assert!(cleanups >= 100, "only {cleanups} reclamation passes ran");
+    assert_eq!(
+        allocs, 0,
+        "{PAIRS} warm pairs over {cleanups} reclamation passes made {allocs} allocations"
     );
 }
 
