@@ -14,10 +14,6 @@
 //! | [`faa`] | FAA-only microbenchmark | wait-free* | FAA |
 //! | [`mutex_queue`] | `Mutex<VecDeque>` reference | blocking | lock |
 //! | [`scq`] | Nikolaev 2019 (SCQ indirect ring) | lock-free | FAA + CAS |
-//! | [`wcq`] | Nikolaev & Ravindran 2022 (wCQ) | wait-free† | FAA + CAS2 |
-//!
-//! (†wait-free completion via helping records; see the [`wcq`] module for
-//! the exact progress contract of this implementation.)
 //!
 //! (*the FAA microbenchmark is not a queue — it upper-bounds every
 //! FAA-based queue's throughput; §5 "simulates enqueue and dequeue
@@ -43,7 +39,6 @@ pub mod msqueue;
 pub mod msqueue_ebr;
 pub mod mutex_queue;
 pub mod scq;
-pub mod wcq;
 
 pub use ccqueue::CcQueue;
 pub use faa::FaaBench;
@@ -53,7 +48,6 @@ pub use msqueue::MsQueue;
 pub use msqueue_ebr::MsQueueEbr;
 pub use mutex_queue::MutexQueue;
 pub use scq::Scq;
-pub use wcq::Wcq;
 
 // The uniform queue interface graduated to `wfqueue` as the production
 // `QueueBackend` API (so the wait-free queue's own impl can live next to
@@ -133,13 +127,6 @@ pub const FAULT_POINTS: &[&str] = &[
     "scq::deq::slot_advance",
     "scq::deq::threshold_decrement",
     "scq::deq::catchup",
-    "wcq::enq_slow::published",
-    "wcq::enq_slow::install",
-    "wcq::enq_slow::finalize",
-    "wcq::deq_slow::published",
-    "wcq::deq_slow::consume_mark",
-    "wcq::deq_slow::finalize",
-    "wcq::help::takeover",
 ];
 
 /// Shared conformance tests: every [`BenchQueue`] must pass these.

@@ -30,14 +30,6 @@
 //! - **`catchup`**: repairs `head > tail` overshoot left by empty probes
 //!   (the analogue of CRQ's `fixState`).
 //!
-//! This implementation adds one refinement for the wCQ layer built on top
-//! ([`crate::wcq`]): a dequeuer that abandons an *empty* entry advances it
-//! to its own cycle with the distinct [`KILLED`] pattern instead of `⊥`,
-//! so "this ticket was consumed" and "this ticket was declared dead" are
-//! distinguishable states. Plain SCQ does not need the distinction
-//! (both mean "move on"), and the eligibility tests here treat `⊥` and
-//! `KILLED` identically, so the algorithm is unchanged.
-//!
 //! Progress: lock-free (an operation retries only because another
 //! operation succeeded). The [`Scq`] wrapper's blocking `enqueue` spins on
 //! a full ring — use `try_enqueue` for backpressure, as the bounded-mode
@@ -53,56 +45,45 @@ use wfqueue::{BackendHandle, Full, QueueBackend, QueueStats};
 /// entries). Large enough that every repo workload stays below capacity.
 pub const DEFAULT_ORDER: u32 = 15;
 
-/// Largest supported order (the index field packs into 24 bits so the
-/// wCQ layer can borrow the upper bits for its helping markers).
+/// Largest supported order: each ring then has `2^25` entries (256 MiB).
 pub const MAX_ORDER: u32 = 24;
 
 /// Entry layout: `cycle << 33 | safe << 32 | idx`.
-pub(crate) const IDX_MASK: u64 = u32::MAX as u64;
-pub(crate) const SAFE_BIT: u64 = 1 << 32;
+const IDX_MASK: u64 = u32::MAX as u64;
+const SAFE_BIT: u64 = 1 << 32;
 const CYCLE_SHIFT: u32 = 33;
 
 /// `⊥`: the empty index. All ones, so a consuming `fetch_or(IDX_MASK)`
 /// turns any entry into an empty one in a single atomic OR.
-pub(crate) const BOT: u64 = IDX_MASK;
-/// A dequeuer-abandoned ticket (see module docs). Distinct from [`BOT`]
-/// but equally "no value here".
-pub(crate) const KILLED: u64 = IDX_MASK - 1;
+const BOT: u64 = IDX_MASK;
 
 #[inline]
-pub(crate) const fn pack(cycle: u64, safe: bool, idx: u64) -> u64 {
+const fn pack(cycle: u64, safe: bool, idx: u64) -> u64 {
     (cycle << CYCLE_SHIFT) | if safe { SAFE_BIT } else { 0 } | idx
 }
 
 #[inline]
-pub(crate) const fn ecycle(e: u64) -> u64 {
+const fn ecycle(e: u64) -> u64 {
     e >> CYCLE_SHIFT
 }
 
 #[inline]
-pub(crate) const fn eidx(e: u64) -> u64 {
+const fn eidx(e: u64) -> u64 {
     e & IDX_MASK
 }
 
 #[inline]
-pub(crate) const fn esafe(e: u64) -> bool {
+const fn esafe(e: u64) -> bool {
     e & SAFE_BIT != 0
 }
 
-/// Whether an index field denotes "no value" (`⊥` or a killed ticket).
-#[inline]
-pub(crate) const fn is_empty_idx(idx: u64) -> bool {
-    idx >= KILLED
-}
-
 /// One SCQ index ring of `2^(order+1)` entries holding up to `2^order`
-/// live indices. This is the reusable core: [`Scq`] composes two of them
-/// (`aq`/`fq`), and [`crate::wcq`] reuses it for its free ring.
+/// live indices. [`Scq`] composes two of them (`aq`/`fq`).
 pub struct ScqRing {
-    pub(crate) head: CachePadded<AtomicU64>,
-    pub(crate) tail: CachePadded<AtomicU64>,
+    head: CachePadded<AtomicU64>,
+    tail: CachePadded<AtomicU64>,
     /// SCQ's emptiness certificate; `< 0` means "observably empty".
-    pub(crate) threshold: CachePadded<AtomicI64>,
+    threshold: CachePadded<AtomicI64>,
     entries: Box<[AtomicU64]>,
     /// log2 of the entry count (= order + 1).
     ring_order: u32,
@@ -151,14 +132,14 @@ impl ScqRing {
     }
 
     #[inline]
-    pub(crate) fn cycle(&self, ticket: u64) -> u64 {
+    fn cycle(&self, ticket: u64) -> u64 {
         ticket >> self.ring_order
     }
 
     /// Maps a ticket to an entry, spreading consecutive tickets across
     /// cache lines (the paper's `cache_remap`; identity on tiny rings).
     #[inline]
-    pub(crate) fn remap(&self, ticket: u64) -> usize {
+    fn remap(&self, ticket: u64) -> usize {
         let j = ticket & (self.size() - 1);
         if self.ring_order >= 6 {
             let lines = self.size() >> 3; // 8 u64 entries per cache line
@@ -174,13 +155,13 @@ impl ScqRing {
     }
 
     #[inline]
-    pub(crate) fn entry(&self, ticket: u64) -> &AtomicU64 {
+    fn entry(&self, ticket: u64) -> &AtomicU64 {
         &self.entries[self.remap(ticket)]
     }
 
     /// Resets the emptiness certificate after a successful insert.
     #[inline]
-    pub(crate) fn reset_threshold(&self) {
+    fn reset_threshold(&self) {
         inject!("scq::enq::threshold_reset");
         let init = self.threshold_init();
         if self.threshold.load(Ordering::SeqCst) != init {
@@ -202,7 +183,7 @@ impl ScqRing {
                 // Claimable iff: from an older cycle, holding no value, and
                 // either safe or provably not awaited by a lagging dequeuer.
                 if ecycle(e) < tcycle
-                    && is_empty_idx(eidx(e))
+                    && eidx(e) == BOT
                     && (esafe(e) || self.head.load(Ordering::SeqCst) <= t)
                 {
                     inject!("scq::enq::pre_cas");
@@ -239,7 +220,7 @@ impl ScqRing {
             let entry = self.entry(h);
             let mut e = entry.load(Ordering::SeqCst);
             loop {
-                if ecycle(e) == hcycle && !is_empty_idx(eidx(e)) {
+                if ecycle(e) == hcycle && eidx(e) != BOT {
                     // Our cycle's value. Only ticket h may consume it and
                     // in-cycle transitions preserve the idx bits, so the
                     // loaded index stays valid; fetch_or turns the entry
@@ -250,11 +231,11 @@ impl ScqRing {
                 }
                 if ecycle(e) < hcycle {
                     inject!("scq::deq::slot_advance");
-                    let new = if is_empty_idx(eidx(e)) {
+                    let new = if eidx(e) == BOT {
                         // Nothing to wait for: advance the entry to our
-                        // cycle (KILLED) so a late enqueuer of ticket h
-                        // cannot deposit a value we already passed.
-                        pack(hcycle, esafe(e), KILLED)
+                        // cycle (⊥) so a late enqueuer of ticket h cannot
+                        // deposit a value we already passed.
+                        pack(hcycle, esafe(e), BOT)
                     } else {
                         // A value from an earlier cycle is stuck here: mark
                         // it unsafe so its cycle cannot be harvested twice.
@@ -287,7 +268,7 @@ impl ScqRing {
 
     /// Repairs `head > tail` overshoot left by empty probes (the paper's
     /// `catchup`, mirroring CRQ's `fixState`).
-    pub(crate) fn catchup(&self, mut tail: u64, mut head: u64) {
+    fn catchup(&self, mut tail: u64, mut head: u64) {
         while self
             .tail
             .compare_exchange(tail, head, Ordering::SeqCst, Ordering::SeqCst)
@@ -306,11 +287,11 @@ impl ScqRing {
 /// count in plain locals so the shared cache line is touched once per
 /// handle lifetime, not once per op — same policy as the WF queue).
 #[derive(Default)]
-pub(crate) struct RingCounters {
-    pub(crate) enq: AtomicU64,
-    pub(crate) deq: AtomicU64,
-    pub(crate) empty: AtomicU64,
-    pub(crate) rejected: AtomicU64,
+struct RingCounters {
+    enq: AtomicU64,
+    deq: AtomicU64,
+    empty: AtomicU64,
+    rejected: AtomicU64,
 }
 
 /// The full SCQ queue: two index rings around a data array.

@@ -30,7 +30,7 @@
 
 use std::fmt::Write as _;
 
-use wfq_baselines::{CcQueue, FaaBench, KpQueue, Lcrq, MsQueue, MutexQueue, Scq, Wcq, Wf0};
+use wfq_baselines::{CcQueue, FaaBench, KpQueue, Lcrq, MsQueue, MutexQueue, Scq, Wf0};
 use wfq_bench::{default_ops, default_thread_sweep, Args};
 use wfq_harness::{
     render_csv, render_markdown, report::render_json_with_commit, run_series, BenchConfig, Series,
@@ -116,10 +116,9 @@ fn run_workload(args: &Args, workload: Workload, threads: &[usize]) -> Vec<Serie
     series!(Lcrq);
     series!(KpQueue);
     series!(MutexQueue);
-    // The bounded-ring family (ROADMAP item 2): SCQ's indirect ring and
-    // its wait-free successor, both far below capacity on these workloads.
+    // The bounded ring: SCQ's indirect ring, far below capacity on these
+    // workloads.
     series!(Scq);
-    series!(Wcq);
     all
 }
 

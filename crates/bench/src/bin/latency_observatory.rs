@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run -p wfq-bench --release --features op-sample --bin latency_observatory -- \
-//!     [--backends wf,wf0,faa,scq,wcq] [--rates 250,1000,4000] [--ramp] \
+//!     [--backends wf,wf0,faa,scq] [--rates 250,1000,4000] [--ramp] \
 //!     [--schedule fixed|poisson|bursty] [--threads T] [--ops N] \
 //!     [--invocations I] [--seed S] [--overload] [--handicap-ns N] \
 //!     [--json out.json] [--commit SHA] [--metrics-out out.prom] \
@@ -29,7 +29,7 @@
 //! `wfq_op_latency_ns` Prometheus summary; `--handicap-ns` spins inside
 //! the measured window (the regression-gate trip wire, as in `figure2`).
 
-use wfq_baselines::{CcQueue, FaaBench, KpQueue, Lcrq, MsQueue, MutexQueue, Scq, Wcq, Wf0};
+use wfq_baselines::{CcQueue, FaaBench, KpQueue, Lcrq, MsQueue, MutexQueue, Scq, Wf0};
 use wfq_bench::Args;
 use wfq_harness::histogram::{fmt_ns, Histogram};
 use wfq_harness::{
@@ -191,7 +191,7 @@ fn main() {
     }
     let backends: Vec<String> = args
         .get("backends")
-        .unwrap_or("wf,wf0,faa,scq,wcq")
+        .unwrap_or("wf,wf0,faa,scq")
         .split(',')
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
@@ -247,9 +247,8 @@ fn main() {
             "kpqueue" => backend!("kpqueue", KpQueue),
             "mutex" => backend!("mutex", MutexQueue),
             "scq" => backend!("scq", Scq),
-            "wcq" => backend!("wcq", Wcq),
             other => die(&format!(
-                "unknown backend {other:?} (wf, wf0, faa, ccqueue, msqueue, lcrq, kpqueue, mutex, scq, wcq)"
+                "unknown backend {other:?} (wf, wf0, faa, ccqueue, msqueue, lcrq, kpqueue, mutex, scq)"
             )),
         };
     }

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run -p wfq-bench --release --bin table2 -- [--ops N] [--patience P] \
-//!     [--backend wf|scq|wcq] [--segment-ceiling S] [--batch K] \
+//!     [--backend wf|scq] [--segment-ceiling S] [--batch K] \
 //!     [--metrics-out metrics.prom] [--trace out.trace.json]
 //! ```
 //!
@@ -14,12 +14,11 @@
 //! `--batch K` swaps the workload for batched pairs of width `K` so the
 //! breakdown (and the stats' `batch` line) shows how many elements the
 //! one-FAA batch fast path absorbed versus straggler fallbacks.
-//! `--backend scq|wcq` runs the same sweep on the bounded-ring backends
-//! through the `QueueBackend` trait (their `stats()` fill the same
-//! taxonomy; `--patience` only applies to the default `wf` backend — the
-//! rings run at their own defaults).
+//! `--backend scq` runs the same sweep on the bounded-ring backend through
+//! the `QueueBackend` trait (its `stats()` fill the same taxonomy;
+//! `--patience` only applies to the default `wf` backend).
 
-use wfq_baselines::{BenchQueue, Scq, Wcq};
+use wfq_baselines::{BenchQueue, Scq};
 use wfq_bench::Args;
 use wfq_harness::breakdown::{render_table2, run_breakdown, run_breakdown_on, Breakdown};
 use wfq_harness::topology;
@@ -58,19 +57,14 @@ fn main() {
                 eprintln!("table2: running {} with {threads} threads ...", Scq::NAME);
                 run_breakdown_on::<Scq>(&cfg)
             }
-            "wcq" => {
-                eprintln!("table2: running {} with {threads} threads ...", Wcq::NAME);
-                run_breakdown_on::<Wcq>(&cfg)
-            }
-            other => panic!("unknown --backend {other:?} (expected wf, scq or wcq)"),
+            other => panic!("unknown --backend {other:?} (expected wf or scq)"),
         };
         rows.push(row);
     }
 
     let title = match backend.as_str() {
         "wf" => format!("WF-{patience}"),
-        "scq" => Scq::NAME.to_string(),
-        _ => Wcq::NAME.to_string(),
+        _ => Scq::NAME.to_string(),
     };
     println!(
         "Table 2: breakdown of execution paths of {title} \

@@ -1,15 +1,15 @@
-//! The checker against the bounded-ring backends (DESIGN.md §11): a clean
+//! The checker against the bounded-ring backend (DESIGN.md §11): a clean
 //! SCQ execution — including histories that wrap the ring's cycle several
 //! times — must certify, and a ring with a *skipped-cycle* dequeue bug
 //! (the dequeuer consumes a slot one position ahead of head, as if the
 //! entry's cycle tag were never compared) must be convicted by the
 //! Wing–Gong search. The negative control proves the certification of the
-//! real rings is not vacuous.
+//! real ring is not vacuous.
 
 use std::sync::Mutex;
 
 use wfq_baselines::scq::ScqRing;
-use wfq_baselines::{BenchQueue, QueueHandle, Scq, Wcq};
+use wfq_baselines::{BenchQueue, QueueHandle, Scq};
 use wfq_checker::{check_linearizable, check_necessary, History, OpKind, Recorder};
 
 /// Records `threads` workers doing `ops_per_thread` coin-flip operations
@@ -52,18 +52,6 @@ fn clean_scq_histories_certify() {
         assert!(
             check_linearizable(&h, 2_000_000).is_ok(),
             "SCQ seed {seed}: {h:?}"
-        );
-    }
-}
-
-#[test]
-fn clean_wcq_histories_certify() {
-    for seed in 0..6 {
-        let h = record::<Wcq>(3, 14, seed);
-        assert_eq!(check_necessary(&h), Ok(()), "wCQ seed {seed}");
-        assert!(
-            check_linearizable(&h, 2_000_000).is_ok(),
-            "wCQ seed {seed}: {h:?}"
         );
     }
 }

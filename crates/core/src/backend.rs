@@ -14,9 +14,9 @@
 //!
 //! | Capability | Default | Overridden by |
 //! |---|---|---|
-//! | `try_enqueue` (backpressure) | always accepts | WF bounded mode, SCQ/wCQ rings |
+//! | `try_enqueue` (backpressure) | always accepts | WF bounded mode, SCQ ring |
 //! | batch ops | element loop | WF one-FAA batches |
-//! | `stats()` | all-zero | WF, SCQ, wCQ |
+//! | `stats()` | all-zero | WF, SCQ |
 //! | `gauges()` | `None` | WF |
 //! | `reclaim_hint()` | no-op | WF (hazard-bounded reclamation) |
 //!
@@ -98,7 +98,7 @@ pub trait BackendHandle: Send {
 /// Uniform interface every queue backend implements.
 ///
 /// Implemented by the wait-free queue ([`RawQueue`](crate::RawQueue)),
-/// every baseline in `wfq-baselines`, and the SCQ/wCQ bounded rings; the
+/// every baseline in `wfq-baselines`, and the SCQ bounded ring; the
 /// benchmark harness, the differential shadow tests and the examples all
 /// drive queues exclusively through this trait.
 pub trait QueueBackend: Send + Sync + Sized {
@@ -137,9 +137,9 @@ pub trait QueueBackend: Send + Sync + Sized {
 
     /// Aggregate execution-path statistics (the paper's Table 2 taxonomy).
     /// Backends that do not instrument themselves report all-zero; the
-    /// SCQ/wCQ rings map their protocol events onto the shared taxonomy
-    /// (fast/slow/EMPTY/helped/rejected) so `table2 --backend` renders
-    /// every backend through one layout.
+    /// SCQ ring maps its protocol events onto the shared taxonomy
+    /// (fast/EMPTY/rejected) so `table2 --backend` renders every backend
+    /// through one layout.
     fn stats(&self) -> QueueStats {
         QueueStats::default()
     }

@@ -334,11 +334,63 @@ impl<const N: usize> RawQueue<N> {
         self.oldest_id.store(token, Ordering::Release);
     }
 
-    /// Advisory emptiness check: true if no unconsumed value was present at
-    /// the instants the indices were read. Exact only while the queue is
-    /// externally quiescent (e.g. single-threaded teardown).
+    /// Emptiness check: true if no unconsumed value was present at the
+    /// instants the queue was read. Exact while the queue is externally
+    /// quiescent (e.g. single-threaded teardown); advisory under
+    /// concurrency. Wait-free.
+    ///
+    /// `H ≥ T` proves emptiness, but `H < T` does not prove a value: a
+    /// slow-path enqueue's reservation loop may `FAA(T)` for a cell after
+    /// a helper has already committed its request at an earlier one,
+    /// leaving that cell empty inside `[H, T)`. So when `H < T` the check
+    /// tries the reclamation token with one CAS and, holding it, walks
+    /// `[H, T)` for a cell with an unclaimed value. If a cleaner holds the
+    /// token the queue is not quiescent, and `H < T` answers "non-empty".
     pub fn is_empty(&self) -> bool {
-        self.head_index.load(Ordering::SeqCst) >= self.tail_index.load(Ordering::SeqCst)
+        let head = self.head_index.load(Ordering::SeqCst);
+        let tail = self.tail_index.load(Ordering::SeqCst);
+        if head >= tail {
+            return true;
+        }
+        let token = self.oldest_id.load(Ordering::Acquire);
+        if token < 0
+            || self
+                .oldest_id
+                .compare_exchange(token, -1, Ordering::SeqCst, Ordering::SeqCst)
+                .is_err()
+        {
+            return false;
+        }
+        // SAFETY: holding the token, no segment can be freed.
+        let empty = unsafe { !self.holds_value(head, tail) };
+        self.release_reclaim_token(token);
+        empty
+    }
+
+    /// Whether a cell of `[from, to)` holds a value no dequeuer claimed.
+    /// Cells in segments the list has not grown yet hold nothing.
+    ///
+    /// # Safety
+    ///
+    /// The caller holds the reclamation token.
+    unsafe fn holds_value(&self, from: u64, to: u64) -> bool {
+        let mut s = self.q.load(Ordering::Acquire);
+        // SAFETY (all derefs): the token keeps `Q` and its successors live.
+        let mut i = from.max(unsafe { (*s).id() } * N as u64);
+        while i < to {
+            while unsafe { (*s).id() } < i / N as u64 {
+                s = unsafe { (*s).next.load(Ordering::Acquire) };
+                if s.is_null() {
+                    return false;
+                }
+            }
+            let c = unsafe { &(*s).cells[(i % N as u64) as usize] };
+            if is_valid_value(c.load_val()) && c.load_deq() == DEQ_BOTTOM {
+                return true;
+            }
+            i += 1;
+        }
+        false
     }
 
     /// Snapshot of `(H, T)` for diagnostics.

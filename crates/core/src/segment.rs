@@ -369,12 +369,13 @@ mod tests {
     fn concurrent_extension_publishes_exactly_one_chain() {
         use std::sync::atomic::AtomicU64;
         let s = Seg::alloc(0);
-        let alloc = AtomicU64::new(0);
+        // One counter per thread: `HandleStats::bump` is a single-writer
+        // increment, so a shared counter would lose concurrent bumps.
+        let allocs: [AtomicU64; 8] = Default::default();
         let pool = SegmentPool::<64>::new(None);
         std::thread::scope(|scope| {
-            for _ in 0..8 {
+            for alloc in &allocs {
                 let sp = AtomicPtr::new(s);
-                let alloc = &alloc;
                 let pool = &pool;
                 scope.spawn(move || unsafe {
                     let spare = AtomicPtr::new(core::ptr::null_mut());
@@ -405,7 +406,8 @@ mod tests {
                 cur = (*cur).next.load(Ordering::Relaxed);
             }
             assert_eq!(expect, 32);
-            assert_eq!(alloc.load(Ordering::Relaxed), 31);
+            let published: u64 = allocs.iter().map(|a| a.load(Ordering::Relaxed)).sum();
+            assert_eq!(published, 31);
             free_chain(s);
         }
     }

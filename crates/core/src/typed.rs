@@ -129,7 +129,8 @@ impl<T: Send, const N: usize> WfQueue<T, N> {
         TypedHandle::attach(self)
     }
 
-    /// Advisory emptiness check (exact only under external quiescence).
+    /// Emptiness check: exact while the queue is externally quiescent,
+    /// advisory under concurrency. Wait-free; see [`RawQueue::is_empty`].
     pub fn is_empty(&self) -> bool {
         self.raw.is_empty()
     }
@@ -612,8 +613,7 @@ mod tests {
     #[test]
     fn mpmc_string_traffic() {
         let q: WfQueue<String> = WfQueue::new();
-        let total = AtomicUsize::new(0);
-        std::thread::scope(|s| {
+        let mut got: Vec<String> = std::thread::scope(|s| {
             for t in 0..3 {
                 let q = &q;
                 s.spawn(move || {
@@ -623,23 +623,42 @@ mod tests {
                     }
                 });
             }
-            for _ in 0..3 {
-                let q = &q;
-                let total = &total;
-                s.spawn(move || {
-                    let mut h = q.handle();
-                    let mut got = 0;
-                    while got < 300 {
-                        if let Some(v) = h.dequeue() {
-                            assert!(v.contains('-'));
-                            got += 1;
+            let consumers: Vec<_> = (0..3)
+                .map(|_| {
+                    let q = &q;
+                    s.spawn(move || {
+                        let mut h = q.handle();
+                        let mut got = Vec::with_capacity(300);
+                        while got.len() < 300 {
+                            if let Some(v) = h.dequeue() {
+                                got.push(v);
+                            }
                         }
-                    }
-                    total.fetch_add(got, Ordering::Relaxed);
-                });
-            }
+                        got
+                    })
+                })
+                .collect();
+            consumers
+                .into_iter()
+                .flat_map(|c| c.join().unwrap())
+                .collect()
         });
-        assert_eq!(total.load(Ordering::Relaxed), 900);
+        // Exactly once, not just 900 in total: a duplicate plus a loss
+        // would keep the count.
+        let mut want: Vec<String> = (0..3)
+            .flat_map(|t| (0..300).map(move |i| format!("{t}-{i}")))
+            .collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        let dups: Vec<&String> = got
+            .windows(2)
+            .filter(|w| w[0] == w[1])
+            .map(|w| &w[0])
+            .collect();
+        assert!(
+            got == want,
+            "values not delivered exactly once; duplicated: {dups:?}"
+        );
         assert!(q.is_empty());
     }
 }

@@ -47,8 +47,8 @@ pub fn run_breakdown(patience: u32, cfg: &BenchConfig) -> Breakdown {
 /// Runs the same Table 2 workload on any [`BenchQueue`] backend and
 /// reports the path breakdown from its `stats()` counters. The WF queue's
 /// patience knob has no trait-level equivalent — for a custom patience use
-/// [`run_breakdown`]; backends with their own knobs (e.g. wCQ's patience)
-/// run at their defaults here.
+/// [`run_breakdown`]; backends with their own knobs run at their defaults
+/// here.
 pub fn run_breakdown_on<Q: BenchQueue>(cfg: &BenchConfig) -> Breakdown {
     let q = Q::with_ceiling(cfg.segment_ceiling);
     drive(&q, cfg)
@@ -210,13 +210,6 @@ mod tests {
             b.stats
         );
         assert_eq!(b.pct_slow_enq, 0.0, "SCQ has no slow path");
-        let w = run_breakdown_on::<wfq_baselines::Wcq>(&tiny(2));
-        assert_eq!(
-            w.stats.enqueues() + w.stats.dequeues() + w.stats.deq_empty,
-            40_000,
-            "wCQ breakdown lost operations: {:?}",
-            w.stats
-        );
     }
 
     #[test]

@@ -915,32 +915,34 @@ mod tests {
 
     #[test]
     fn golden_batch_against_pairwise_regresses_with_the_rings_unmatched() {
-        let cmp = gate(
-            &parse_snapshot(BATCH).unwrap(),
-            &parse_snapshot(PAIRWISE).unwrap(),
-            5.0,
+        let (batch, pairwise) = (
+            parse_snapshot(BATCH).unwrap(),
+            parse_snapshot(PAIRWISE).unwrap(),
         );
+        let cmp = gate(&batch, &pairwise, 5.0);
         assert_eq!(
             (cmp.deltas.len(), cmp.regressions().len()),
             (24, 21),
             "{}",
             cmp.render()
         );
-        for ring in ["SCQ", "wCQ"] {
-            assert!(
-                cmp.unmatched.iter().any(|u| u.starts_with(ring)),
-                "{:?}",
-                cmp.unmatched
-            );
-        }
+        // The bounded-ring series exist only in the pairwise snapshot:
+        // every one of their points is unmatched, and nothing else is.
+        let in_batch: Vec<&str> = throughput(&batch).iter().map(|s| s.name.as_str()).collect();
+        let ring_rows: Vec<String> = throughput(&pairwise)
+            .iter()
+            .filter(|s| !in_batch.contains(&s.name.as_str()))
+            .flat_map(|s| {
+                s.points
+                    .iter()
+                    .map(move |p| format!("{} @{} (candidate only)", s.name, p.threads))
+            })
+            .collect();
         assert!(
-            cmp.unmatched
-                .iter()
-                .all(|u| (u.starts_with("SCQ") || u.starts_with("wCQ"))
-                    && u.ends_with("(candidate only)")),
-            "{:?}",
-            cmp.unmatched
+            ring_rows.iter().any(|u| u.starts_with("SCQ")),
+            "{ring_rows:?}"
         );
+        assert_eq!(cmp.unmatched, ring_rows);
     }
 
     // ------------------------------------------------------------------

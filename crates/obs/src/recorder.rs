@@ -130,7 +130,8 @@ fn ring_capacity() -> usize {
 }
 
 /// Creates and registers a recorder for the calling thread. Public for
-/// tests and tools; protocol code reaches it through [`record`].
+/// tests and tools; protocol code reaches it through
+/// [`record!`](crate::record!).
 pub fn register_current_thread() -> Arc<RecorderShared> {
     let mut reg = registry().lock().unwrap();
     let rec = Arc::new(RecorderShared::new(reg.len() as u64, ring_capacity()));

@@ -269,14 +269,14 @@ fn bounded_gauges_flow_through_the_metrics_exposition() {
 }
 
 // ---------------------------------------------------------------------
-// Bounded-mode parity for the fixed-capacity ring backends: a full SCQ
-// or wCQ ring must answer `try_enqueue` with the same typed `Full` the
+// Bounded-mode parity for the fixed-capacity ring backend: a full SCQ
+// ring must answer `try_enqueue` with the same typed `Full` the
 // segment-ceiling queue uses, reject without losing or corrupting any
 // accepted value, and recover completely once the backlog drains.
 // ---------------------------------------------------------------------
 
 mod ring_parity {
-    use wfq_baselines::{BenchQueue, QueueHandle, Scq, Wcq};
+    use wfq_baselines::{BenchQueue, QueueHandle, Scq};
     use wfqueue::Full;
 
     const ORDER: u32 = 3; // ring capacity 2^3 = 8
@@ -318,15 +318,6 @@ mod ring_parity {
     fn scq_full_ring_matches_bounded_contract() {
         assert!(<Scq as BenchQueue>::FIXED_CAPACITY);
         let q = Scq::with_order(ORDER);
-        full_ring_parity(q, 1 << ORDER);
-    }
-
-    #[test]
-    fn wcq_full_ring_matches_bounded_contract() {
-        assert!(<Wcq as BenchQueue>::FIXED_CAPACITY);
-        // Patience 0: the rejection decision must hold on the slow path
-        // too (the helping records never manufacture capacity).
-        let q = Wcq::with_params(ORDER, 0);
         full_ring_parity(q, 1 << ORDER);
     }
 

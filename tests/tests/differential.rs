@@ -7,7 +7,7 @@
 //! - a **sequential tape** (deterministic op sequence from a seed) must
 //!   produce *bit-identical* dequeue traces on every backend and on the
 //!   oracle — sequential FIFO leaves no legal variation;
-//! - a **full-ring edge tape** drives the bounded rings through repeated
+//! - a **full-ring edge tape** drives the bounded ring through repeated
 //!   fill → reject → drain → empty-probe → refill cycles, checking
 //!   `try_enqueue` backpressure and the SCQ threshold reset (a ring
 //!   certified empty must come back to life on the next enqueue) against
@@ -25,7 +25,7 @@
 use std::collections::VecDeque;
 
 use wfq_baselines::{
-    BenchQueue, CcQueue, KpQueue, Lcrq, MsQueue, MutexQueue, QueueHandle, Scq, Wcq, Wf0,
+    BenchQueue, CcQueue, KpQueue, Lcrq, MsQueue, MutexQueue, QueueHandle, Scq, Wf0,
 };
 use wfq_checker::{check_linearizable, check_necessary, CheckResult, OpKind, Recorder};
 use wfqueue::RawQueue;
@@ -114,8 +114,6 @@ fn sequential_tape_matches_oracle_on_every_backend() {
         shadow(KpQueue::new(), &ops, &expect, seed);
         shadow(MutexQueue::new(), &ops, &expect, seed);
         shadow(Scq::with_order(5), &ops, &expect, seed);
-        shadow(Wcq::with_params(5, 2), &ops, &expect, seed);
-        shadow(Wcq::with_params(5, 0), &ops, &expect, seed); // slow path only
     }
 }
 
@@ -178,18 +176,6 @@ fn full_ring_edge_tape_matches_bounded_oracle() {
         ring_edge_trace(&scq, 8, 3),
         expect,
         "SCQ diverged from the bounded oracle"
-    );
-    let wcq = Wcq::with_params(3, 2);
-    assert_eq!(
-        ring_edge_trace(&wcq, 8, 3),
-        expect,
-        "wCQ diverged from the bounded oracle"
-    );
-    let wcq0 = Wcq::with_params(3, 0); // slow-path-only flavour
-    assert_eq!(
-        ring_edge_trace(&wcq0, 8, 3),
-        expect,
-        "patience-0 wCQ diverged from the bounded oracle"
     );
 }
 
@@ -285,8 +271,8 @@ fn concurrent_delivery<Q: BenchQueue>(q: &Q, seed: u64, producers: u64, per: u64
 
 /// The shadow contract under concurrency: whatever interleaving each
 /// backend chooses, the *multiset* of delivered values is fully
-/// determined — and therefore identical across WF, SCQ, wCQ and the
-/// oracle's expectation.
+/// determined — and therefore identical across WF, SCQ and the oracle's
+/// expectation.
 #[test]
 fn concurrent_deliveries_are_identical_across_backends() {
     for seed in 0..4 {
@@ -296,11 +282,9 @@ fn concurrent_deliveries_are_identical_across_backends() {
         assert_eq!(wf, expect, "WF lost or invented values (seed {seed})");
         let scq = concurrent_delivery(&Scq::with_order(5), seed, producers, per);
         assert_eq!(scq, expect, "SCQ lost or invented values (seed {seed})");
-        let wcq = concurrent_delivery(&Wcq::with_params(5, 1), seed, producers, per);
-        assert_eq!(wcq, expect, "wCQ lost or invented values (seed {seed})");
         // The cross-backend assert is then exact equality of deliveries.
         assert!(
-            wf == scq && scq == wcq,
+            wf == scq,
             "backends disagree on the delivered multiset (seed {seed})"
         );
     }
@@ -326,14 +310,6 @@ fn sequential_tape_matches_oracle_under_fault_plans() {
                 replay(&q, &ops),
                 expect,
                 "SCQ semantics changed under fault plan (seed {seed})"
-            );
-        });
-        fault::with_plan(FaultPlan::fuzz(seed.wrapping_add(101), 80), || {
-            let q = Wcq::with_params(5, 0);
-            assert_eq!(
-                replay(&q, &ops),
-                expect,
-                "patience-0 wCQ semantics changed under fault plan (seed {seed})"
             );
         });
         fault::with_plan(FaultPlan::fuzz(seed.wrapping_add(202), 80), || {

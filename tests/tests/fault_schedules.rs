@@ -505,6 +505,49 @@ mod fuzz {
         }
     }
 
+    /// `is_empty` must not count a cell a helped enqueue reserved but never
+    /// filled. Staged under WF-0 without a race:
+    ///
+    /// 1. M's empty probe ⊤-marks cell 0;
+    /// 2. E's fast path fails at cell 0; E publishes its request and parks;
+    /// 3. D, registered after E so its enqueue peer is E, dequeues cell 1:
+    ///    it completes E's request there and returns E's value;
+    /// 4. E resumes: its reservation loop takes cell 2 by `FAA(T)`, finds
+    ///    its request already claimed, and commits at cell 1.
+    ///
+    /// Cell 2 is left empty inside `[H, T) = [2, 3)`: the queue is empty
+    /// although `H < T`.
+    #[test]
+    fn is_empty_skips_a_cell_a_helped_enqueue_reserved() {
+        let q = RawQueue::<SEG>::with_config(Config::wf0());
+        let mut m = q.register();
+        assert_eq!(m.dequeue(), None);
+        let [e_parked, e_resume] = std::array::from_fn(|_| Arc::new(Event::default()));
+        let got = std::thread::scope(|s| {
+            let e = {
+                let q = &q;
+                let plan = FaultPlan::new().hook_at(
+                    "enq_slow::request_published",
+                    0,
+                    park(&e_parked, &e_resume),
+                );
+                s.spawn(move || {
+                    let mut e = q.register();
+                    fault::with_plan(plan, || e.enqueue(42));
+                })
+            };
+            e_parked.wait();
+            let got = q.register().dequeue();
+            e_resume.set();
+            e.join().unwrap();
+            got
+        });
+        assert_eq!(got, Some(42), "D must complete E's parked request");
+        assert_eq!(q.indices(), (2, 3), "E must have reserved cell 2");
+        assert!(q.is_empty(), "the reserved cell 2 holds no value");
+        assert_eq!(m.dequeue(), None);
+    }
+
     /// A batch dequeue must not turn a cell its own earlier straggler
     /// request already consumed into a second request. Such a request
     /// would publish the state word `(1, i)` the earlier request announced
@@ -629,7 +672,7 @@ mod fuzz {
     }
 
     // ------------------------------------------------------------------
-    // Shape 7: the bounded-ring backends (SCQ / wCQ) under the same
+    // Shape 7: the bounded-ring backend (SCQ) under the same
     // seeded fault plans, every history certified — plus deterministic
     // drivers for the ring injection points so the coverage assert never
     // depends on a race going one way.
@@ -758,21 +801,15 @@ mod fuzz {
         }
     }
 
-    /// Ring schedule shapes: tiny rings (order 4 → capacity 16, under 24
-    /// values in flight) force cycle wraps, full-ring spins and threshold
-    /// churn; the patience-0 wCQ shape routes *every* operation through
-    /// the helping records.
+    /// Ring schedule shape: a tiny ring (order 4 → capacity 16, under 24
+    /// values in flight) forces cycle wraps, full-ring spins and threshold
+    /// churn.
     fn ring_schedule(seed: u64) {
-        use wfq_baselines::{Scq, Wcq};
-        match seed % 3 {
-            0 => run_ring_schedule(seed, Scq::with_order(4), 2, 3),
-            1 => run_ring_schedule(seed, Wcq::with_params(4, 2), 2, 3),
-            _ => run_ring_schedule(seed, Wcq::with_params(4, 0), 3, 2),
-        }
+        run_ring_schedule(seed, wfq_baselines::Scq::with_order(4), 2, 3);
     }
 
-    /// Shape 7 of the sweep (the ring backends), with the same seed count
-    /// as the WF sweep so a CI run certifies SCQ/wCQ under 48 schedules.
+    /// Shape 7 of the sweep (the ring backend), with the same seed count
+    /// as the WF sweep so a CI run certifies SCQ under 48 schedules.
     #[test]
     fn ring_backend_sweep_certifies_histories_and_covers_ring_points() {
         if let Ok(s) = std::env::var("WFQ_RING_SEED") {
@@ -788,7 +825,7 @@ mod fuzz {
         let missed: Vec<&str> = wfq_baselines::FAULT_POINTS
             .iter()
             .copied()
-            .filter(|p| p.starts_with("scq::") || p.starts_with("wcq::"))
+            .filter(|p| p.starts_with("scq::"))
             .filter(|p| cov.get(p).copied().unwrap_or(0) == 0)
             .collect();
         assert!(
@@ -798,7 +835,7 @@ mod fuzz {
         );
     }
 
-    /// Deterministic drivers for every `scq::`/`wcq::` injection point.
+    /// Deterministic drivers for every `scq::` injection point.
     /// Each window is staged so reaching it needs no lost race:
     ///
     /// - the SCQ happy paths (`pre_cas`, `threshold_reset`, `pre_consume`)
@@ -808,22 +845,16 @@ mod fuzz {
     /// - `threshold_decrement` needs `tail > head + 1` at a failed ticket:
     ///   an enqueuer parked at `scq::enq::pre_cas` (ticket claimed, value
     ///   not yet installed) while a second enqueue lands behind it makes
-    ///   the next dequeue's first ticket fail exactly there;
-    /// - the wCQ slow-path points all fire single-threadedly at patience
-    ///   0 (publish → owner-help → install → finalize; the dequeue side
-    ///   re-marks the entry via `consume_mark`);
-    /// - `wcq::help::takeover` parks the *owner* between installing its
-    ///   entry and finalizing its record (`wcq::enq_slow::finalize`), so
-    ///   the consumer must finish the record before consuming.
+    ///   the next dequeue's first ticket fail exactly there.
     fn drive_ring_points() {
-        use wfq_baselines::{BenchQueue as _, QueueHandle as _, Scq, Wcq};
+        use wfq_baselines::{BenchQueue as _, QueueHandle as _, Scq};
 
         // SCQ happy paths + certified-empty probe.
         let q = Scq::with_order(3);
         let mut h = q.register();
         h.enqueue(1); // pre_cas, threshold_reset
         assert_eq!(h.dequeue(), Some(1)); // pre_consume
-        assert_eq!(h.dequeue(), None); // slot_advance (kill) + catchup
+        assert_eq!(h.dequeue(), None); // slot_advance + catchup
         assert!(fault::coverage_count("scq::enq::pre_cas") > 0);
         assert!(fault::coverage_count("scq::enq::threshold_reset") > 0);
         assert!(fault::coverage_count("scq::deq::pre_consume") > 0);
@@ -879,81 +910,6 @@ mod fuzz {
         // A's install lands on a later ticket; nothing is lost.
         let mut h = q.register();
         assert_eq!(h.dequeue(), Some(11));
-
-        // wCQ slow paths, single-threaded at patience 0.
-        let q = Wcq::with_params(3, 0);
-        let mut h = q.register();
-        h.enqueue(5); // enq_slow: published, install, finalize
-        assert_eq!(h.dequeue(), Some(5)); // deq_slow: published, consume_mark, finalize
-        assert_eq!(h.dequeue(), None);
-        assert!(fault::coverage_count("wcq::enq_slow::published") > 0);
-        assert!(fault::coverage_count("wcq::enq_slow::install") > 0);
-        assert!(fault::coverage_count("wcq::enq_slow::finalize") > 0);
-        assert!(fault::coverage_count("wcq::deq_slow::published") > 0);
-        assert!(fault::coverage_count("wcq::deq_slow::consume_mark") > 0);
-        assert!(fault::coverage_count("wcq::deq_slow::finalize") > 0);
-        drop(h);
-
-        // wCQ takeover: owner A parks between installing its SLOW_ENQ
-        // entry and finalizing its record; consumer B must finalize A's
-        // record (the takeover) before it may consume the value.
-        //
-        // Staging details that make this race-free:
-        // - B slow-enqueues a sentinel *first*, so the threshold is reset
-        //   and B's dequeues are not turned away by the certified-empty
-        //   fast path (A parks before its own `reset_threshold`).
-        // - A registers first (tid 0) and B second (tid 1): B's help
-        //   cursor starts at its own tid and only walks peers 2, 3, 4 in
-        //   the three operations below, so B's round-robin `maybe_help`
-        //   cannot finalize A's record early — only the consume path
-        //   (`resolve_slow_enq`, the takeover) can.
-        // - Outcomes are asserted after the scope (a panic before
-        //   `release.set()` would deadlock on joining the parked thread).
-        let q = Wcq::with_params(3, 0);
-        let parked = Arc::new(Event::default());
-        let release = Arc::new(Event::default());
-        let mut first = None;
-        let mut second = None;
-        let mut takeover_fired = false;
-        std::thread::scope(|s| {
-            let mut a = q.register(); // tid 0
-            let mut b = q.register(); // tid 1
-            b.enqueue(7); // ticket 0; resets the threshold
-            {
-                let (parked, release) = (Arc::clone(&parked), Arc::clone(&release));
-                s.spawn(move || {
-                    let p = Arc::clone(&parked);
-                    let r = Arc::clone(&release);
-                    fault::with_plan(
-                        FaultPlan::new().hook_at(
-                            "wcq::enq_slow::finalize",
-                            0,
-                            Arc::new(move |_| {
-                                p.set();
-                                r.wait();
-                            }),
-                        ),
-                        || a.enqueue(42), // ticket 1, parked after install
-                    );
-                });
-            }
-            parked.wait();
-            let before = fault::coverage_count("wcq::help::takeover");
-            first = b.dequeue(); // drains the sentinel at ticket 0
-            second = b.dequeue(); // hits A's pending entry at ticket 1
-            takeover_fired = fault::coverage_count("wcq::help::takeover") > before;
-            release.set();
-        });
-        assert_eq!(first, Some(7), "the sentinel must come out first (FIFO)");
-        assert_eq!(
-            second,
-            Some(42),
-            "consumer must take over the parked enqueue and get its value"
-        );
-        assert!(
-            takeover_fired,
-            "consuming a pending slow enqueue must finalize its record first"
-        );
     }
 
     /// Baselines ride the same machinery: fuzz the LCRQ and MS-Queue
@@ -1007,10 +963,9 @@ mod fuzz {
             // drained-ring unlink on the dequeue side).
             drive(&Lcrq::with_ring_order(3), seed);
             drive(&MsQueue::new(), seed);
-            // The bounded-ring backends share the conservation check; the
-            // tiny orders force cycle wraps and full-ring spins.
+            // The bounded-ring backend shares the conservation check; the
+            // tiny order forces cycle wraps and full-ring spins.
             drive(&wfq_baselines::Scq::with_order(4), seed);
-            drive(&wfq_baselines::Wcq::with_params(4, 1), seed);
         }
         // The coverage assert below spans every baseline point, so it must
         // not depend on `ring_backend_sweep_*` having run first in this

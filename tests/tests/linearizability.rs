@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use wfq_baselines::{
-    BenchQueue, CcQueue, KpQueue, Lcrq, MsQueue, MutexQueue, QueueHandle, Scq, Wcq, Wf0,
+    BenchQueue, CcQueue, KpQueue, Lcrq, MsQueue, MutexQueue, QueueHandle, Scq, Wf0,
 };
 use wfq_checker::{check_linearizable, check_necessary, History, OpKind, Recorder};
 use wfqueue::RawQueue;
@@ -103,43 +103,6 @@ fn mutex_queue_is_linearizable() {
 #[test]
 fn scq_is_linearizable() {
     certify::<Scq>();
-}
-
-#[test]
-fn wcq_is_linearizable() {
-    certify::<Wcq>();
-}
-
-// Patience 0 routes every wCQ operation through the helping records, so
-// this certifies the slow path (publish → help → finalize) itself, not
-// just the SCQ-shaped fast path the default patience almost always takes.
-struct WcqSlow(Wcq);
-
-struct WcqSlowHandle<'q>(wfq_baselines::wcq::WcqHandle<'q>);
-
-impl QueueHandle for WcqSlowHandle<'_> {
-    fn enqueue(&mut self, v: u64) {
-        self.0.enqueue(v);
-    }
-    fn dequeue(&mut self) -> Option<u64> {
-        self.0.dequeue()
-    }
-}
-
-impl BenchQueue for WcqSlow {
-    type Handle<'q> = WcqSlowHandle<'q>;
-    const NAME: &'static str = "wCQ-p0";
-    fn new() -> Self {
-        WcqSlow(Wcq::with_patience(0))
-    }
-    fn register(&self) -> Self::Handle<'_> {
-        WcqSlowHandle(self.0.register())
-    }
-}
-
-#[test]
-fn wcq_slow_path_is_linearizable() {
-    certify::<WcqSlow>();
 }
 
 // ---------------------------------------------------------------------
