@@ -5,17 +5,22 @@
 //! - `val` holds ⊥ (never written), ⊤ (marked unusable by a dequeuer), or an
 //!   enqueued value;
 //! - `enq` holds ⊥e (unreserved), ⊤e (no enqueue will ever fill this cell),
-//!   or a pointer to the [`EnqReq`] that reserved it;
+//!   or the name of the [`EnqReq`](crate::request::EnqReq) that reserved it;
 //! - `deq` holds ⊥d (value unclaimed), ⊤d (claimed by a fast-path dequeue),
-//!   or a pointer to the [`DeqReq`] that claimed it.
+//!   or the name of the [`DeqReq`](crate::request::DeqReq) that claimed it.
+//!
+//! A request is named by the ordinal of the handle node that embeds it (its
+//! *slot*), as the 32-bit word `slot + 2`; `0` and `1` stay ⊥ and ⊤. Each
+//! node embeds one request per side, so a name says which node's request a
+//! cell refers to; the enqueue side resolves it through the queue's slot
+//! table ([`crate::handle::NodeTable`]), the dequeue side only compares
+//! names. A cell is therefore 16 bytes, four to a cache line.
 //!
 //! Every cell starts as `(⊥, ⊥e, ⊥d)`. We choose the encodings so that the
 //! all-zero bit pattern *is* that initial state, letting segments come out
 //! of `alloc_zeroed` ready to use.
 
-use core::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-
-use crate::request::{DeqReq, EnqReq};
+use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// ⊥ — the "never written" value sentinel.
 pub(crate) const VAL_BOTTOM: u64 = 0;
@@ -23,14 +28,26 @@ pub(crate) const VAL_BOTTOM: u64 = 0;
 pub(crate) const VAL_TOP: u64 = u64::MAX;
 
 /// ⊥e — no enqueue request has reserved this cell.
-pub(crate) const ENQ_BOTTOM: *mut EnqReq = core::ptr::null_mut();
+pub(crate) const ENQ_BOTTOM: u32 = 0;
 /// ⊤e — helpers agreed no enqueue request will ever fill this cell.
-pub(crate) const ENQ_TOP: *mut EnqReq = 1usize as *mut EnqReq;
+pub(crate) const ENQ_TOP: u32 = 1;
 
 /// ⊥d — the value in this cell is unclaimed by dequeuers.
-pub(crate) const DEQ_BOTTOM: *mut DeqReq = core::ptr::null_mut();
+pub(crate) const DEQ_BOTTOM: u32 = 0;
 /// ⊤d — the value was claimed by a fast-path dequeue.
-pub(crate) const DEQ_TOP: *mut DeqReq = 1usize as *mut DeqReq;
+pub(crate) const DEQ_TOP: u32 = 1;
+
+/// The name a cell stores for the requests of the node in `slot`.
+#[inline]
+pub(crate) const fn req_name(slot: u32) -> u32 {
+    slot + 2
+}
+
+/// The slot of the node whose request `name` (neither ⊥ nor ⊤) names.
+#[inline]
+pub(crate) const fn name_slot(name: u32) -> u32 {
+    name - 2
+}
 
 /// Checks that a user value avoids the reserved patterns.
 #[inline]
@@ -39,13 +56,24 @@ pub(crate) const fn is_valid_value(v: u64) -> bool {
 }
 
 /// One cell of the emulated infinite array.
+///
+/// Aligned to its size, so a cell never straddles a cache line and a
+/// 64-byte line holds exactly four cells.
 #[derive(Debug)]
-#[repr(C)]
+#[repr(C, align(16))]
 pub(crate) struct Cell {
     pub val: AtomicU64,
-    pub enq: AtomicPtr<EnqReq>,
-    pub deq: AtomicPtr<DeqReq>,
+    pub enq: AtomicU32,
+    pub deq: AtomicU32,
 }
+
+// The layout the memory figures in DESIGN.md assume: 16 bytes, and an
+// alignment that divides 64, so no cell spans two cache lines.
+const _: () = {
+    assert!(core::mem::size_of::<Cell>() == 16);
+    assert!(core::mem::align_of::<Cell>() == core::mem::size_of::<Cell>());
+    assert!(64 % core::mem::size_of::<Cell>() == 0);
+};
 
 impl Cell {
     /// Fast-path enqueue deposit: `(val: ⊥ → v)` (paper line 68).
@@ -87,14 +115,14 @@ impl Cell {
     }
 
     #[inline]
-    pub fn load_enq(&self) -> *mut EnqReq {
+    pub fn load_enq(&self) -> u32 {
         self.enq.load(Ordering::SeqCst)
     }
 
-    /// `(enq: ⊥e → r)` — reserve this cell for request `r` (Dijkstra
-    /// protocol, paper lines 80 and 103).
+    /// `(enq: ⊥e → r)` — reserve this cell for the request named `r`
+    /// (Dijkstra protocol, paper lines 80 and 103).
     #[inline]
-    pub fn try_reserve_enq(&self, r: *mut EnqReq) -> bool {
+    pub fn try_reserve_enq(&self, r: u32) -> bool {
         self.enq
             .compare_exchange(ENQ_BOTTOM, r, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
@@ -110,7 +138,7 @@ impl Cell {
     }
 
     #[inline]
-    pub fn load_deq(&self) -> *mut DeqReq {
+    pub fn load_deq(&self) -> u32 {
         self.deq.load(Ordering::SeqCst)
     }
 
@@ -122,10 +150,10 @@ impl Cell {
             .is_ok()
     }
 
-    /// `(deq: ⊥d → r)` — claim the value for slow-path request `r`
-    /// (paper line 194).
+    /// `(deq: ⊥d → r)` — claim the value for the slow-path request named
+    /// `r` (paper line 194).
     #[inline]
-    pub fn try_claim_deq_slow(&self, r: *mut DeqReq) -> bool {
+    pub fn try_claim_deq_slow(&self, r: u32) -> bool {
         self.deq
             .compare_exchange(DEQ_BOTTOM, r, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
@@ -140,8 +168,8 @@ mod tests {
         // SAFETY-free equivalent of the zeroed allocation used for segments.
         Cell {
             val: AtomicU64::new(VAL_BOTTOM),
-            enq: AtomicPtr::new(ENQ_BOTTOM),
-            deq: AtomicPtr::new(DEQ_BOTTOM),
+            enq: AtomicU32::new(ENQ_BOTTOM),
+            deq: AtomicU32::new(DEQ_BOTTOM),
         }
     }
 
@@ -149,8 +177,8 @@ mod tests {
     fn zeroed_bit_pattern_is_the_initial_state() {
         // alloc_zeroed gives all-zero cells; check the sentinels agree.
         assert_eq!(VAL_BOTTOM, 0);
-        assert!(ENQ_BOTTOM.is_null());
-        assert!(DEQ_BOTTOM.is_null());
+        assert_eq!(ENQ_BOTTOM, 0);
+        assert_eq!(DEQ_BOTTOM, 0);
     }
 
     #[test]
@@ -188,15 +216,13 @@ mod tests {
     #[test]
     fn enq_reservation_and_sealing_are_exclusive() {
         let c = fresh();
-        let mut req = EnqReq::new();
-        assert!(c.try_reserve_enq(&mut req));
+        assert!(c.try_reserve_enq(req_name(0)));
         c.try_seal_enq(); // must be a no-op now
-        assert_eq!(c.load_enq(), &mut req as *mut _);
+        assert_eq!(c.load_enq(), req_name(0));
 
         let c2 = fresh();
         c2.try_seal_enq();
-        let mut req2 = EnqReq::new();
-        assert!(!c2.try_reserve_enq(&mut req2));
+        assert!(!c2.try_reserve_enq(req_name(1)));
         assert_eq!(c2.load_enq(), ENQ_TOP);
     }
 
@@ -205,14 +231,21 @@ mod tests {
         let c = fresh();
         assert!(c.try_claim_deq_fast());
         assert!(!c.try_claim_deq_fast());
-        let mut r = DeqReq::new();
-        assert!(!c.try_claim_deq_slow(&mut r));
+        assert!(!c.try_claim_deq_slow(req_name(0)));
 
         let c2 = fresh();
-        let mut r2 = DeqReq::new();
-        assert!(c2.try_claim_deq_slow(&mut r2));
+        assert!(c2.try_claim_deq_slow(req_name(7)));
         assert!(!c2.try_claim_deq_fast());
-        assert_eq!(c2.load_deq(), &mut r2 as *mut _);
+        assert_eq!(c2.load_deq(), req_name(7));
+    }
+
+    #[test]
+    fn names_avoid_the_sentinels_and_round_trip() {
+        assert_eq!(req_name(0), 2);
+        assert!(req_name(0) > ENQ_TOP && req_name(0) > DEQ_TOP);
+        for slot in [0, 1, 63, u32::MAX - 2] {
+            assert_eq!(name_slot(req_name(slot)), slot);
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl Config {
     }
 
     /// Enables bounded-memory mode with an advisory ceiling of `segments`
-    /// segments (each `N × size_of::<Cell>()` bytes, 24 KiB at the default
+    /// segments (each `N × size_of::<Cell>()` bytes, 16 KiB at the default
     /// N = 1024).
     ///
     /// Reclaimed segments are recycled through a lock-free pool instead of

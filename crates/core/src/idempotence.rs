@@ -76,6 +76,11 @@ fn help_enq_twice_completes_a_pending_request_once() {
     let s = r_node.enq_req.state();
     assert!(!s.pending, "request completed by the helper");
     assert_eq!(s.index, i, "claimed for the helped cell");
+    assert_eq!(
+        c.load_enq(),
+        r_node.req_name(),
+        "the cell names the requester's slot"
+    );
     assert_eq!(c.load_val(), 77);
     let tail = q.tail_index.load(Ordering::SeqCst);
 
@@ -111,8 +116,11 @@ fn help_deq_twice_consumes_one_cell_and_then_bails() {
     assert_eq!(s.index, 1, "candidate scan consumed cell 1 for the request");
     // SAFETY: segment 0 is live (no reclamation ran).
     let c1 = unsafe { &*find_cell(&h_node.head, 1, &q.src(h_node)) };
-    let r_ptr = &r_node.deq_req as *const _ as *mut _;
-    assert_eq!(c1.load_deq(), r_ptr, "cell 1 claimed for the request");
+    assert_eq!(
+        c1.load_deq(),
+        r_node.req_name(),
+        "cell 1 claimed for the request"
+    );
 
     // Second application — the crash-replay double help: bails on !pending
     // without claiming anything else.

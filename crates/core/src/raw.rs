@@ -23,17 +23,15 @@ use std::sync::{Arc, Mutex};
 use wfq_sync::{inject, CachePadded};
 
 use crate::cell::{
-    is_valid_value, Cell, DEQ_BOTTOM, ENQ_BOTTOM, ENQ_TOP, VAL_BOTTOM, VAL_TOP,
+    is_valid_value, name_slot, Cell, DEQ_BOTTOM, ENQ_BOTTOM, ENQ_TOP, VAL_BOTTOM, VAL_TOP,
 };
 use crate::config::Config;
 use crate::full::Full;
-use crate::handle::{HandleNode, Registry, NO_HAZARD};
-use crate::pack::ReqState;
+use crate::handle::{HandleNode, NodeTable, NO_HAZARD};
 #[cfg(feature = "durable")]
 use crate::persist::PersistSink;
 use crate::persist::persist;
 use crate::pool::SegmentPool;
-use crate::request::DeqReq;
 use crate::sample::{op_sample, OpPath, OpSample};
 use crate::segment::{find_cell, SegSource, Segment};
 use crate::stats::{Gauges, HandleStats, QueueStats};
@@ -103,12 +101,14 @@ pub struct RawQueue<const N: usize = DEFAULT_SEGMENT_SIZE> {
     /// `I`: id of the oldest segment, or −1 while a cleaner (or a
     /// registration) holds the reclamation token (Listing 5 line 206).
     pub(crate) oldest_id: CachePadded<AtomicI64>,
-    /// Registration bookkeeping (ring anchor, free pool, master node list).
-    pub(crate) registry: Mutex<Registry<N>>,
-    /// Number of ring nodes ever created (readable without the lock).
-    pub(crate) handle_count: AtomicU64,
+    /// Every handle node ever registered, by slot; owns the nodes. Cells
+    /// name slow-path requests by slot, and `help_enq` resolves them here.
+    pub(crate) nodes: NodeTable<N>,
+    /// The registry lock over the free pool of nodes whose handles were
+    /// dropped; it also serialises appends to `nodes`.
+    pub(crate) free_nodes: Mutex<Vec<*mut HandleNode<N>>>,
     /// Number of *live* handles (registered minus dropped). This — not
-    /// `handle_count` — feeds the automatic MAX_GARBAGE threshold: under
+    /// `nodes.len()` — feeds the automatic MAX_GARBAGE threshold: under
     /// register/drop churn the ever-registered count inflates forever and
     /// would make reclamation permanently lazier.
     pub(crate) active_count: AtomicU64,
@@ -226,8 +226,8 @@ impl<const N: usize> RawQueue<N> {
             tail_index: CachePadded::new(AtomicU64::new(0)),
             head_index: CachePadded::new(AtomicU64::new(0)),
             oldest_id: CachePadded::new(AtomicI64::new(0)),
-            registry: Mutex::new(Registry::new()),
-            handle_count: AtomicU64::new(0),
+            nodes: NodeTable::new(),
+            free_nodes: Mutex::new(Vec::new()),
             active_count: AtomicU64::new(0),
             pool: SegmentPool::new(config.segment_ceiling),
             config,
@@ -273,8 +273,8 @@ impl<const N: usize> RawQueue<N> {
 
     /// Acquires a ring node for a new handle (pool reuse or fresh splice).
     pub(crate) fn acquire_node(&self) -> *mut HandleNode<N> {
-        let mut reg = self.registry.lock().unwrap();
-        if let Some(node) = reg.free.pop() {
+        let mut free = self.free_nodes.lock().expect("a registration panicked");
+        if let Some(node) = free.pop() {
             // SAFETY: pooled nodes stay valid for the queue's lifetime.
             unsafe {
                 (*node).active.store(true, Ordering::Relaxed);
@@ -291,13 +291,9 @@ impl<const N: usize> RawQueue<N> {
         // hold the reclamation token across both.
         let token = self.acquire_reclaim_token();
         let seg = self.q.load(Ordering::Acquire);
-        // SAFETY: holding the token, no segment can be freed.
-        let seg_id = unsafe { (*seg).id() };
-        // The node's ordinal doubles as its request-record slot in the
-        // durable image (one slow-path enqueue request per node).
-        let slot = self.handle_count.fetch_add(1, Ordering::Relaxed);
-        let node = HandleNode::boxed(seg, seg_id, slot);
-        reg.splice(node);
+        // SAFETY: holding the token, no segment can be freed; `free` is
+        // the registry lock.
+        let node = unsafe { self.nodes.register(seg, (*seg).id()) };
         self.active_count.fetch_add(1, Ordering::Relaxed);
         self.release_reclaim_token(token);
         node
@@ -305,12 +301,12 @@ impl<const N: usize> RawQueue<N> {
 
     /// Returns a handle's ring node to the pool.
     pub(crate) fn release_node(&self, node: *mut HandleNode<N>) {
-        let mut reg = self.registry.lock().unwrap();
+        let mut free = self.free_nodes.lock().expect("a registration panicked");
         // SAFETY: node is live; after deactivation helpers skip its idle
         // requests and a future registration may adopt it.
         unsafe { (*node).active.store(false, Ordering::Relaxed) };
         self.active_count.fetch_sub(1, Ordering::Relaxed);
-        reg.free.push(node);
+        free.push(node);
     }
 
     /// Spins until it wins the reclamation token (`I: i ≥ 0 → −1`),
@@ -425,11 +421,9 @@ impl<const N: usize> RawQueue<N> {
     /// Aggregated execution-path statistics across every handle ever
     /// registered (the data behind the paper's Table 2).
     pub fn stats(&self) -> QueueStats {
-        let reg = self.registry.lock().unwrap();
         let mut s = QueueStats::default();
-        for &n in &reg.all {
-            // SAFETY: nodes live until queue drop.
-            s.absorb(unsafe { &(*n).stats });
+        for n in self.nodes.iter() {
+            s.absorb(&n.stats);
         }
         s
     }
@@ -441,18 +435,15 @@ impl<const N: usize> RawQueue<N> {
     pub fn gauges(&self) -> Gauges {
         let (head_index, tail_index) = self.indices();
         let oldest_segment_id = self.oldest_id.load(Ordering::SeqCst);
-        let reg = self.registry.lock().unwrap();
         let mut g = Gauges {
             head_index,
             tail_index,
             oldest_segment_id,
-            total_handles: reg.all.len() as u64,
+            total_handles: u64::from(self.nodes.len()),
             ..Gauges::default()
         };
         let (mut alloc, mut freed) = (0u64, 0u64);
-        for &n in &reg.all {
-            // SAFETY: nodes live until queue drop.
-            let n = unsafe { &*n };
+        for n in self.nodes.iter() {
             if n.active.load(Ordering::Relaxed) {
                 g.active_handles += 1;
             }
@@ -582,7 +573,7 @@ impl<const N: usize> RawQueue<N> {
     fn enq_slow(&self, h: &HandleNode<N>, v: u64, cell_id: u64) -> u64 {
         let r = &h.enq_req;
         r.publish(v, cell_id); // line 72
-        persist!(self, enq_publish(r.slot(), v));
+        persist!(self, enq_publish(u64::from(h.slot), v));
         inject!("enq_slow::request_published");
         // Op id for the whole episode: the publish id (our failed FAA cell).
         wfq_obs::record!(wfq_obs::EventKind::EnqSlowEnter, cell_id, cell_id);
@@ -600,7 +591,7 @@ impl<const N: usize> RawQueue<N> {
             let c = unsafe { &*find_cell(&tmp_tail, i, &self.src(h)) };
             // Lines 80–84, Dijkstra's protocol: reserve first, then check
             // that no dequeuer poisoned the cell before the reservation.
-            if c.try_reserve_enq(r as *const _ as *mut _) && c.load_val() == VAL_BOTTOM {
+            if c.try_reserve_enq(h.req_name()) && c.load_val() == VAL_BOTTOM {
                 inject!("enq_slow::cell_reserved");
                 let _ = r.try_claim(cell_id, i);
                 // Invariant: request claimed (even if our claim CAS lost).
@@ -626,7 +617,7 @@ impl<const N: usize> RawQueue<N> {
         // the commit is the "claimed-but-uncommitted" state recovery must
         // re-complete (the deterministic negative-control scenario).
         inject!("enq_slow::claim_unpersisted");
-        persist!(self, enq_claim(r.slot(), v, id));
+        persist!(self, enq_claim(u64::from(h.slot), v, id));
         inject!("enq_slow::pre_commit");
         // SAFETY: id ≥ cell_id ≥ (*h.tail).id * N, all hazard-protected.
         let c = unsafe { &*find_cell(&h.tail, id, &self.src(h)) };
@@ -649,12 +640,21 @@ impl<const N: usize> RawQueue<N> {
     // cell they try to take a value from.
     // ------------------------------------------------------------------
 
+    /// Line 91, poison-or-read, inlined: a filled cell — every dequeue
+    /// from a non-empty queue — costs one load and no call. A ⊤ cell
+    /// continues in [`Self::help_enq_top`].
+    #[inline]
     pub(crate) fn help_enq(&self, h: &HandleNode<N>, c: &Cell, i: u64) -> HelpEnq {
-        // Line 91: poison-or-read.
-        if let Some(v) = c.mark_or_value() {
-            return HelpEnq::Value(v);
+        match c.mark_or_value() {
+            Some(v) => HelpEnq::Value(v),
+            None => self.help_enq_top(h, c, i),
         }
-        // c.val is ⊤: try to route a pending slow-path enqueue here.
+    }
+
+    /// Lines 92–127: `c.val` is ⊤; route a pending slow-path enqueue into
+    /// the cell, or seal it.
+    #[cold]
+    fn help_enq_top(&self, h: &HandleNode<N>, c: &Cell, i: u64) -> HelpEnq {
         if c.load_enq() == ENQ_BOTTOM {
             // Lines 94–100: settle on a peer whose request we may help.
             // Runs at most two iterations (the first pass zeroes enq_help_id).
@@ -674,8 +674,8 @@ impl<const N: usize> RawQueue<N> {
                     .store(unsafe { (*peer).next_node() }, Ordering::Relaxed);
             }
             // Lines 101–108.
-            // SAFETY: as above; the request lives inside the peer node.
-            let r = unsafe { &(*peer).enq_req } as *const _ as *mut _;
+            // SAFETY: as above.
+            let r = unsafe { (*peer).req_name() };
             inject!("help_enq::pre_reserve");
             if state.pending && state.index <= i && !c.try_reserve_enq(r) {
                 // Reservation failed: remember the request so we keep
@@ -711,10 +711,12 @@ impl<const N: usize> RawQueue<N> {
             };
         }
         // Lines 117–126: the cell names a request; complete it if we can.
-        // SAFETY: request pointers reference ring nodes, live for the
-        // queue's lifetime; staleness is handled by the id checks below
-        // (paper §3.4 "Write the proper value in a cell").
-        let r = unsafe { &*e };
+        // Staleness is handled by the id checks below (paper §3.4 "Write
+        // the proper value in a cell").
+        // SAFETY: the name was read from a cell, so the slot's registration
+        // happens before this load (see `NodeTable`'s ordering note).
+        let owner = unsafe { self.nodes.get(name_slot(e)) };
+        let r = &owner.enq_req;
         let (s, v) = r.read_consistent();
         if s.index > i {
             // Line 119–122: request unsuitable for this cell.
@@ -727,21 +729,33 @@ impl<const N: usize> RawQueue<N> {
             // above and the claim below.
             inject!("help_enq::pre_claim");
             let claim = r.try_claim(s.index, i);
-            let claimed_here = claim.is_ok();
             // Lines 123–126: we claimed it for this cell, or someone else
             // claimed it for this cell and hasn't committed yet. The paper's
             // CAS refreshes `s` on failure, so "someone else" is judged by
             // the state the losing CAS observed, never by the stale `s`.
-            if claimed_here
-                || (claim == Err(ReqState { pending: false, index: i })
-                    && c.load_val() == VAL_TOP)
-            {
+            //
+            // Nor by the stale `v` (erratum 5, DESIGN.md §3): the claim we
+            // lost may be for a *later* request of the same owner, whose
+            // id the owner published after our read, so `v` may be a value
+            // already committed elsewhere. Re-read it, then check the cell:
+            // the owner publishes again only after committing the claimed
+            // request here, so while the cell is still ⊤ the value re-read
+            // is the claimed request's.
+            let commit = match claim {
+                Ok(()) => Some(v),
+                Err(seen) if !seen.pending && seen.index == i => {
+                    let v = r.value();
+                    (c.load_val() == VAL_TOP).then_some(v)
+                }
+                Err(_) => None,
+            };
+            if let Some(v) = commit {
                 inject!("help_enq::pre_complete");
                 // The helper mirrors the claim it is about to commit: if it
                 // crashes inside enq_commit, the durable claim record lets
                 // recovery re-complete on the helper's behalf. Idempotent
                 // with the requester's own claim persist (same record).
-                persist!(self, enq_claim(r.slot(), v, i));
+                persist!(self, enq_claim(u64::from(owner.slot), v, i));
                 self.enq_commit(c, v, i);
                 HandleStats::bump(&h.stats.help_enq_commit);
                 // Op id: the publish id our claim CAS consumed. When the
@@ -750,7 +764,7 @@ impl<const N: usize> RawQueue<N> {
                 wfq_obs::record!(
                     wfq_obs::EventKind::HelpEnqCommit,
                     i,
-                    if claimed_here { s.index } else { 0 }
+                    if claim.is_ok() { s.index } else { 0 }
                 );
             }
         }
@@ -1102,7 +1116,7 @@ impl<const N: usize> RawQueue<N> {
         // still has to visit, and find_cell must never walk backward.
         // SeqCst for the same reason as enq_slow's tmp_tail.
         let bh = AtomicPtr::new(h.head.load(Ordering::SeqCst));
-        let own_req = &h.deq_req as *const DeqReq as *mut DeqReq;
+        let own_req = h.req_name();
         let mut got = 0u64;
         let mut owed = 0u64;
         let mut last_index = base;
@@ -1261,7 +1275,7 @@ impl<const N: usize> RawQueue<N> {
         let mut prior = id; // line 166
         let mut i = id;
         let mut cand = 0u64;
-        let r_ptr = r as *const DeqReq as *mut DeqReq;
+        let r_name = helpee.req_name();
         loop {
             // Lines 172–180: find a candidate cell with a fresh local
             // segment pointer hc (announced cells may be *behind* hc's
@@ -1308,10 +1322,7 @@ impl<const N: usize> RawQueue<N> {
             let c = unsafe { &*find_cell(&ha, s.index, &self.src(h)) };
             // Lines 191–199: the candidate satisfies the request if it
             // witnesses EMPTY (val = ⊤) or its value is claimed for r.
-            if c.load_val() == VAL_TOP
-                || c.try_claim_deq_slow(r_ptr)
-                || c.load_deq() == r_ptr
-            {
+            if c.load_val() == VAL_TOP || c.try_claim_deq_slow(r_name) || c.load_deq() == r_name {
                 inject!("help_deq::pre_complete");
                 // The helper (or self-helper) just consumed the announced
                 // cell for the request; mirror the consume before the
@@ -1356,25 +1367,11 @@ fn advance_index(e: &AtomicU64, cid: u64) {
 
 impl<const N: usize> Drop for RawQueue<N> {
     fn drop(&mut self) {
-        let reg = self.registry.get_mut().unwrap();
+        // The nodes, and their spare segments, go with `self.nodes`.
         debug_assert!(
-            reg.all
-                .iter()
-                // SAFETY: nodes are still live here.
-                .all(|&n| unsafe { !(*n).active.load(Ordering::Relaxed) }),
+            self.nodes.iter().all(|n| !n.active.load(Ordering::Relaxed)),
             "RawQueue dropped while handles are still live"
         );
-        for &n in &reg.all {
-            // SAFETY: exclusive access (&mut self); spares are unpublished
-            // segments owned by the node; nodes were Box-allocated.
-            unsafe {
-                let spare = (*n).spare.load(Ordering::Relaxed);
-                if !spare.is_null() {
-                    Segment::dealloc(spare);
-                }
-                drop(Box::from_raw(n));
-            }
-        }
         // SAFETY: exclusive access; free the whole remaining segment chain.
         let mut s = self.q.load(Ordering::Relaxed);
         while !s.is_null() {
@@ -1627,6 +1624,48 @@ mod tests {
         assert_eq!(total.load(Ordering::Relaxed), 4000);
     }
 
+    /// WF-0 conservation with slow-path requests named from several
+    /// chunks of the slot table: four idle handles take slots 0–3 (chunks
+    /// 0 and 1), so the six workers sit in slots 4–9 (chunks 1 and 2), and
+    /// every value must come out exactly once.
+    #[test]
+    fn wf0_conserves_values_with_requests_named_across_chunks() {
+        const PER: u64 = 3_000;
+        const PRODUCERS: u64 = 3;
+        let q: RawQueue<16> = RawQueue::with_config(Config::wf0());
+        let idle: Vec<_> = (0..4).map(|_| q.register()).collect();
+        let producers: Vec<_> = (0..PRODUCERS).map(|_| q.register()).collect();
+        let consumers: Vec<_> = (0..PRODUCERS).map(|_| q.register()).collect();
+        assert_eq!(q.nodes.len(), 10);
+        let mut got: Vec<u64> = std::thread::scope(|s| {
+            for (t, mut h) in (0u64..).zip(producers) {
+                s.spawn(move || {
+                    for v in 0..PER {
+                        h.enqueue(t * PER + v + 1);
+                    }
+                });
+            }
+            let takers: Vec<_> = consumers
+                .into_iter()
+                .map(|mut h| {
+                    s.spawn(move || {
+                        let mut out = Vec::with_capacity(PER as usize);
+                        while (out.len() as u64) < PER {
+                            out.extend(h.dequeue());
+                        }
+                        out
+                    })
+                })
+                .collect();
+            takers.into_iter().flat_map(|t| t.join().unwrap()).collect()
+        });
+        got.sort_unstable();
+        let want: Vec<u64> = (1..=PRODUCERS * PER).collect();
+        assert!(got == want, "a value was lost or delivered twice");
+        drop(idle);
+        assert!(q.is_empty());
+    }
+
     #[test]
     fn values_are_conserved_across_threads() {
         let q: RawQueue<256> = RawQueue::new();
@@ -1690,7 +1729,7 @@ mod tests {
         }
         let h2 = q.register();
         assert_eq!(h2.node, n1, "dropped handle's node must be reused");
-        assert_eq!(q.handle_count.load(Ordering::Relaxed), 1);
+        assert_eq!(q.nodes.len(), 1);
     }
 
     #[test]

@@ -391,7 +391,7 @@ mod tests {
         let q: RawQueue<8> = RawQueue::new();
         let parked: Vec<_> = (0..64).map(|_| q.register()).collect();
         drop(parked);
-        assert_eq!(q.handle_count.load(Ordering::Relaxed), 64);
+        assert_eq!(q.nodes.len(), 64);
         assert_eq!(q.active_count.load(Ordering::Relaxed), 0);
         let mut h = q.register();
         for v in 1..=400u64 {

@@ -22,11 +22,6 @@ pub(crate) struct EnqReq {
     /// Packed `(pending, id)`; `id` is the cell index the requester obtained
     /// from its last failed fast-path FAA.
     pub state: AtomicU64,
-    /// The owning handle node's ordinal — the request-record slot in the
-    /// durable image (set once at node construction, read by the persist
-    /// hooks; kept unconditionally so `new` stays `const` and the layout
-    /// is feature-independent).
-    pub slot: AtomicU64,
 }
 
 impl EnqReq {
@@ -34,22 +29,30 @@ impl EnqReq {
         Self {
             val: AtomicU64::new(0),
             state: AtomicU64::new(0),
-            slot: AtomicU64::new(0),
         }
-    }
-
-    /// The durable request-record slot (the owning node's ordinal).
-    #[cfg_attr(not(feature = "durable"), allow(dead_code))]
-    pub(crate) fn slot(&self) -> u64 {
-        self.slot.load(Ordering::Relaxed)
     }
 
     /// Publishes a new request: value first, then state with release, so any
     /// helper that observes `pending = 1` also observes the value (paper
     /// line 72; the write order the reverse-order read relies on).
+    ///
+    /// The value store is itself a release: a helper that reads this value
+    /// also sees everything the owner did before publishing, in particular
+    /// the commit of its previous request (see [`Self::value`]). On x86_64
+    /// it is a plain `mov` either way.
     pub(crate) fn publish(&self, val: u64, id: u64) {
-        self.val.store(val, Ordering::Relaxed);
+        self.val.store(val, Ordering::Release);
         self.state.store(pack::pack(true, id), Ordering::SeqCst);
+    }
+
+    /// Re-reads the value alone, for a helper whose claim CAS lost to a
+    /// claim for its own cell (DESIGN.md §3, erratum 5). The value may
+    /// belong to a request published after that claim; the acquire pairs
+    /// with [`Self::publish`]'s release, so the helper then sees the
+    /// owner's commit of the claimed request in the cell and does not use
+    /// the value.
+    pub(crate) fn value(&self) -> u64 {
+        self.val.load(Ordering::Acquire)
     }
 
     /// Reads `(state, val)` in the reverse of the write order (paper line

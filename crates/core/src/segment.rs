@@ -33,7 +33,7 @@ impl<const N: usize> Segment<N> {
     ///
     /// The all-zero bit pattern is exactly `(⊥, ⊥e, ⊥d)` for every cell and
     /// a null `next`, so no per-cell initialization loop is needed — an
-    /// observable win at N = 1024 where the loop would touch 24 KiB.
+    /// observable win at N = 1024 where the loop would touch 16 KiB.
     pub fn alloc(id: u64) -> *mut Segment<N> {
         let ptr = Self::try_alloc(id);
         if ptr.is_null() {
@@ -160,6 +160,7 @@ pub(crate) struct SegSource<'a, const N: usize> {
 /// xadd` drains the store buffer), or by a SeqCst hazard store, as
 /// `help_deq`'s adoption does. `src.spare` must be owner-local (no
 /// concurrent access).
+#[inline]
 pub(crate) unsafe fn find_cell<const N: usize>(
     sp: &AtomicPtr<Segment<N>>,
     cell_id: u64,
@@ -174,7 +175,7 @@ pub(crate) unsafe fn find_cell<const N: usize>(
     debug_assert!(!s.is_null());
     let target = cell_id / N as u64;
     // SAFETY: `s` is live per the function contract.
-    let mut id = unsafe { (*s).id() };
+    let id = unsafe { (*s).id() };
     // This invariant held through every stress run after the reclamation
     // errata fixes (see crate::reclaim); its violation means a segment was
     // freed under a live pointer, so keep it armed in debug builds.
@@ -182,6 +183,30 @@ pub(crate) unsafe fn find_cell<const N: usize>(
         id <= target && id < 1 << 40,
         "find_cell invariant violated: at segment {id}, want {target}"
     );
+    if id < target {
+        // SAFETY: forwarded from this function's contract.
+        s = unsafe { walk_to(s, target, src) };
+    }
+    sp.store(s, Ordering::Release);
+    // SAFETY: `s` is the target segment; in-bounds index.
+    unsafe { &raw mut (*s).cells[(cell_id % N as u64) as usize] }
+}
+
+/// `find_cell`'s traversal past its starting segment `s`, out of line: an
+/// operation crosses into a new segment once every `N` cells.
+///
+/// # Safety
+/// As [`find_cell`]; `s` is the segment its pointer named, with id below
+/// `target`.
+#[cold]
+#[inline(never)]
+unsafe fn walk_to<const N: usize>(
+    mut s: *mut Segment<N>,
+    target: u64,
+    src: &SegSource<'_, N>,
+) -> *mut Segment<N> {
+    // SAFETY: `s` is live per the function contract.
+    let mut id = unsafe { (*s).id() };
     while id < target {
         // SAFETY: `s` live; successors are reachable only forward and are
         // protected by the same hazard that protects `s`.
@@ -232,9 +257,7 @@ pub(crate) unsafe fn find_cell<const N: usize>(
         // SAFETY: `s` live (just published or already reachable).
         id = unsafe { (*s).id() };
     }
-    sp.store(s, Ordering::Release);
-    // SAFETY: `s` is the target segment; in-bounds index.
-    unsafe { &raw mut (*s).cells[(cell_id % N as u64) as usize] }
+    s
 }
 
 #[cfg(test)]
@@ -262,8 +285,8 @@ mod tests {
             assert!((*s).next.load(Ordering::Relaxed).is_null());
             for c in &(*s).cells {
                 assert_eq!(c.load_val(), crate::cell::VAL_BOTTOM);
-                assert!(c.load_enq().is_null());
-                assert!(c.load_deq().is_null());
+                assert_eq!(c.load_enq(), crate::cell::ENQ_BOTTOM);
+                assert_eq!(c.load_deq(), crate::cell::DEQ_BOTTOM);
             }
             Seg::dealloc(s);
         }
@@ -457,13 +480,15 @@ mod tests {
             (*s).cells[7].val.store(9, Ordering::Relaxed);
             (*s).cells[0].try_seal_enq();
             (*s).cells[1].try_claim_deq_fast();
+            (*s).cells[2].try_reserve_enq(crate::cell::req_name(9));
+            (*s).cells[3].try_claim_deq_slow(crate::cell::req_name(70));
             (*s).next.store(tail, Ordering::Relaxed);
             Seg::scrub(s);
             assert!((*s).next.load(Ordering::Relaxed).is_null());
             for c in &(*s).cells {
                 assert_eq!(c.load_val(), crate::cell::VAL_BOTTOM);
-                assert!(c.load_enq().is_null());
-                assert!(c.load_deq().is_null());
+                assert_eq!(c.load_enq(), crate::cell::ENQ_BOTTOM);
+                assert_eq!(c.load_deq(), crate::cell::DEQ_BOTTOM);
             }
             // Now indistinguishable from fresh: restamp must be legal.
             Seg::restamp(s, 10);
@@ -478,7 +503,12 @@ mod tests {
         // The reclamation protocol reasons about segments by id; make sure
         // the id is where a zeroed allocation puts it (offset 0).
         assert_eq!(core::mem::offset_of!(Seg, id), 0);
-        assert!(core::mem::size_of::<Seg>() >= 64 * core::mem::size_of::<Cell>());
+        // A 16-byte header, then the 16-byte cells: nothing else, and
+        // every cell on a 16-byte boundary within its cache line.
+        assert_eq!(core::mem::offset_of!(Seg, cells), 16);
+        assert_eq!(core::mem::size_of::<Seg>(), 16 + 64 * 16);
+        assert_eq!(core::mem::size_of::<Segment<1024>>(), 16_400);
+        assert_eq!(core::mem::align_of::<Seg>() % 16, 0);
         let _ = ptr::null::<Seg>();
     }
 }

@@ -346,9 +346,37 @@ mod imp {
         )
     }
 
-    fn coverage_map() -> &'static Mutex<BTreeMap<&'static str, u64>> {
-        static MAP: OnceLock<Mutex<BTreeMap<&'static str, u64>>> = OnceLock::new();
-        MAP.get_or_init(|| Mutex::new(BTreeMap::new()))
+    /// Distinct point names the coverage table can hold.
+    pub(crate) const COVERAGE_CAPACITY: usize = 256;
+
+    /// Global hit counts by point name: an open-addressed table (FNV-1a
+    /// home slot, linear probing) in a const-initialised static. Counting
+    /// a hit never allocates, so a test that counts its own allocations
+    /// can run injection points; an allocation made by the first hit of a
+    /// point would outlive that test.
+    pub(crate) type CoverageTable = [(Option<&'static str>, u64); COVERAGE_CAPACITY];
+
+    static COVERAGE: Mutex<CoverageTable> = Mutex::new([(None, 0); COVERAGE_CAPACITY]);
+
+    fn coverage_table() -> std::sync::MutexGuard<'static, CoverageTable> {
+        COVERAGE
+            .lock()
+            .expect("a panic while counting coverage: the table is full")
+    }
+
+    /// The table index holding `point`, or the empty one it should take.
+    /// Panics when the table is full: more distinct points than
+    /// [`COVERAGE_CAPACITY`] means coverage would be silently dropped.
+    pub(crate) fn coverage_index(table: &CoverageTable, point: &str) -> usize {
+        let home = fnv1a(point) as usize % COVERAGE_CAPACITY;
+        (0..COVERAGE_CAPACITY)
+            .map(|k| (home + k) % COVERAGE_CAPACITY)
+            .find(|&i| table[i].0.is_none_or(|p| p == point))
+            .unwrap_or_else(|| {
+                panic!(
+                    "fault coverage table is full: more than {COVERAGE_CAPACITY} distinct points"
+                )
+            })
     }
 
     /// Records a hit of `point`: bumps its global coverage counter, then
@@ -356,7 +384,11 @@ mod imp {
     /// Called by [`inject!`](crate::inject); not meant to be called
     /// directly.
     pub fn hit(point: &'static str) {
-        *coverage_map().lock().unwrap().entry(point).or_insert(0) += 1;
+        {
+            let mut table = coverage_table();
+            let i = coverage_index(&table, point);
+            table[i] = (Some(point), table[i].1 + 1);
+        }
 
         // Take the plan's decision out of the borrow before acting: a hook
         // may block for a long time and must not hold the RefCell (the
@@ -395,22 +427,21 @@ mod imp {
 
     /// Snapshot of every point hit so far (process-global).
     pub fn coverage() -> BTreeMap<&'static str, u64> {
-        coverage_map().lock().unwrap().clone()
+        coverage_table()
+            .iter()
+            .filter_map(|&(p, n)| Some((p?, n)))
+            .collect()
     }
 
     /// Global hit count of one point.
     pub fn coverage_count(point: &str) -> u64 {
-        coverage_map()
-            .lock()
-            .unwrap()
-            .get(point)
-            .copied()
-            .unwrap_or(0)
+        let table = coverage_table();
+        table[coverage_index(&table, point)].1
     }
 
     /// Resets all coverage counters (between sweep phases).
     pub fn reset_coverage() {
-        coverage_map().lock().unwrap().clear();
+        *coverage_table() = [(None, 0); COVERAGE_CAPACITY];
     }
 }
 
@@ -458,6 +489,37 @@ mod tests {
             inject!("fault::self_test");
             inject!("fault::self_test");
             assert_eq!(coverage_count("fault::self_test"), before + 2);
+        }
+
+        #[test]
+        fn coverage_table_probes_past_collisions() {
+            // Names from a local table; the global one is shared by every
+            // test in the binary.
+            let names: Vec<&'static str> = (0..COVERAGE_CAPACITY)
+                .map(|i| &*Box::leak(format!("fault::probe_{i}").into_boxed_str()))
+                .collect();
+            let mut table: CoverageTable = [(None, 0); COVERAGE_CAPACITY];
+            for (n, &name) in names.iter().enumerate() {
+                let i = coverage_index(&table, name);
+                assert_eq!(table[i].0, None, "a new name takes an empty slot");
+                table[i] = (Some(name), n as u64);
+            }
+            for (n, &name) in names.iter().enumerate() {
+                assert_eq!(table[coverage_index(&table, name)], (Some(name), n as u64));
+            }
+        }
+
+        #[test]
+        #[should_panic(expected = "fault coverage table is full")]
+        fn a_full_coverage_table_panics_instead_of_dropping_a_point() {
+            let mut table: CoverageTable = [(None, 0); COVERAGE_CAPACITY];
+            for (i, slot) in table.iter_mut().enumerate() {
+                *slot = (
+                    Some(Box::leak(format!("fault::fill_{i}").into_boxed_str())),
+                    1,
+                );
+            }
+            coverage_index(&table, "fault::one_too_many");
         }
 
         #[test]

@@ -505,6 +505,120 @@ mod fuzz {
         }
     }
 
+    /// The stale-value tape (erratum 5 in DESIGN.md §3). A
+    /// dequeuer D reads request `(1, id1)` and its value `v1` at its cell
+    /// i; before D's claim, id1 is committed at an earlier cell j, the same
+    /// enqueuer publishes id2 (j < id2 ≤ i), and a helper claims id2 for
+    /// cell i. D's claim loses and observes `(0, i)`. Committing its stale
+    /// `v1` there delivers `v1` twice and loses `v2`; D must commit the
+    /// claimed request's value instead. Staged under WF-0, with `p = 5 *
+    /// seed` pairs first (seed 3 puts the cells across a segment boundary)
+    /// and the handles registered so that D's enqueue peer is E:
+    ///
+    /// 1. F's enqueue takes cell p and parks before its deposit;
+    /// 2. X's dequeue ⊤-seals cell p (T > p, so its fast path fails),
+    ///    publishes a dequeue request and parks;
+    /// 3. M's empty probe ⊤-seals cell p + 1;
+    /// 4. E's fast path fails at p + 1; E publishes `(1, p + 1)` with `v1`,
+    ///    reserves cell j = p + 2 and parks before its claim;
+    /// 5. Y's dequeue takes cell p + 2 and parks;
+    /// 6. D's dequeue takes cell i = p + 3, reserves it for E's request,
+    ///    reads `((1, p + 1), v1)` and parks before its claim;
+    /// 7. E claims and commits `v1` at p + 2; its next enqueue fails at
+    ///    p + 3 (D's ⊤), publishes `(1, p + 3)` with `v2` and parks;
+    /// 8. Y takes `v1` from cell p + 2;
+    /// 9. X's candidate scan reaches cell p + 3, claims E's request there
+    ///    and parks before its commit;
+    /// 10. D's claim loses and observes `(0, p + 3)`; then X, E and F
+    ///     finish, and M drains the queue.
+    fn stale_value_tape(seed: u64) {
+        let q = RawQueue::<SEG>::with_config(Config::wf0());
+        let mut m = q.register(); // ring anchor
+        let [mut f, mut y, mut x, mut e, mut d] = std::array::from_fn(|_| q.register());
+        for v in 1..=5 * seed {
+            m.enqueue(v);
+            assert_eq!(m.dequeue(), Some(v));
+        }
+        let (v1, v2, vf) = (1_000 + seed, 2_000 + seed, 3_000 + seed);
+        let [f_parked, f_go, x_published, x_scan, x_claimed, x_commit] =
+            std::array::from_fn(|_| Arc::new(Event::default()));
+        let [e_reserved, e_claim, e_published, e_finish, y_parked, y_go, d_read, d_claim] =
+            std::array::from_fn(|_| Arc::new(Event::default()));
+        let mut got = std::thread::scope(|s| {
+            let plan = FaultPlan::new().hook_at("enq_fast::post_faa", 0, park(&f_parked, &f_go));
+            let f_thread = s.spawn(move || fault::with_plan(plan, || f.enqueue(vf)));
+            f_parked.wait();
+            let plan = FaultPlan::new()
+                .hook_at(
+                    "deq_slow::request_published",
+                    0,
+                    park(&x_published, &x_scan),
+                )
+                .hook_at("help_enq::pre_complete", 0, park(&x_claimed, &x_commit));
+            let x_thread = s.spawn(move || fault::with_plan(plan, || x.dequeue()));
+            x_published.wait();
+            assert_eq!(m.dequeue(), None, "seed {seed}: M's probe seals cell p + 1");
+            let plan = FaultPlan::new()
+                .hook_at("enq_slow::cell_reserved", 0, park(&e_reserved, &e_claim))
+                .hook_at(
+                    "enq_slow::request_published",
+                    1,
+                    park(&e_published, &e_finish),
+                );
+            let e_thread = s.spawn(move || {
+                fault::with_plan(plan, || {
+                    e.enqueue(v1);
+                    e.enqueue(v2);
+                })
+            });
+            e_reserved.wait();
+            let plan = FaultPlan::new().hook_at("deq_fast::post_faa", 0, park(&y_parked, &y_go));
+            let y_thread = s.spawn(move || fault::with_plan(plan, || y.dequeue()));
+            y_parked.wait();
+            let plan = FaultPlan::new().hook_at("help_enq::pre_claim", 0, park(&d_read, &d_claim));
+            let d_thread = s.spawn(move || fault::with_plan(plan, || d.dequeue()));
+            d_read.wait();
+            e_claim.set();
+            e_published.wait();
+            y_go.set();
+            let mut got = vec![y_thread.join().unwrap()];
+            x_scan.set();
+            x_claimed.wait();
+            d_claim.set();
+            got.push(d_thread.join().unwrap());
+            x_commit.set();
+            got.push(x_thread.join().unwrap());
+            e_finish.set();
+            e_thread.join().unwrap();
+            f_go.set();
+            f_thread.join().unwrap();
+            got
+        });
+        while let Some(v) = m.dequeue() {
+            got.push(Some(v));
+        }
+        assert_eq!(
+            got[..3],
+            [Some(v1), Some(v2), None],
+            "seed {seed}: Y takes v1, D the value claimed for its cell, X's request finds \
+             the queue empty"
+        );
+        let mut values: Vec<u64> = got.into_iter().flatten().collect();
+        values.sort_unstable();
+        assert_eq!(
+            values,
+            [v1, v2, vf],
+            "seed {seed}: every value must be delivered exactly once"
+        );
+    }
+
+    #[test]
+    fn help_enq_commits_the_claimed_value_not_the_one_it_read() {
+        for seed in 0..4 {
+            stale_value_tape(seed);
+        }
+    }
+
     /// `is_empty` must not count a cell a helped enqueue reserved but never
     /// filled. Staged under WF-0 without a race:
     ///
