@@ -479,22 +479,60 @@ impl<const N: usize> RawQueue<N> {
     // Enqueue (Listing 3)
     // ------------------------------------------------------------------
 
+    /// The enqueue front: the first fast-path attempt (lines 65–69) as
+    /// straight-line code, one FAA and one deposit CAS. While the index
+    /// lies in the segment the tail mirror names, the cell comes straight
+    /// from `h.tail` with no segment-header read (DESIGN.md §3, "The typed
+    /// fast path"). Every other outcome continues in
+    /// [`Self::enqueue_rest`] from the index already taken.
+    #[inline]
     pub(crate) fn enqueue_internal(&self, h: &HandleNode<N>, v: u64) {
-        assert!(
-            is_valid_value(v),
-            "RawQueue values must not be 0 or u64::MAX (reserved ⊥/⊤); got {v:#x}"
-        );
-        h.publish_hazard_before_faa(h.tail_seg_id.load(Ordering::Relaxed) as i64);
+        if !is_valid_value(v) {
+            reserved_value(v);
+        }
+        let mirror = h.tail_seg_id.load(Ordering::Relaxed);
+        h.publish_hazard_before_faa(mirror as i64);
         inject!("enq::hazard_published");
+        let i = self.enq_index();
+        if i / N as u64 != mirror {
+            return self.enqueue_rest(h, v, i, false);
+        }
+        // SAFETY: mirror ≤ id(h.tail) ≤ i/N, so h.tail is segment i/N,
+        // protected by the hazard published above.
+        let s = h.tail.load(Ordering::SeqCst);
+        debug_assert_eq!(
+            unsafe { (*s).id() },
+            mirror,
+            "tail mirror names another segment"
+        );
+        let c = unsafe { &(*s).cells[(i % N as u64) as usize] };
+        if !self.enq_deposit(c, v, i) {
+            return self.enqueue_rest(h, v, i, true);
+        }
+        HandleStats::bump(&h.stats.enq_fast);
+        wfq_obs::record!(wfq_obs::EventKind::EnqFast, i);
+        op_sample!(h, crate::sample::OpSide::Enq, OpPath::Fast, i);
+        // Epilogue: the mirror already names segment i/N.
+        h.clear_hazard();
+    }
 
-        // Lines 57–59: fast path up to PATIENCE extra times, then slow path.
-        let mut cell_id = 0;
-        let mut done = false;
-        for _ in 0..=self.config.patience {
-            if self.enq_fast(h, v, &mut cell_id) {
-                done = true;
+    /// Everything the enqueue front leaves out (lines 57–64 and 70–89),
+    /// continuing from the front's index `i`: the attempt at `i` through
+    /// `find_cell` unless the front already made it (`tried`), the
+    /// remaining PATIENCE attempts, the slow path and the epilogue.
+    #[cold]
+    #[inline(never)]
+    fn enqueue_rest(&self, h: &HandleNode<N>, v: u64, i: u64, tried: bool) {
+        let mut cell_id = i;
+        // SAFETY: as in `enq_fast`.
+        let mut done =
+            !tried && self.enq_deposit(unsafe { &*find_cell(&h.tail, i, &self.src(h)) }, v, i);
+        // Lines 57–59: the front's attempt was the first of PATIENCE + 1.
+        for _ in 0..self.config.patience {
+            if done {
                 break;
             }
+            done = self.enq_fast(h, v, &mut cell_id);
         }
         let last_index = if done {
             HandleStats::bump(&h.stats.enq_fast);
@@ -548,13 +586,27 @@ impl<const N: usize> RawQueue<N> {
     /// the slow-path request id on failure and the mirror update on
     /// success).
     fn enq_fast(&self, h: &HandleNode<N>, v: u64, cell_id: &mut u64) -> bool {
-        let i = self.tail_index.fetch_add(1, Ordering::SeqCst);
-        inject!("enq_fast::post_faa");
-        persist!(self, advance_tail(i + 1));
+        let i = self.enq_index();
         *cell_id = i;
         // SAFETY: h.tail is ≥ the hazard this thread published and ≤ i/N
         // (it only ever advances through cells this thread obtained by FAA).
         let c = unsafe { &*find_cell(&h.tail, i, &self.src(h)) };
+        self.enq_deposit(c, v, i)
+    }
+
+    /// Line 66: the fast path's FAA on the tail index.
+    #[inline]
+    fn enq_index(&self) -> u64 {
+        let i = self.tail_index.fetch_add(1, Ordering::SeqCst);
+        inject!("enq_fast::post_faa");
+        persist!(self, advance_tail(i + 1));
+        i
+    }
+
+    /// Line 68: the fast-path deposit of `v` into cell `i`.
+    #[inline]
+    #[cfg_attr(not(feature = "durable"), allow(unused_variables))]
+    fn enq_deposit(&self, c: &Cell, v: u64, i: u64) -> bool {
         if c.try_deposit(v) {
             // Crash window: the value is volatile-visible but durably
             // absent until the persist below lands — a crash here is
@@ -779,6 +831,14 @@ impl<const N: usize> RawQueue<N> {
     // Dequeue (Listing 4)
     // ------------------------------------------------------------------
 
+    /// The dequeue front: the emptiness fast-out, then the first fast-path
+    /// attempt (lines 140–148) as straight-line code, one FAA, one value
+    /// load and one claim CAS, and the peer-help bail-out. As on the
+    /// enqueue side, a cell in the segment the head mirror names comes
+    /// straight from `h.head`, and a dequeue that ends there skips
+    /// `cleanup` (DESIGN.md §3, "The typed fast path"). Every other outcome
+    /// continues in [`Self::dequeue_rest`] from the index already taken.
+    #[inline]
     pub(crate) fn dequeue_internal(&self, h: &HandleNode<N>) -> Option<u64> {
         // Emptiness fast-out (the bounded-RSS guard of DESIGN.md §9). A
         // probe's FAA burns a cell, and every segment between the tail
@@ -809,66 +869,83 @@ impl<const N: usize> RawQueue<N> {
             op_sample!(h, crate::sample::OpSide::Deq, OpPath::Fast, h_idx);
             return None;
         }
-        h.publish_hazard_before_faa(h.head_seg_id.load(Ordering::Relaxed) as i64);
+        let mirror = h.head_seg_id.load(Ordering::Relaxed);
+        h.publish_hazard_before_faa(mirror as i64);
         inject!("deq::hazard_published");
-
-        // Lines 129–133.
-        let mut cell_id = 0;
-        let mut last_index = 0;
-        let mut outcome: Option<Option<u64>> = None; // Some(Some) val, Some(None) empty
-        for _ in 0..=self.config.patience {
-            match self.deq_fast(h) {
-                FastDeq::Value(v, i) => {
-                    last_index = i;
-                    outcome = Some(Some(v));
-                    break;
-                }
-                FastDeq::Empty(i) => {
-                    last_index = i;
-                    outcome = Some(None);
-                    break;
-                }
-                FastDeq::Fail(i) => {
-                    cell_id = i;
-                    last_index = i;
-                }
-            }
+        let i = self.deq_index();
+        if i / N as u64 != mirror {
+            return self.dequeue_rest(h, i, false);
         }
-        let result = match outcome {
-            Some(r) => {
-                HandleStats::bump(&h.stats.deq_fast);
-                if r.is_some() {
-                    wfq_obs::record!(wfq_obs::EventKind::DeqFast, last_index);
-                }
-                op_sample!(h, crate::sample::OpSide::Deq, OpPath::Fast, last_index);
-                r
+        // SAFETY: mirror ≤ id(h.head) ≤ i/N, so h.head is segment i/N,
+        // protected by the hazard published above.
+        let s = h.head.load(Ordering::SeqCst);
+        debug_assert_eq!(
+            unsafe { (*s).id() },
+            mirror,
+            "head mirror names another segment"
+        );
+        let c = unsafe { &(*s).cells[(i % N as u64) as usize] };
+        // Line 91 for a filled cell: one load. ⊥ and ⊤ take help_enq's path.
+        let v = c.load_val();
+        if !is_valid_value(v) {
+            return self.dequeue_rest(h, i, false);
+        }
+        if !self.deq_claim(c, v, i) {
+            return self.dequeue_rest(h, i, true);
+        }
+        HandleStats::bump(&h.stats.deq_fast);
+        wfq_obs::record!(wfq_obs::EventKind::DeqFast, i);
+        op_sample!(h, crate::sample::OpSide::Deq, OpPath::Fast, i);
+        self.help_deq_peer(h);
+        // Epilogue: the mirror already names segment i/N, and `cleanup`
+        // would see the same head id as the last dequeue that ran it.
+        h.clear_hazard();
+        Some(v)
+    }
+
+    /// Everything the dequeue front leaves out (lines 129–138), continuing
+    /// from the front's index `i`: the attempt at `i` through `find_cell`
+    /// unless the front's claim already lost there (`tried`), the
+    /// remaining PATIENCE attempts, the slow path, the epilogue and
+    /// `cleanup`.
+    #[cold]
+    #[inline(never)]
+    fn dequeue_rest(&self, h: &HandleNode<N>, i: u64, tried: bool) -> Option<u64> {
+        let mut outcome = if tried {
+            FastDeq::Fail(i)
+        } else {
+            self.deq_fast_at(h, i)
+        };
+        // Lines 129–133: the front's attempt was the first of PATIENCE + 1.
+        for _ in 0..self.config.patience {
+            if !matches!(outcome, FastDeq::Fail(_)) {
+                break;
             }
-            None => {
+            outcome = self.deq_fast(h);
+        }
+        let (result, last_index) = match outcome {
+            FastDeq::Value(v, i) => {
+                HandleStats::bump(&h.stats.deq_fast);
+                wfq_obs::record!(wfq_obs::EventKind::DeqFast, i);
+                op_sample!(h, crate::sample::OpSide::Deq, OpPath::Fast, i);
+                (Some(v), i)
+            }
+            FastDeq::Empty(i) => {
+                HandleStats::bump(&h.stats.deq_fast);
+                op_sample!(h, crate::sample::OpSide::Deq, OpPath::Fast, i);
+                (None, i)
+            }
+            FastDeq::Fail(cell_id) => {
                 let (r, i) = self.deq_slow(h, cell_id);
-                last_index = i;
                 HandleStats::bump(&h.stats.deq_slow);
-                r
+                (r, i)
             }
         };
-        if result.is_none() {
+        if result.is_some() {
+            self.help_deq_peer(h);
+        } else {
             HandleStats::bump(&h.stats.deq_empty);
             wfq_obs::record!(wfq_obs::EventKind::DeqEmpty, last_index);
-        }
-
-        // Lines 135–138: a successful dequeue helps its dequeue peer.
-        // NOTE: help_deq may overwrite this thread's hazard with the
-        // helpee's; everything after this point must not dereference
-        // segments (which is why the mirror below is computed from the
-        // cell index rather than through h.head).
-        if result.is_some() {
-            let peer = h.deq_peer.load(Ordering::Relaxed);
-            // SAFETY: ring nodes live for the queue's lifetime.
-            let peer_ref = unsafe { &*peer };
-            if !core::ptr::eq(peer_ref, h) {
-                HandleStats::bump(&h.stats.help_deq);
-            }
-            self.help_deq(h, peer_ref);
-            h.deq_peer.store(peer_ref.next_node(), Ordering::Relaxed);
         }
 
         // Epilogue (Listing 5 lines 212–217). h.head finished this
@@ -879,26 +956,63 @@ impl<const N: usize> RawQueue<N> {
         result
     }
 
+    /// Lines 135–138: a successful dequeue helps its dequeue peer.
+    /// NOTE: help_deq may overwrite this thread's hazard with the
+    /// helpee's; after this call the operation must not dereference
+    /// segments (which is why the mirror is computed from the cell index
+    /// rather than through h.head).
+    #[inline]
+    fn help_deq_peer(&self, h: &HandleNode<N>) {
+        let peer = h.deq_peer.load(Ordering::Relaxed);
+        // SAFETY: ring nodes live for the queue's lifetime.
+        let peer_ref = unsafe { &*peer };
+        if !core::ptr::eq(peer_ref, h) {
+            HandleStats::bump(&h.stats.help_deq);
+        }
+        self.help_deq(h, peer_ref);
+        h.deq_peer.store(peer_ref.next_node(), Ordering::Relaxed);
+    }
+
     /// Lines 140–148.
     fn deq_fast(&self, h: &HandleNode<N>) -> FastDeq {
+        let i = self.deq_index();
+        self.deq_fast_at(h, i)
+    }
+
+    /// Line 141: the fast path's FAA on the head index.
+    #[inline]
+    fn deq_index(&self) -> u64 {
         let i = self.head_index.fetch_add(1, Ordering::SeqCst);
         inject!("deq_fast::post_faa");
         persist!(self, advance_head(i + 1));
+        i
+    }
+
+    /// Lines 142–148: the attempt at cell `i`, reached through `find_cell`.
+    fn deq_fast_at(&self, h: &HandleNode<N>, i: u64) -> FastDeq {
         // SAFETY: h.head hazard-protected, ≤ i/N.
         let c = unsafe { &*find_cell(&h.head, i, &self.src(h)) };
         match self.help_enq(h, c, i) {
             HelpEnq::Empty => FastDeq::Empty(i),
-            HelpEnq::Value(v) if c.try_claim_deq_fast() => {
-                // Crash window: the claim is volatile-only until the
-                // persist below — a crash here leaves the cell durably
-                // DEPOSITED and recovery redelivers the value (the
-                // crashed dequeue never durably happened).
-                inject!("deq_fast::consume_unpersisted");
-                persist!(self, consume(i, v));
-                FastDeq::Value(v, i)
-            }
+            HelpEnq::Value(v) if self.deq_claim(c, v, i) => FastDeq::Value(v, i),
             _ => FastDeq::Fail(i),
         }
+    }
+
+    /// Line 146: the fast-path claim of value `v` in cell `i`.
+    #[inline]
+    #[cfg_attr(not(feature = "durable"), allow(unused_variables))]
+    fn deq_claim(&self, c: &Cell, v: u64, i: u64) -> bool {
+        if !c.try_claim_deq_fast() {
+            return false;
+        }
+        // Crash window: the claim is volatile-only until the persist
+        // below — a crash here leaves the cell durably DEPOSITED and
+        // recovery redelivers the value (the crashed dequeue never durably
+        // happened).
+        inject!("deq_fast::consume_unpersisted");
+        persist!(self, consume(i, v));
+        true
     }
 
     /// Lines 149–157.
@@ -959,11 +1073,8 @@ impl<const N: usize> RawQueue<N> {
     /// Wait-freedom is preserved: the fallback is at most one slow path
     /// plus `k − 1` ordinary enqueues, each individually wait-free.
     pub(crate) fn enqueue_batch_internal(&self, h: &HandleNode<N>, vs: &[u64]) {
-        for &v in vs {
-            assert!(
-                is_valid_value(v),
-                "RawQueue values must not be 0 or u64::MAX (reserved ⊥/⊤); got {v:#x}"
-            );
+        if let Some(&v) = vs.iter().find(|&&v| !is_valid_value(v)) {
+            reserved_value(v);
         }
         let k = vs.len() as u64;
         if k == 0 {
@@ -1198,14 +1309,7 @@ impl<const N: usize> RawQueue<N> {
         // this thread's hazard pointing at the helpee's segment; nothing
         // below dereferences a segment.
         if got > 0 {
-            let peer = h.deq_peer.load(Ordering::Relaxed);
-            // SAFETY: ring nodes live for the queue's lifetime.
-            let peer_ref = unsafe { &*peer };
-            if !core::ptr::eq(peer_ref, h) {
-                HandleStats::bump(&h.stats.help_deq);
-            }
-            self.help_deq(h, peer_ref);
-            h.deq_peer.store(peer_ref.next_node(), Ordering::Relaxed);
+            self.help_deq_peer(h);
         }
 
         h.head_seg_id.store(last_index / N as u64, Ordering::Relaxed);
@@ -1351,6 +1455,14 @@ impl<const N: usize> RawQueue<N> {
             }
         }
     }
+}
+
+/// The panic for an enqueue of a reserved pattern, out of line so that the
+/// enqueue front carries only a call to it.
+#[cold]
+#[inline(never)]
+fn reserved_value(v: u64) -> ! {
+    panic!("RawQueue values must not be 0 or u64::MAX (reserved ⊥/⊤); got {v:#x}")
 }
 
 /// The paper's `advance_end_for_linearizability` (lines 53–55): CAS-max.
@@ -1588,6 +1700,80 @@ mod tests {
             assert_eq!(h.dequeue(), Some(v));
         }
         assert_eq!(h.dequeue(), None);
+    }
+
+    /// A cleaner pushes an idle handle's `tail` and `head` past its
+    /// mirrors. The mirrors then name an earlier segment than every index
+    /// the handle takes, so its next operations leave the front for the
+    /// remainders, which walk from the pushed pointers and refresh the
+    /// mirrors; every value still comes out once and in order.
+    #[test]
+    fn handle_pushed_past_its_mirror_delivers_in_order() {
+        let q: RawQueue<8> = RawQueue::with_config(Config::default().with_max_garbage(1));
+        let mut a = q.register();
+        let mut b = q.register();
+        // SAFETY: nodes live as long as the queue; the pointer reads below
+        // only run while no operation is in flight, so no segment they
+        // name can be freed under them.
+        let na = unsafe { &*test_node(&a) };
+        let seg_id = |p: &AtomicPtr<Segment<8>>| unsafe { (*p.load(Ordering::SeqCst)).id() };
+        let pushed = || {
+            seg_id(&na.tail) > na.tail_seg_id.load(Ordering::Relaxed)
+                && seg_id(&na.head) > na.head_seg_id.load(Ordering::Relaxed)
+        };
+        let mut v = 0;
+        while !pushed() {
+            v += 1;
+            assert!(v < 1_000, "no cleanup pushed the idle handle");
+            b.enqueue(v);
+            assert_eq!(b.dequeue(), Some(v));
+        }
+        assert_eq!(na.tail_seg_id.load(Ordering::Relaxed), 0);
+        assert_eq!(na.head_seg_id.load(Ordering::Relaxed), 0);
+        assert!(q.stats().cleanups > 0);
+
+        for v in 1..=40 {
+            a.enqueue(v);
+        }
+        assert_eq!(na.tail_seg_id.load(Ordering::Relaxed), seg_id(&na.tail));
+        for v in 1..=40 {
+            assert_eq!(a.dequeue(), Some(v));
+        }
+        assert_eq!(na.head_seg_id.load(Ordering::Relaxed), seg_id(&na.head));
+        assert_eq!(a.dequeue(), None);
+        assert_eq!(b.dequeue(), None);
+    }
+
+    /// The dequeue front skips `cleanup` while its head stays in the
+    /// mirror's segment, where `cleanup` would see the same head id as on
+    /// its last call. On one thread that changes no reclamation: a run of
+    /// bursts, drains and empty probes elects as many cleaners and frees
+    /// as many segments as the queue that ran `cleanup` after every
+    /// dequeue (the figures below were measured on that queue).
+    #[test]
+    fn skipping_cleanup_in_the_mirror_segment_keeps_reclamation() {
+        let q: RawQueue<8> = RawQueue::with_config(Config::default().with_max_garbage(2));
+        let mut h = q.register();
+        let (mut next, mut expect) = (1u64, 1u64);
+        for round in 0..400u64 {
+            for _ in 0..round % 11 {
+                h.enqueue(next);
+                next += 1;
+            }
+            for _ in 0..round % 13 {
+                if let Some(v) = h.dequeue() {
+                    assert_eq!(v, expect);
+                    expect += 1;
+                }
+            }
+        }
+        while let Some(v) = h.dequeue() {
+            assert_eq!(v, expect);
+            expect += 1;
+        }
+        assert_eq!(expect, next, "a value was lost");
+        let s = q.stats();
+        assert_eq!((s.cleanups, s.segs_freed), (127, 254), "{s:?}");
     }
 
     #[test]

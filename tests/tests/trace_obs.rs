@@ -59,9 +59,13 @@ mod traced {
             }
         });
 
-        let path = artifact("contended.trace.json");
-        let n = wfq_harness::dump_chrome_trace(&path).expect("dump trace");
+        // Drain and serialize as `dump_chrome_trace` does, keeping the
+        // number of traces (tracks) for the conservation check below.
+        let traces = wfq_obs::drain();
+        let n: usize = traces.iter().map(|t| t.events.len()).sum();
         assert!(n > 0, "trace-enabled run recorded no events");
+        let path = artifact("contended.trace.json");
+        std::fs::write(&path, wfq_obs::chrome_trace_json(&traces)).expect("write trace");
 
         let doc = std::fs::read_to_string(&path).expect("read artifact back");
         let root = json::parse(&doc).expect("chrome trace must be valid JSON");
@@ -69,16 +73,18 @@ mod traced {
             .get("traceEvents")
             .and_then(Value::as_arr)
             .expect("top-level traceEvents array");
-        assert!(events.len() >= n, "serializer lost events");
 
         // Protocol events (not the per-track `M` metadata) from ≥3 tids.
         let mut tids = BTreeSet::new();
+        let (mut m, mut x, mut i) = (0, 0, 0);
         for e in events {
             let ph = e.get("ph").and_then(Value::as_str).expect("ph field");
-            assert!(
-                matches!(ph, "M" | "X" | "i"),
-                "unexpected event phase {ph:?}"
-            );
+            match ph {
+                "M" => m += 1,
+                "X" => x += 1,
+                "i" => i += 1,
+                _ => panic!("unexpected event phase {ph:?}"),
+            }
             if ph != "M" {
                 let tid = e.get("tid").and_then(Value::as_num).expect("tid field");
                 tids.insert(tid as u64);
@@ -86,6 +92,10 @@ mod traced {
                 assert!(e.get("name").is_some(), "event without name");
             }
         }
+        // Conservation: a matched enter/exit pair becomes one `X` entry,
+        // every other event one `i` entry, and each trace one `M` label.
+        assert_eq!(2 * x + i, n, "serializer lost or invented events");
+        assert_eq!(m, traces.len(), "one track label per trace");
         assert!(
             tids.len() >= 3,
             "events from only {} handles (want ≥3): {tids:?}",
