@@ -88,6 +88,14 @@ pub(crate) struct HandleNode<const N: usize> {
     /// Owner-local: only the node's owner runs a pass with its node, so a
     /// plain `Cell` is sound here for the same reason as `last_sample`.
     pub reclaim_scratch: core::cell::Cell<Vec<*mut HandleNode<N>>>,
+    /// Whether the owner's next one-shot dequeue must pass the emptiness
+    /// guard (`H ≤ T`, DESIGN.md §9) before it may probe: set by a dequeue
+    /// that returned EMPTY (or a batch whose probe cell witnessed it),
+    /// cleared by a guard check that passes. A fresh or recycled node
+    /// starts set, so a handle probes unguarded only right after it
+    /// received a value. Owner-local, a plain `Cell` for the same reason
+    /// as `reclaim_scratch`.
+    pub empty_guard: core::cell::Cell<bool>,
     /// Execution-path sample of the owner's most recent single-value
     /// operation (feature `op-sample`; see `crate::sample`). A plain
     /// `Cell` is sound here even though nodes are shared: only the owning
@@ -118,6 +126,7 @@ impl<const N: usize> HandleNode<N> {
             spare: AtomicPtr::new(core::ptr::null_mut()),
             stats: HandleStats::default(),
             reclaim_scratch: core::cell::Cell::new(Vec::new()),
+            empty_guard: core::cell::Cell::new(true),
             #[cfg(feature = "op-sample")]
             last_sample: core::cell::Cell::new(None),
         }));

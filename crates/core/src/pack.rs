@@ -45,6 +45,15 @@ pub(crate) const fn is_pending(word: u64) -> bool {
     word & PENDING_BIT != 0
 }
 
+/// Whether `word` is pending with an index of at least `index`, in one
+/// compare: the pending bit is the top bit, so a pending word is at least
+/// `pack(true, index)` exactly when its own index is, and an idle word is
+/// below every pending one.
+#[inline]
+pub(crate) const fn pending_from(word: u64, index: u64) -> bool {
+    word >= pack(true, index)
+}
+
 /// Convenience accessor: the 63-bit index of a packed word.
 #[inline]
 #[allow(dead_code)]
@@ -70,6 +79,18 @@ mod tests {
             assert_eq!(unpack(w), ReqState { pending: p, index: i });
             assert_eq!(is_pending(w), p);
             assert_eq!(index_of(w), i);
+        }
+    }
+
+    #[test]
+    fn pending_from_is_pending_and_index_at_least() {
+        let ids = [0, 1, 2, 41, 42, 43, INDEX_MASK - 1, INDEX_MASK];
+        for &p in &[false, true] {
+            for &i in &ids {
+                for &id in &ids {
+                    assert_eq!(pending_from(pack(p, i), id), p && i >= id, "{p} {i} {id}");
+                }
+            }
         }
     }
 

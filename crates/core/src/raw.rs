@@ -17,6 +17,7 @@
 //! A fast-path operation thus issues two locked instructions on x86: the
 //! FAA and one cell CAS (the enqueue's deposit or the dequeue's claim).
 
+use core::num::NonZeroU64;
 use core::sync::atomic::{AtomicI64, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -278,6 +279,9 @@ impl<const N: usize> RawQueue<N> {
             // SAFETY: pooled nodes stay valid for the queue's lifetime.
             unsafe {
                 (*node).active.store(true, Ordering::Relaxed);
+                // The new owner has received nothing yet, so its first
+                // dequeue passes the emptiness guard like a fresh node's.
+                (*node).empty_guard.set(true);
                 // A recycled node must not leak the previous owner's
                 // execution-path sample to the new handle.
                 #[cfg(feature = "op-sample")]
@@ -567,7 +571,7 @@ impl<const N: usize> RawQueue<N> {
     /// garbage that dequeuers simply haven't tripped the threshold on.
     pub(crate) fn try_enqueue_internal(&self, h: &HandleNode<N>, v: u64) -> Result<(), Full> {
         if self.config.segment_ceiling.is_some() && !self.pool.has_headroom() {
-            self.forced_cleanup(h);
+            self.recover_headroom(h);
             if !self.pool.has_headroom() {
                 HandleStats::bump(&h.stats.enq_rejected);
                 wfq_obs::record!(
@@ -579,6 +583,29 @@ impl<const N: usize> RawQueue<N> {
         }
         self.enqueue_internal(h, v);
         Ok(())
+    }
+
+    /// The admission gates' recovery step when headroom is gone: moves the
+    /// tail index up to the head index if probes have pushed `H` past `T`,
+    /// then runs one forced reclamation pass.
+    ///
+    /// Every index in `[T, H)` was already taken by a dequeue. Moving `T`
+    /// over them is the CAS-max that `enq_commit` applies (lines 53–55),
+    /// as if enqueues had taken those indices and found their cells burned;
+    /// a dequeue still deciding at one sees `T` past it and goes on, as it
+    /// would after such an enqueue. Without it the
+    /// tail's segment stays unreclaimable (the pass never goes past `T / N`)
+    /// while the head's is live too, and at a low ceiling a drained queue
+    /// would report `Full` for as long as no plain `enqueue` moves `T`
+    /// (DESIGN.md §9).
+    #[cold]
+    fn recover_headroom(&self, h: &HandleNode<N>) {
+        let head = self.head_index.load(Ordering::SeqCst);
+        if head > self.tail_index.load(Ordering::SeqCst) {
+            advance_index(&self.tail_index, head);
+            persist!(self, advance_tail(head));
+        }
+        self.forced_cleanup(h);
     }
 
     /// Lines 65–69: one FAA, one CAS. `cell_id` receives the attempted
@@ -831,16 +858,24 @@ impl<const N: usize> RawQueue<N> {
     // Dequeue (Listing 4)
     // ------------------------------------------------------------------
 
-    /// The dequeue front: the emptiness fast-out, then the first fast-path
-    /// attempt (lines 140–148) as straight-line code, one FAA, one value
-    /// load and one claim CAS, and the peer-help bail-out. As on the
-    /// enqueue side, a cell in the segment the head mirror names comes
-    /// straight from `h.head`, and a dequeue that ends there skips
-    /// `cleanup` (DESIGN.md §3, "The typed fast path"). Every other outcome
-    /// continues in [`Self::dequeue_rest`] from the index already taken.
+    /// The dequeue front: the emptiness guard when the handle's last
+    /// dequeue returned EMPTY, then the first fast-path attempt (lines
+    /// 140–148) as straight-line code, one FAA, one value load and one
+    /// claim CAS, and the peer-help bail-out. As on the enqueue side, a
+    /// cell in the segment the head mirror names comes straight from
+    /// `h.head`, and a dequeue that ends there skips `cleanup` (DESIGN.md
+    /// §3, "The typed fast path"). A dequeue that follows a value reads no
+    /// shared index before its FAA, and the front keeps nothing alive
+    /// across a call: every other outcome continues in
+    /// [`Self::dequeue_rest`] from the index already taken, and a pending
+    /// peer in [`Self::dequeue_help_peer`].
+    /// Both are tail calls because the result is an `Option<NonZeroU64>`,
+    /// one register: LLVM does not turn a call that returns an
+    /// `Option<u64>`, a register pair, into a `jmp`, and the front would
+    /// keep a frame to call and return.
     #[inline]
-    pub(crate) fn dequeue_internal(&self, h: &HandleNode<N>) -> Option<u64> {
-        // Emptiness fast-out (the bounded-RSS guard of DESIGN.md §9). A
+    pub(crate) fn dequeue_internal(&self, h: &HandleNode<N>) -> Option<NonZeroU64> {
+        // Emptiness guard (the bounded-RSS guard of DESIGN.md §9). A
         // probe's FAA burns a cell, and every segment between the tail
         // frontier and H must stay live for enqueuers to traverse — so a
         // consumer spinning on an empty queue would otherwise push H (and
@@ -850,24 +885,29 @@ impl<const N: usize> RawQueue<N> {
         // some dequeuer), so later probes return EMPTY without consuming
         // anything. H == T still probes — one burned cell per drained
         // queue — which preserves the ⊤-seal semantics deterministic
-        // tests rely on and bounds dequeue-side growth at one in-flight
-        // cell per consumer.
+        // tests rely on.
+        //
+        // Only a handle whose last dequeue returned EMPTY consults the
+        // guard; one that just received a value probes straight away.
+        // Either way each handle holds at most one probed cell past T, so
+        // H − T stays at most the number of live handles (the admission
+        // gates move T up to H when such a lead costs them headroom).
         //
         // The check touches no segment, so it runs before the hazard is
         // published. A fast-out leaves the head mirror as it was, and a
         // thread whose every dequeue fast-outs would otherwise keep
         // republishing that stale mirror as its hazard, pinning
         // reclamation at it for as long as it polls.
-        let (h_idx, t_idx) = (
-            self.head_index.load(Ordering::SeqCst),
-            self.tail_index.load(Ordering::SeqCst),
-        );
-        if h_idx > t_idx {
-            HandleStats::bump(&h.stats.deq_fast);
-            HandleStats::bump(&h.stats.deq_empty);
-            wfq_obs::record!(wfq_obs::EventKind::DeqEmpty, h_idx);
-            op_sample!(h, crate::sample::OpSide::Deq, OpPath::Fast, h_idx);
-            return None;
+        if h.empty_guard.get() {
+            let h_idx = self.head_index.load(Ordering::SeqCst);
+            if h_idx > self.tail_index.load(Ordering::SeqCst) {
+                HandleStats::bump(&h.stats.deq_fast);
+                HandleStats::bump(&h.stats.deq_empty);
+                wfq_obs::record!(wfq_obs::EventKind::DeqEmpty, h_idx);
+                op_sample!(h, crate::sample::OpSide::Deq, OpPath::Fast, h_idx);
+                return None;
+            }
+            h.empty_guard.set(false);
         }
         let mirror = h.head_seg_id.load(Ordering::Relaxed);
         h.publish_hazard_before_faa(mirror as i64);
@@ -885,20 +925,44 @@ impl<const N: usize> RawQueue<N> {
             "head mirror names another segment"
         );
         let c = unsafe { &(*s).cells[(i % N as u64) as usize] };
-        // Line 91 for a filled cell: one load. ⊥ and ⊤ take help_enq's path.
-        let v = c.load_val();
-        if !is_valid_value(v) {
+        // Line 91 for a filled cell: one load. ⊥ (zero) and ⊤ take
+        // help_enq's path.
+        let Some(v) = NonZeroU64::new(c.load_val()).filter(|v| v.get() != VAL_TOP) else {
             return self.dequeue_rest(h, i, false);
-        }
-        if !self.deq_claim(c, v, i) {
+        };
+        if !self.deq_claim(c, v.get(), i) {
             return self.dequeue_rest(h, i, true);
         }
         HandleStats::bump(&h.stats.deq_fast);
         wfq_obs::record!(wfq_obs::EventKind::DeqFast, i);
         op_sample!(h, crate::sample::OpSide::Deq, OpPath::Fast, i);
-        self.help_deq_peer(h);
+        // Lines 135–138 up to the bail-out; a pending peer finishes the
+        // operation out of line.
+        let peer = Self::deq_peer(h);
+        if let Some(id) = peer.deq_req.needs_help() {
+            return self.dequeue_help_peer(h, peer, id, v);
+        }
+        h.deq_peer.store(peer.next_node(), Ordering::Relaxed);
         // Epilogue: the mirror already names segment i/N, and `cleanup`
         // would see the same head id as the last dequeue that ran it.
+        h.clear_hazard();
+        Some(v)
+    }
+
+    /// The dequeue front's tail when its peer has a pending request `id`:
+    /// helps it (lines 163–205), advances the peer and finishes the
+    /// front's epilogue, returning the value `v` the front claimed.
+    #[cold]
+    #[inline(never)]
+    fn dequeue_help_peer(
+        &self,
+        h: &HandleNode<N>,
+        peer: &HandleNode<N>,
+        id: u64,
+        v: NonZeroU64,
+    ) -> Option<NonZeroU64> {
+        self.help_deq_pending(h, peer, id);
+        h.deq_peer.store(peer.next_node(), Ordering::Relaxed);
         h.clear_hazard();
         Some(v)
     }
@@ -910,7 +974,7 @@ impl<const N: usize> RawQueue<N> {
     /// `cleanup`.
     #[cold]
     #[inline(never)]
-    fn dequeue_rest(&self, h: &HandleNode<N>, i: u64, tried: bool) -> Option<u64> {
+    fn dequeue_rest(&self, h: &HandleNode<N>, i: u64, tried: bool) -> Option<NonZeroU64> {
         let mut outcome = if tried {
             FastDeq::Fail(i)
         } else {
@@ -944,6 +1008,8 @@ impl<const N: usize> RawQueue<N> {
         if result.is_some() {
             self.help_deq_peer(h);
         } else {
+            // The next dequeue passes the emptiness guard before it probes.
+            h.empty_guard.set(true);
             HandleStats::bump(&h.stats.deq_empty);
             wfq_obs::record!(wfq_obs::EventKind::DeqEmpty, last_index);
         }
@@ -953,7 +1019,8 @@ impl<const N: usize> RawQueue<N> {
         h.head_seg_id.store(last_index / N as u64, Ordering::Relaxed);
         h.clear_hazard();
         self.cleanup(h);
-        result
+        // A delivered value is never ⊥ (zero).
+        result.and_then(NonZeroU64::new)
     }
 
     /// Lines 135–138: a successful dequeue helps its dequeue peer.
@@ -963,14 +1030,21 @@ impl<const N: usize> RawQueue<N> {
     /// rather than through h.head).
     #[inline]
     fn help_deq_peer(&self, h: &HandleNode<N>) {
-        let peer = h.deq_peer.load(Ordering::Relaxed);
+        let peer = Self::deq_peer(h);
+        self.help_deq(h, peer);
+        h.deq_peer.store(peer.next_node(), Ordering::Relaxed);
+    }
+
+    /// The dequeue peer this operation helps, counted as a help when it is
+    /// another thread's.
+    #[inline]
+    fn deq_peer(h: &HandleNode<N>) -> &HandleNode<N> {
         // SAFETY: ring nodes live for the queue's lifetime.
-        let peer_ref = unsafe { &*peer };
-        if !core::ptr::eq(peer_ref, h) {
+        let peer = unsafe { &*h.deq_peer.load(Ordering::Relaxed) };
+        if !core::ptr::eq(peer, h) {
             HandleStats::bump(&h.stats.help_deq);
         }
-        self.help_deq(h, peer_ref);
-        h.deq_peer.store(peer_ref.next_node(), Ordering::Relaxed);
+        peer
     }
 
     /// Lines 140–148.
@@ -1151,7 +1225,7 @@ impl<const N: usize> RawQueue<N> {
         if self.config.segment_ceiling.is_some() {
             let need = Config::batch_segments(vs.len() as u64, N as u64);
             if !self.pool.has_headroom_for(need) {
-                self.forced_cleanup(h);
+                self.recover_headroom(h);
                 if !self.pool.has_headroom_for(need) {
                     HandleStats::bump(&h.stats.enq_rejected);
                     wfq_obs::record!(
@@ -1241,7 +1315,10 @@ impl<const N: usize> RawQueue<N> {
                 HelpEnq::Empty => {
                     // Only the H == T probe cell can witness emptiness:
                     // every other claimed index is below the T snapshot,
-                    // which `T` can never drop back under.
+                    // which `T` can never drop back under. The handle's
+                    // next one-shot dequeue passes the emptiness guard, as
+                    // after a one-shot EMPTY (DESIGN.md §9).
+                    h.empty_guard.set(true);
                     HandleStats::bump(&h.stats.deq_fast);
                     HandleStats::bump(&h.stats.deq_empty);
                     wfq_obs::record!(wfq_obs::EventKind::DeqEmpty, i);
@@ -1287,6 +1364,7 @@ impl<const N: usize> RawQueue<N> {
                             got += 1;
                         }
                         None => {
+                            h.empty_guard.set(true);
                             HandleStats::bump(&h.stats.deq_empty);
                             wfq_obs::record!(wfq_obs::EventKind::DeqEmpty, si);
                         }
@@ -1324,7 +1402,7 @@ impl<const N: usize> RawQueue<N> {
             let Some(v) = self.dequeue_internal(h) else {
                 break;
             };
-            out.push(v);
+            out.push(v.get());
             got += 1;
         }
         got as usize
@@ -1334,19 +1412,15 @@ impl<const N: usize> RawQueue<N> {
     // help_deq (Listing 4 lines 158–205 + Listing 5 line 220)
     // ------------------------------------------------------------------
 
-    /// Lines 158–162, the bail-out every successful dequeue pays for its
-    /// peer: inlined, so a peer with no pending request costs two loads
-    /// and no call. The work on a pending request is [`Self::help_deq_pending`].
+    /// Lines 158–205: helps `helpee`'s dequeue request if it is pending.
+    /// The bail-out (lines 158–162, `DeqReq::needs_help`) is inlined, so a
+    /// peer with no pending request costs two loads, one compare and no
+    /// call. The work on a pending request is [`Self::help_deq_pending`].
     #[inline]
     pub(crate) fn help_deq(&self, h: &HandleNode<N>, helpee: &HandleNode<N>) {
-        let r = &helpee.deq_req;
-        // Line 160: state before id (writers publish id before state).
-        let s = r.state();
-        let id = r.id();
-        if !s.pending || s.index < id {
-            return; // line 162
+        if let Some(id) = helpee.deq_req.needs_help() {
+            self.help_deq_pending(h, helpee, id);
         }
-        self.help_deq_pending(h, helpee, id);
     }
 
     /// Lines 163–205: helps `helpee`'s request `id`, which the bail-out saw
@@ -1545,7 +1619,7 @@ impl<Q: QueueRef<N>, const N: usize> RawHandle<Q, N> {
     /// observed empty (the paper's EMPTY). Wait-free.
     #[inline]
     pub fn dequeue(&mut self) -> Option<u64> {
-        self.raw().dequeue_internal(self.node())
+        self.raw().dequeue_internal(self.node()).map(NonZeroU64::get)
     }
 
     /// Enqueues every value in `vs`, claiming `vs.len()` consecutive cells
@@ -1943,6 +2017,75 @@ mod tests {
         h.dequeue();
         h.dequeue();
         assert_eq!(q.stats().deq_empty, 2);
+    }
+
+    /// The emptiness guard keeps the figures of the front that checked
+    /// `H > T` before every probe: a drain followed by empty probes burns
+    /// exactly one cell past `T`, and every probe counts as EMPTY.
+    #[test]
+    fn drain_then_probes_burn_one_cell() {
+        let q: RawQueue<64> = RawQueue::new();
+        let mut h = q.register();
+        for v in 1..=100 {
+            h.enqueue(v);
+        }
+        for v in 1..=100 {
+            assert_eq!(h.dequeue(), Some(v));
+        }
+        for _ in 0..1_000 {
+            assert_eq!(h.dequeue(), None);
+        }
+        assert_eq!(q.indices(), (101, 100));
+        let s = q.stats();
+        assert_eq!(s.deq_empty, 1_000, "{s:?}");
+        assert_eq!(s.dequeues(), 1_100, "{s:?}");
+    }
+
+    /// A batch whose probe cell witnesses EMPTY arms the guard like a
+    /// one-shot EMPTY, so a handle cannot burn a cell past `T` with a
+    /// batch and then another with an unguarded one-shot probe.
+    #[test]
+    fn a_batch_that_witnesses_empty_arms_the_guard() {
+        let q: RawQueue<64> = RawQueue::new();
+        let mut h = q.register();
+        h.enqueue(1);
+        assert_eq!(h.dequeue(), Some(1));
+        let mut out = Vec::new();
+        assert_eq!(h.dequeue_batch(&mut out, 4), 0);
+        assert_eq!(q.indices(), (2, 1));
+        assert_eq!(h.dequeue(), None);
+        assert_eq!(q.indices(), (2, 1), "the one-shot probe burned a cell");
+    }
+
+    /// A node starts with its emptiness guard armed, fresh or recycled: a
+    /// handle that has received nothing consults `H > T` before probing,
+    /// so register/drop cycles cannot push `H` past `T`.
+    #[test]
+    fn fresh_and_recycled_nodes_start_with_the_guard_armed() {
+        let q: RawQueue<64> = RawQueue::new();
+        let (mut a, mut b) = (q.register(), q.register());
+        // SAFETY: nodes live as long as the queue.
+        assert!(unsafe { (*a.node).empty_guard.get() });
+        a.enqueue(1);
+        assert_eq!(a.dequeue(), Some(1));
+        assert!(!unsafe { (*a.node).empty_guard.get() });
+        // The other consumer probes once (H == T) and pushes H past T.
+        assert_eq!(b.dequeue(), None);
+        assert_eq!(q.indices(), (2, 1));
+        // The node `a` leaves with its guard clear must not probe unguarded
+        // for its next owner.
+        let recycled = a.node;
+        drop(a);
+        let mut c = q.register();
+        assert_eq!(c.node, recycled);
+        assert!(unsafe { (*c.node).empty_guard.get() });
+        assert_eq!(c.dequeue(), None);
+        assert_eq!(q.indices(), (2, 1), "a recycled node burned a cell");
+        drop(c);
+        for _ in 0..100 {
+            assert_eq!(q.register().dequeue(), None);
+        }
+        assert_eq!(q.indices(), (2, 1), "register/drop cycles burned cells");
     }
 
     #[test]

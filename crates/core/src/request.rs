@@ -125,6 +125,17 @@ impl DeqReq {
         self.id.load(Ordering::SeqCst)
     }
 
+    /// The helper's bail-out (paper lines 160–162): the request's id if it
+    /// is pending and its announced cell is not behind that id, else
+    /// `None`. Reads the state before the id, since writers publish the id
+    /// first.
+    #[inline]
+    pub(crate) fn needs_help(&self) -> Option<u64> {
+        let word = self.state.load(Ordering::SeqCst);
+        let id = self.id();
+        pack::pending_from(word, id).then_some(id)
+    }
+
     /// CAS on the packed state; used both to announce candidates
     /// `(1, prior) → (1, cand)` and to close requests `(1, idx) → (0, idx)`.
     pub(crate) fn cas_state(&self, from: (bool, u64), to: (bool, u64)) -> bool {
@@ -183,9 +194,15 @@ mod tests {
         assert!(r.cas_state((true, 3), (true, 8)));
         // Competing announcement from the same prior fails.
         assert!(!r.cas_state((true, 3), (true, 9)));
+        assert_eq!(r.needs_help(), Some(3));
         // Close.
         assert!(r.cas_state((true, 8), (false, 8)));
         assert!(!r.state().pending);
+        assert_eq!(r.needs_help(), None);
+        // A pending state whose index is behind the id needs no help.
+        r.id.store(9, Ordering::Relaxed);
+        assert!(r.cas_state((false, 8), (true, 8)));
+        assert_eq!(r.needs_help(), None);
     }
 
     #[test]

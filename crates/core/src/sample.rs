@@ -37,7 +37,8 @@ pub enum OpSide {
 ///
 /// The taxonomy matches the paper's Table 2 and the PR-5 span
 /// reconstruction: `Fast` is the one-FAA path (for dequeues this includes
-/// the `H > T` emptiness fast-out), `Slow` is a help-ring episode the
+/// the emptiness guard's `H > T` fast-out, which a handle consults after
+/// its own EMPTY), `Slow` is a help-ring episode the
 /// requester finished itself, and `Helped` is a slow enqueue whose request
 /// a peer completed first (the `enq_slow_helped` branch — the only point
 /// where the requester itself can observe cross-thread help). Slow
@@ -47,7 +48,7 @@ pub enum OpSide {
 /// reconstructed help chain is multi-hop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpPath {
-    /// One-FAA fast path (or the dequeue emptiness fast-out).
+    /// One-FAA fast path (or the dequeue emptiness guard's fast-out).
     Fast,
     /// Help-ring slow path, finished by the requester.
     Slow,

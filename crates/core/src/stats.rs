@@ -79,11 +79,14 @@ pub struct QueueStats {
     pub enq_fast: u64,
     /// Enqueues that fell back to the wait-free slow path.
     pub enq_slow: u64,
-    /// Dequeues completed on the fast path (value or EMPTY on first tries).
+    /// Dequeues completed on the fast path (value or EMPTY on first tries,
+    /// counting the emptiness guard's fast-outs, which take no FAA).
     pub deq_fast: u64,
     /// Dequeues that fell back to the wait-free slow path.
     pub deq_slow: u64,
-    /// Dequeues that returned EMPTY.
+    /// Dequeues that returned EMPTY: a probe that witnessed it, or a
+    /// fast-out of the emptiness guard, which a handle consults after its
+    /// own EMPTY and which finds `H > T` (DESIGN.md §9).
     pub deq_empty: u64,
     /// Calls that helped a peer's enqueue request toward completion.
     pub help_enq: u64,

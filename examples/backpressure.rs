@@ -74,9 +74,10 @@ fn main() {
         });
 
         // Observer: the bounded-mode gauges in flight. With try_enqueue on
-        // the producer side and the emptiness fast-out on the consumer
-        // side, live segments stay at the ceiling plus at most one
-        // in-flight segment per spinning consumer (DESIGN.md §9).
+        // the producer side and the emptiness guard on the consumer side
+        // (an `H > T` check after each EMPTY), live segments stay at the
+        // ceiling plus at most one in-flight segment per spinning consumer
+        // (DESIGN.md §9).
         s.spawn(|| {
             let mut max_live = 0u64;
             while !done.load(Ordering::Acquire) {

@@ -8,8 +8,12 @@ Disassembles `probe_enqueue` and `probe_dequeue` in a release build of
   the claim), and no other locked instruction: an `xchg` with a memory
   operand (a SeqCst store) is locked without the prefix and counts too;
 - every `call`, and every jump (`jmp` or conditional) that leaves the
-  function, goes to one of the out-of-line remainders, `help_deq_pending`
-  or the reserved-value panic. A call through the GOT is resolved through its relocation.
+  function, goes to one of the out-of-line remainders, the dequeue's
+  pending-peer tail `dequeue_help_peer` or the reserved-value panic. A
+  call through the GOT is resolved through its relocation;
+- no `push` or `pop` of a callee-saved register (`rbx`, `rbp`, `r12`–`r15`):
+  the fronts keep nothing alive across a call, so they need no register
+  frame. A push of a scratch register to align the stack is allowed.
 
 Usage:
     cargo build --release -p wfq-examples --bin fast_path_probe
@@ -24,13 +28,14 @@ PROBES = ("probe_enqueue", "probe_dequeue")
 ALLOWED = (
     "RawQueue<_>::enqueue_rest",
     "RawQueue<_>::dequeue_rest",
-    "RawQueue<_>::help_deq_pending",
+    "RawQueue<_>::dequeue_help_peer",
     "wfqueue::raw::reserved_value",
 )
 
 INSN = re.compile(r"^\s*([0-9a-f]+):\s+(.*)$")
 DIRECT = re.compile(r"^([0-9a-f]+) <(.*)>$")
 GOT = re.compile(r"^\*0x[0-9a-f]+\(%rip\)\s+# ([0-9a-f]+)")
+CALLEE_SAVED = {"%rbx", "%rbp", "%r12", "%r13", "%r14", "%r15"}
 
 
 def run(*cmd):
@@ -72,6 +77,8 @@ def check(binary, probe, syms, got):
             locked.append(arg.split()[0])
         elif op.startswith("xchg") and "(" in arg:
             locked.append(op)
+        elif op in ("push", "pop") and arg in CALLEE_SAVED:
+            errors.append(f"{probe}+{addr - lo:#x}: {op} {arg} (callee-saved)")
         if op != "call" and not op.startswith("j"):
             continue
         m = DIRECT.match(arg)

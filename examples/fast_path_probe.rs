@@ -4,9 +4,10 @@
 //! `probe_enqueue` and `probe_dequeue` are one `Handle::enqueue` and one
 //! `Handle::dequeue` with nothing around them. `check_fast_path.py`
 //! disassembles both and asserts that each issues exactly one `lock xadd`
-//! (the FAA) and one `lock cmpxchg` (the deposit or the claim), and calls
-//! nothing but the out-of-line remainders, `help_deq_pending` and the
-//! reserved-value panic:
+//! (the FAA) and one `lock cmpxchg` (the deposit or the claim), calls
+//! nothing but the out-of-line remainders, the dequeue's pending-peer tail
+//! `dequeue_help_peer` and the reserved-value panic, and pushes no
+//! callee-saved register:
 //!
 //! ```text
 //! cargo build --release -p wfq-examples --bin fast_path_probe

@@ -129,6 +129,95 @@ fn spinning_empty_probes_do_not_grow_the_chain() {
     }
 }
 
+/// One thread drives two handles: handle B's probes push H past T, a
+/// trickled value reaches handle A, and A's next probe lands past T
+/// unguarded (only a handle whose last dequeue returned EMPTY consults the
+/// H > T guard). Each handle still holds at most one probed cell past T,
+/// so H − T stays within the two handles. A two-cell lead can carry H into
+/// a segment T has not reached, with T's segment unreclaimable; the gate
+/// must then move T up to H rather than report `Full` on a drained queue.
+fn fed_consumer_probes(ceiling: u64) {
+    let q: RawQueue<SEG> =
+        RawQueue::with_config(Config::default().with_segment_ceiling(ceiling));
+    let (mut a, mut b) = (q.register(), q.register());
+    let (mut next, mut expect, mut widest) = (1u64, 1u64, 0u64);
+    for probe in 0..10_000u64 {
+        if probe % 10 == 0 {
+            // Both admission gates, the one-shot and the batch one.
+            let admitted = if probe % 20 == 0 {
+                a.try_enqueue(next)
+            } else {
+                a.try_enqueue_batch(&[next])
+            };
+            admitted.unwrap_or_else(|_| {
+                panic!("ceiling {ceiling}: probes wedged the queue at probe {probe}")
+            });
+            next += 1;
+        }
+        let h = if probe % 2 == 0 { &mut a } else { &mut b };
+        if let Some(v) = h.dequeue() {
+            assert_eq!(v, expect);
+            expect += 1;
+        }
+        let (head, tail) = q.indices();
+        assert!(head <= tail + 2, "probe {probe}: H = {head}, T = {tail}");
+        widest = widest.max(head.saturating_sub(tail));
+        let g = q.gauges();
+        assert!(g.live_segments <= ceiling, "probe {probe}: {g:?}");
+    }
+    assert_eq!(expect, next, "a value was lost");
+    assert_eq!(widest, 2, "no unguarded probe landed past T");
+}
+
+#[test]
+fn a_fed_consumer_probing_past_the_tail_burns_one_cell() {
+    fed_consumer_probes(2);
+    fed_consumer_probes(3);
+}
+
+#[test]
+fn more_fed_consumers_than_a_segment_holds_do_not_wedge_the_gate() {
+    // SEG + 4 handles each receive a value and then probe once, unguarded:
+    // the head leads the tail by one cell per handle, more than a segment
+    // holds, so the lead can span three segments while T's own segment
+    // stays unreclaimable. Every `try_enqueue` must still be admitted and
+    // the chain must stay within the ceiling, wherever in its segment the
+    // tail starts (`offset` values pass through first).
+    const CEILING: u64 = 3;
+    const HANDLES: usize = SEG + 4;
+    for offset in 0..SEG as u64 {
+        let q: RawQueue<SEG> = RawQueue::with_config(
+            Config::default()
+                .with_segment_ceiling(CEILING)
+                .with_max_garbage(1),
+        );
+        let mut hs: Vec<_> = (0..HANDLES).map(|_| q.register()).collect();
+        let mut next = 1u64;
+        for _ in 0..offset {
+            hs[0].enqueue(next);
+            assert_eq!(hs[0].dequeue(), Some(next));
+            next += 1;
+        }
+        for round in 0..20 {
+            for h in hs.iter_mut() {
+                h.try_enqueue(next).unwrap_or_else(|_| {
+                    panic!("offset {offset}, round {round}: the lead wedged the queue")
+                });
+                assert_eq!(h.dequeue(), Some(next));
+                next += 1;
+            }
+            for h in hs.iter_mut() {
+                assert_eq!(h.dequeue(), None);
+                let (head, tail) = q.indices();
+                assert!(head <= tail + HANDLES as u64, "H = {head}, T = {tail}");
+            }
+            let g = q.gauges();
+            assert!(g.live_segments <= CEILING, "offset {offset}, round {round}: {g:?}");
+        }
+        assert_eq!(q.stats().enq_rejected, 0);
+    }
+}
+
 #[test]
 fn bounded_batch_rejection_is_all_or_nothing() {
     // The batch admission gate runs *before* the claiming FAA and demands
@@ -483,3 +572,4 @@ mod stall_soak {
         );
     }
 }
+
