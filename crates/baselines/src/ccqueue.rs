@@ -264,11 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_roundtrip() {
-        conformance::batch_roundtrip::<CcQueue>();
-    }
-
-    #[test]
     fn mpmc_conservation() {
         conformance::mpmc_conservation::<CcQueue>(2, 2, 3_000);
     }

@@ -467,11 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_roundtrip() {
-        conformance::batch_roundtrip::<KpQueue>();
-    }
-
-    #[test]
     fn mpmc_conservation() {
         conformance::mpmc_conservation::<KpQueue>(2, 2, 1_500);
     }

@@ -229,11 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_roundtrip() {
-        conformance::batch_roundtrip::<Lcrq>();
-    }
-
-    #[test]
     fn mpmc_conservation() {
         conformance::mpmc_conservation::<Lcrq>(2, 2, 3_000);
     }

@@ -100,13 +100,13 @@ mod wf_conformance {
     use super::*;
 
     #[test]
-    fn wf10_batch_roundtrip_native() {
-        conformance::batch_roundtrip::<wfqueue::RawQueue>();
+    fn wf10_fifo_single_thread() {
+        conformance::fifo_single_thread::<wfqueue::RawQueue>();
     }
 
     #[test]
-    fn wf0_batch_roundtrip_native() {
-        conformance::batch_roundtrip::<Wf0>();
+    fn wf0_fifo_single_thread() {
+        conformance::fifo_single_thread::<Wf0>();
     }
 }
 
@@ -158,27 +158,6 @@ pub(crate) mod conformance {
         assert_eq!(h.dequeue(), Some(2));
         assert_eq!(h.dequeue(), Some(3));
         assert_eq!(h.dequeue(), None);
-    }
-
-    pub fn batch_roundtrip<Q: BenchQueue>() {
-        // Exercises the batch entry points every handle exposes (native
-        // one-FAA batches on the wait-free queue, the loop fallback
-        // elsewhere): FIFO across mixed widths, and a trimmed final batch.
-        let q = Q::new();
-        let mut h = q.register();
-        let vals: Vec<u64> = (1..=100).collect();
-        for chunk in vals.chunks(7) {
-            h.enqueue_batch(chunk);
-        }
-        let mut out = Vec::new();
-        let mut got = 0;
-        while got < 100 {
-            let n = h.dequeue_batch(&mut out, 9);
-            assert!(n > 0, "{} went empty early at {got}", Q::NAME);
-            got += n;
-        }
-        assert_eq!(out, vals, "{} broke batch FIFO", Q::NAME);
-        assert_eq!(h.dequeue_batch(&mut out, 4), 0, "{} not empty", Q::NAME);
     }
 
     pub fn mpmc_conservation<Q: BenchQueue>(producers: u64, consumers: u64, per: u64) {

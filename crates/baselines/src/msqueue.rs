@@ -245,11 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_roundtrip() {
-        conformance::batch_roundtrip::<MsQueue>();
-    }
-
-    #[test]
     fn mpmc_conservation() {
         conformance::mpmc_conservation::<MsQueue>(2, 2, 3_000);
     }

@@ -214,11 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_roundtrip() {
-        conformance::batch_roundtrip::<MsQueueEbr>();
-    }
-
-    #[test]
     fn mpmc_conservation() {
         conformance::mpmc_conservation::<MsQueueEbr>(2, 2, 3_000);
     }

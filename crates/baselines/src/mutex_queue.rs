@@ -100,11 +100,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_roundtrip() {
-        conformance::batch_roundtrip::<MutexQueue>();
-    }
-
-    #[test]
     fn mpmc_conservation() {
         conformance::mpmc_conservation::<MutexQueue>(2, 2, 3_000);
     }

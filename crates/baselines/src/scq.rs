@@ -487,11 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_roundtrip_via_defaults() {
-        conformance::batch_roundtrip::<Scq>();
-    }
-
-    #[test]
     fn mpmc_conservation() {
         conformance::mpmc_conservation::<Scq>(3, 3, 2_000);
     }

@@ -172,55 +172,6 @@ fn bench_try_enqueue_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-/// Guardrail for the batch fast path (DESIGN.md §10): `enqueue_batch` over
-/// 8 values claims its cells with one FAA, one hazard publication, and one
-/// stats/peer-help epilogue, where 8 single enqueues pay all of that per
-/// element — so the batch loop must price well below the 8× single loop
-/// (the issue's acceptance bar is ≤ 0.6×). Both sides drain through the
-/// matching dequeue shape so the queue stays at steady state.
-fn bench_batch_amortization(c: &mut Criterion) {
-    let mut g = c.benchmark_group("batch_amortization");
-    g.sample_size(20).measurement_time(Duration::from_secs(1));
-
-    const K: usize = 8;
-    let q = <RawQueue as BenchQueue>::new();
-    let mut h = RawQueue::register(&q);
-    let mut i = 0u64;
-    let mut out = Vec::with_capacity(K);
-    g.bench_function("eight_single_pairs", |b| {
-        b.iter(|| {
-            for _ in 0..K {
-                i += 1;
-                h.enqueue(i);
-            }
-            out.clear();
-            for _ in 0..K {
-                if let Some(v) = h.dequeue() {
-                    out.push(v);
-                }
-            }
-            std::hint::black_box(out.len())
-        })
-    });
-
-    let q2 = <RawQueue as BenchQueue>::new();
-    let mut h2 = RawQueue::register(&q2);
-    let mut batch = [0u64; K];
-    g.bench_function("enqueue_batch_8_pair", |b| {
-        b.iter(|| {
-            for slot in &mut batch {
-                i += 1;
-                *slot = i;
-            }
-            h2.enqueue_batch(&batch);
-            out.clear();
-            let n = h2.dequeue_batch(&mut out, K);
-            std::hint::black_box(n)
-        })
-    });
-    g.finish();
-}
-
 /// Guardrail for durable mode (DESIGN.md §12): in the default build the
 /// internal `persist!` macro at the three commit frontiers expands to `()`
 /// — the const proof in `core/src/raw.rs` shows the expansion is a valid
@@ -293,6 +244,5 @@ fn main() {
     bench_inject_overhead(&mut c);
     bench_op_sample_overhead(&mut c);
     bench_try_enqueue_overhead(&mut c);
-    bench_batch_amortization(&mut c);
     bench_persist_overhead(&mut c);
 }

@@ -5,13 +5,9 @@
 //! ```text
 //! cargo run -p wfq-bench --release --bin figure2 -- \
 //!     [--workload pairs|fifty|both] [--threads 1,2,4,8] [--ops N] \
-//!     [--segment-ceiling S] [--batch K] [--handicap-ns N] [--commit SHA] \
+//!     [--segment-ceiling S] [--handicap-ns N] [--commit SHA] \
 //!     [--full] [--quick] [--csv out.csv] [--json out.json] [--trace out.trace.json]
 //! ```
-//!
-//! `--batch K` additionally runs the batched-pairs workload (one FAA per
-//! `K` operations on WF-10/WF-0, the element loop on the baselines; see
-//! DESIGN.md §10); its series is emitted under the `batch_pairs` label.
 //!
 //! `--full` uses the paper's exact parameters (10^7 ops, 20 iterations,
 //! 10 invocations); the default is scaled down to finish in minutes on a
@@ -146,17 +142,6 @@ fn main() {
         md.push('\n');
         let _ = write!(csv, "# workload=fifty\n{}", render_csv(&series));
         json_out.push(("fifty_enqueues", series));
-    }
-    if let Some(k) = args.get("batch").and_then(|s| s.parse::<u32>().ok()) {
-        let k = k.max(1);
-        let series = run_workload(&args, Workload::BatchPairs(k), &threads);
-        md.push_str(&render_markdown(
-            &series,
-            &format!("Batched enqueue-dequeue pairs (k = {k}, one FAA per batch on WF-*)"),
-        ));
-        md.push('\n');
-        let _ = write!(csv, "# workload=batch k={k}\n{}", render_csv(&series));
-        json_out.push(("batch_pairs", series));
     }
 
     println!("{md}");

@@ -4,16 +4,13 @@
 //!
 //! ```text
 //! cargo run -p wfq-bench --release --bin table2 -- [--ops N] [--patience P] \
-//!     [--backend wf|scq] [--segment-ceiling S] [--batch K] \
+//!     [--backend wf|scq] [--segment-ceiling S] \
 //!     [--metrics-out metrics.prom] [--trace out.trace.json]
 //! ```
 //!
 //! `--metrics-out` writes the highest-thread-count run's statistics in the
 //! Prometheus text exposition format; `--trace` drains the flight recorders
 //! into a Chrome trace file (build with `--features trace` for events).
-//! `--batch K` swaps the workload for batched pairs of width `K` so the
-//! breakdown (and the stats' `batch` line) shows how many elements the
-//! one-FAA batch fast path absorbed versus straggler fallbacks.
 //! `--backend scq` runs the same sweep on the bounded-ring backend through
 //! the `QueueBackend` trait (its `stats()` fill the same taxonomy;
 //! `--patience` only applies to the default `wf` backend).
@@ -29,10 +26,7 @@ fn main() {
     let hw = topology::num_cpus();
     let patience = args.num("patience", 0) as u32;
     let backend = args.get("backend").unwrap_or("wf").to_string();
-    let workload = match args.get("batch").and_then(|s| s.parse::<u32>().ok()) {
-        Some(k) => Workload::BatchPairs(k.max(1)),
-        None => Workload::FiftyEnqueues,
-    };
+    let workload = Workload::FiftyEnqueues;
     // The paper uses 36 / 72 / 144 / 288 on a 72-hardware-thread machine:
     // half, full, 2× and 4× oversubscription. Reproduce those ratios.
     let mut counts: Vec<usize> = vec![(hw / 2).max(1), hw, hw * 2, hw * 4];

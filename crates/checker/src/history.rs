@@ -22,24 +22,6 @@ pub enum OpKind {
     Dequeue(Option<u64>),
 }
 
-/// Membership of an operation in a batch call.
-///
-/// A batch `enqueue_batch(&[v1..vk])` / `dequeue_batch` call is recorded as
-/// `k` element operations sharing one invocation/response interval and
-/// linked by a `BatchPos` each; the exhaustive checker then requires the
-/// `k` elements to linearize *adjacently* in batch order — the sequential
-/// meaning of "one atomic batch".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPos {
-    /// Batch identity, unique within a history (the recorder uses the
-    /// batch's invocation tick, which no other event shares).
-    pub id: u64,
-    /// This element's position within the batch, `0 .. len`.
-    pub pos: u32,
-    /// Total number of elements in the batch.
-    pub len: u32,
-}
-
 /// One completed operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Operation {
@@ -51,9 +33,6 @@ pub struct Operation {
     pub invoke: u64,
     /// Tick at response. Always > `invoke`.
     pub response: u64,
-    /// `Some` if this operation is one element of a batch call (see
-    /// [`BatchPos`]); `None` for ordinary single operations.
-    pub batch: Option<BatchPos>,
 }
 
 impl Operation {
@@ -111,7 +90,6 @@ impl History {
                     kind,
                     invoke,
                     response,
-                    batch: None,
                 }
             })
             .collect();
@@ -186,50 +164,7 @@ impl ThreadRecorder<'_> {
             kind,
             invoke,
             response,
-            batch: None,
         });
-    }
-
-    /// Records a completed `enqueue_batch(vals)` given its invocation tick:
-    /// one [`OpKind::Enqueue`] per element, all sharing the batch's
-    /// `[invoke, response]` interval and linked by [`BatchPos`] so the
-    /// exhaustive checker linearizes them adjacently and in order. An empty
-    /// batch records nothing.
-    pub fn record_enqueue_batch(&mut self, vals: &[u64], invoke: u64) {
-        let response = self.recorder.tick();
-        let len = vals.len() as u32;
-        for (pos, &v) in vals.iter().enumerate() {
-            self.buf.push(Operation {
-                thread: self.thread,
-                kind: OpKind::Enqueue(v),
-                invoke,
-                response,
-                batch: Some(BatchPos { id: invoke, pos: pos as u32, len }),
-            });
-        }
-    }
-
-    /// Records a completed `dequeue_batch` that returned `got`, given its
-    /// invocation tick. A non-empty result records one
-    /// [`OpKind::Dequeue`]`(Some)` per element, batch-linked like
-    /// [`Self::record_enqueue_batch`]. An empty result observed emptiness
-    /// and records a single `Dequeue(None)`.
-    pub fn record_dequeue_batch(&mut self, got: &[u64], invoke: u64) {
-        if got.is_empty() {
-            self.record(OpKind::Dequeue(None), invoke);
-            return;
-        }
-        let response = self.recorder.tick();
-        let len = got.len() as u32;
-        for (pos, &v) in got.iter().enumerate() {
-            self.buf.push(Operation {
-                thread: self.thread,
-                kind: OpKind::Dequeue(Some(v)),
-                invoke,
-                response,
-                batch: Some(BatchPos { id: invoke, pos: pos as u32, len }),
-            });
-        }
     }
 
     /// Number of operations recorded by this thread so far.
@@ -287,21 +222,18 @@ mod tests {
             kind: OpKind::Enqueue(1),
             invoke: 0,
             response: 1,
-            batch: None,
         };
         let b = Operation {
             thread: 1,
             kind: OpKind::Dequeue(Some(1)),
             invoke: 2,
             response: 3,
-            batch: None,
         };
         let c = Operation {
             thread: 2,
             kind: OpKind::Dequeue(None),
             invoke: 1,
             response: 4,
-            batch: None,
         };
         assert!(a.precedes(&b));
         assert!(!b.precedes(&a));
@@ -318,52 +250,6 @@ mod tests {
         assert_eq!(h.len(), 3);
         assert!(h.ops[0].precedes(&h.ops[1]));
         assert!(h.ops[1].precedes(&h.ops[2]));
-    }
-
-    #[test]
-    fn batch_recording_links_elements_and_shares_the_interval() {
-        let r = Recorder::new();
-        {
-            let mut t = r.thread();
-            let i = t.invoke();
-            t.record_enqueue_batch(&[10, 11, 12], i);
-            let i = t.invoke();
-            t.record_dequeue_batch(&[10, 11], i);
-            let i = t.invoke();
-            t.record_dequeue_batch(&[], i);
-        }
-        let h = r.finish();
-        // 3 enqueue elements + 2 dequeue elements + 1 EMPTY.
-        assert_eq!(h.len(), 6);
-        let enqs: Vec<&Operation> = h
-            .ops
-            .iter()
-            .filter(|o| matches!(o.kind, OpKind::Enqueue(_)))
-            .collect();
-        assert_eq!(enqs.len(), 3);
-        let b0 = enqs[0].batch.expect("batch-linked");
-        for (pos, e) in enqs.iter().enumerate() {
-            let b = e.batch.expect("batch-linked");
-            assert_eq!((b.id, b.len), (b0.id, 3));
-            assert_eq!(b.pos, pos as u32);
-            assert_eq!((e.invoke, e.response), (enqs[0].invoke, enqs[0].response));
-            assert!(e.response > e.invoke);
-        }
-        let empty = h
-            .ops
-            .iter()
-            .find(|o| o.kind == OpKind::Dequeue(None))
-            .expect("empty batch records one EMPTY");
-        assert_eq!(empty.batch, None);
-        // Distinct batches get distinct ids.
-        let deq_id = h
-            .ops
-            .iter()
-            .find(|o| matches!(o.kind, OpKind::Dequeue(Some(_))))
-            .and_then(|o| o.batch)
-            .expect("dequeue batch linked")
-            .id;
-        assert_ne!(deq_id, b0.id);
     }
 
     #[test]

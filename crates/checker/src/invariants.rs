@@ -141,7 +141,7 @@ mod tests {
     use crate::history::OpKind::{Dequeue, Enqueue};
 
     fn op(kind: OpKind, invoke: u64, response: u64) -> Operation {
-        Operation { thread: 0, kind, invoke, response, batch: None }
+        Operation { thread: 0, kind, invoke, response }
     }
 
     #[test]

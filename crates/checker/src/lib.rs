@@ -32,7 +32,7 @@ pub mod invariants;
 pub mod linearize;
 pub mod recovery;
 
-pub use history::{BatchPos, History, OpKind, Operation, Recorder, ThreadRecorder};
+pub use history::{History, OpKind, Operation, Recorder, ThreadRecorder};
 pub use invariants::{check_necessary, Violation};
 pub use linearize::{check as check_linearizable, CheckResult};
 pub use recovery::{

@@ -12,7 +12,7 @@
 //! (the stress tests record short windows precisely so this checker can
 //! certify them).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 
 use crate::history::{History, OpKind, Operation};
@@ -52,29 +52,8 @@ pub fn check(history: &History, max_states: usize) -> CheckResult {
         return CheckResult::Inconclusive;
     }
 
-    // Batch adjacency: element `pos` of a batch may only be followed by
-    // element `pos + 1` of the same batch (a batch call is k *adjacent*
-    // atomic ops). Precompute each element's successor index.
-    let mut by_batch: HashMap<u64, Vec<(u32, usize)>> = HashMap::new();
-    for (i, op) in ops.iter().enumerate() {
-        if let Some(b) = op.batch {
-            by_batch.entry(b.id).or_default().push((b.pos, i));
-        }
-    }
-    let mut succ: Vec<Option<usize>> = vec![None; n];
-    let mut pred: Vec<Option<usize>> = vec![None; n];
-    for elems in by_batch.values_mut() {
-        elems.sort_unstable();
-        for w in elems.windows(2) {
-            succ[w[0].1] = Some(w[1].1);
-            pred[w[1].1] = Some(w[0].1);
-        }
-    }
-
     let mut searcher = Searcher {
         ops: &ops,
-        succ: &succ,
-        pred: &pred,
         seen: HashSet::new(),
         explored: 0,
         max_states,
@@ -113,10 +92,6 @@ impl Bits {
 
 struct Searcher<'h> {
     ops: &'h [Operation],
-    /// `succ[i]` is the index of batch element `pos + 1` when op `i` is a
-    /// non-final batch element, else `None`; `pred[i]` the converse link.
-    succ: &'h [Option<usize>],
-    pred: &'h [Option<usize>],
     seen: HashSet<u64>,
     explored: usize,
     max_states: usize,
@@ -151,35 +126,9 @@ impl Searcher<'_> {
             }
         }
 
-        // A partially linearized batch pins the next pick: its elements
-        // are adjacent atomic ops, so the only candidate is the first
-        // unlinearized element. Deriving this from `done` (rather than the
-        // witness stack) keeps the memo key sound — at most one batch can
-        // be partial at a time, precisely because we force completion.
-        let mut forced = None;
-        for i in 0..n {
-            if let Some(j) = self.succ[i] {
-                if done.contains(i) && !done.contains(j) {
-                    forced = Some(j);
-                    break;
-                }
-            }
-        }
-
         for i in 0..n {
             if done.contains(i) {
                 continue;
-            }
-            if let Some(f) = forced {
-                if i != f {
-                    continue;
-                }
-            } else if let Some(p) = self.pred[i] {
-                if !done.contains(p) {
-                    // A batch element cannot linearize before its
-                    // predecessor element (in-batch order is fixed).
-                    continue;
-                }
             }
             let op = &self.ops[i];
             if op.invoke > min_response {
@@ -245,7 +194,7 @@ mod tests {
     use crate::history::OpKind::{Dequeue, Enqueue};
 
     fn op(thread: usize, kind: OpKind, invoke: u64, response: u64) -> Operation {
-        Operation { thread, kind, invoke, response, batch: None }
+        Operation { thread, kind, invoke, response }
     }
 
     fn check_h(ops: Vec<Operation>) -> CheckResult {
@@ -388,11 +337,11 @@ mod extra_tests {
     use crate::history::{History, Operation};
 
     fn op(thread: usize, kind: crate::history::OpKind, invoke: u64, response: u64) -> Operation {
-        Operation { thread, kind, invoke, response, batch: None }
+        Operation { thread, kind, invoke, response }
     }
 
     #[test]
-    fn empty_between_two_batches_is_legal() {
+    fn empty_between_two_pairs_is_legal() {
         let h = History::sequential(&[
             Enqueue(1),
             Dequeue(Some(1)),
@@ -461,155 +410,5 @@ mod extra_tests {
             op(2, Enqueue(3), 4, 5),
         ];
         assert!(check(&History::from_ops(ops), 1_000_000).is_ok());
-    }
-}
-
-#[cfg(test)]
-mod batch_tests {
-    //! A batch call = k *adjacent* atomic ops: the search may place the
-    //! batch anywhere its interval allows, but nothing can interleave
-    //! between its elements and their order is fixed.
-
-    use super::*;
-    use crate::history::OpKind::{Dequeue, Enqueue};
-    use crate::history::{BatchPos, History, Operation};
-
-    fn op(thread: usize, kind: OpKind, invoke: u64, response: u64) -> Operation {
-        Operation { thread, kind, invoke, response, batch: None }
-    }
-
-    fn bop(
-        thread: usize,
-        kind: OpKind,
-        invoke: u64,
-        response: u64,
-        id: u64,
-        pos: u32,
-        len: u32,
-    ) -> Operation {
-        Operation {
-            thread,
-            kind,
-            invoke,
-            response,
-            batch: Some(BatchPos { id, pos, len }),
-        }
-    }
-
-    #[test]
-    fn nothing_interleaves_inside_a_batch_enqueue() {
-        // batch enq [1,2] fully overlaps single enq(3). Dequeue order
-        // 1,3,2 splits the batch: rejected. Without the batch links the
-        // same intervals accept it — proving adjacency does the work.
-        let linked = vec![
-            bop(0, Enqueue(1), 0, 10, 100, 0, 2),
-            bop(0, Enqueue(2), 0, 10, 100, 1, 2),
-            op(1, Enqueue(3), 0, 10),
-            op(2, Dequeue(Some(1)), 20, 21),
-            op(2, Dequeue(Some(3)), 22, 23),
-            op(2, Dequeue(Some(2)), 24, 25),
-        ];
-        let mut unlinked = linked.clone();
-        for o in &mut unlinked {
-            o.batch = None;
-        }
-        assert!(check(&History::from_ops(unlinked), 1_000_000).is_ok());
-        assert_eq!(
-            check(&History::from_ops(linked), 1_000_000),
-            CheckResult::NotLinearizable
-        );
-    }
-
-    #[test]
-    fn batch_floats_as_a_unit_within_its_interval() {
-        // Same overlap; dequeue orders 3,1,2 and 1,2,3 keep the batch
-        // contiguous, so both are accepted.
-        for order in [[3u64, 1, 2], [1, 2, 3]] {
-            let mut ops = vec![
-                bop(0, Enqueue(1), 0, 10, 100, 0, 2),
-                bop(0, Enqueue(2), 0, 10, 100, 1, 2),
-                op(1, Enqueue(3), 0, 10),
-            ];
-            for (i, &v) in order.iter().enumerate() {
-                ops.push(op(2, Dequeue(Some(v)), 20 + 2 * i as u64, 21 + 2 * i as u64));
-            }
-            assert!(
-                check(&History::from_ops(ops), 1_000_000).is_ok(),
-                "dequeue order {order:?} should linearize"
-            );
-        }
-    }
-
-    #[test]
-    fn within_batch_order_is_fixed() {
-        // Elements of one batch share an interval, but their positions pin
-        // the order: dequeuing 2 before 1 is rejected.
-        let ops = vec![
-            bop(0, Enqueue(1), 0, 10, 7, 0, 2),
-            bop(0, Enqueue(2), 0, 10, 7, 1, 2),
-            op(1, Dequeue(Some(2)), 20, 21),
-            op(1, Dequeue(Some(1)), 22, 23),
-        ];
-        assert_eq!(
-            check(&History::from_ops(ops), 1_000_000),
-            CheckResult::NotLinearizable
-        );
-    }
-
-    #[test]
-    fn nothing_interleaves_inside_a_batch_dequeue() {
-        // Queue holds 1,2,3 (pinned). A batch dequeue returning [1,3]
-        // concurrent with a single dequeue of 2 cannot linearize: the
-        // single would have to land between the batch's elements.
-        let base = vec![
-            op(0, Enqueue(1), 0, 1),
-            op(0, Enqueue(2), 2, 3),
-            op(0, Enqueue(3), 4, 5),
-        ];
-        let mut bad = base.clone();
-        bad.push(bop(1, Dequeue(Some(1)), 10, 20, 50, 0, 2));
-        bad.push(bop(1, Dequeue(Some(3)), 10, 20, 50, 1, 2));
-        bad.push(op(2, Dequeue(Some(2)), 10, 20));
-        assert_eq!(
-            check(&History::from_ops(bad), 1_000_000),
-            CheckResult::NotLinearizable
-        );
-        // The adjacent split [1,2] + single 3 is fine.
-        let mut good = base;
-        good.push(bop(1, Dequeue(Some(1)), 10, 20, 50, 0, 2));
-        good.push(bop(1, Dequeue(Some(2)), 10, 20, 50, 1, 2));
-        good.push(op(2, Dequeue(Some(3)), 10, 20));
-        assert!(check(&History::from_ops(good), 1_000_000).is_ok());
-    }
-
-    #[test]
-    fn witness_keeps_batch_elements_adjacent() {
-        let ops = vec![
-            bop(0, Enqueue(1), 0, 10, 9, 0, 3),
-            bop(0, Enqueue(2), 0, 10, 9, 1, 3),
-            bop(0, Enqueue(3), 0, 10, 9, 2, 3),
-            op(1, Enqueue(4), 0, 10),
-            op(2, Dequeue(Some(4)), 20, 21),
-            op(2, Dequeue(Some(1)), 22, 23),
-        ];
-        let h = History::from_ops(ops);
-        match check(&h, 1_000_000) {
-            CheckResult::Linearizable(w) => {
-                let sorted = h.sorted_by_invoke();
-                let batch_positions: Vec<usize> = w
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &i)| sorted[i].batch.is_some())
-                    .map(|(at, _)| at)
-                    .collect();
-                assert_eq!(batch_positions.len(), 3);
-                assert_eq!(
-                    batch_positions[2] - batch_positions[0],
-                    2,
-                    "batch elements must be adjacent in the witness: {w:?}"
-                );
-            }
-            other => panic!("expected linearizable, got {other:?}"),
-        }
     }
 }

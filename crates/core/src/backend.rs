@@ -5,7 +5,7 @@
 //! through. It grew out of the benchmark harness's `BenchQueue` trait
 //! (which `wfq-baselines` still re-exports under that name): the harness
 //! needed a uniform way to drive very different queues, and once bounded
-//! mode, batching and telemetry existed on the wait-free queue the uniform
+//! mode and telemetry existed on the wait-free queue the uniform
 //! surface became the natural *primary* API rather than a bench shim.
 //!
 //! The trait ships defaults for everything beyond `enqueue`/`dequeue`, so
@@ -15,7 +15,6 @@
 //! | Capability | Default | Overridden by |
 //! |---|---|---|
 //! | `try_enqueue` (backpressure) | always accepts | WF bounded mode, SCQ ring |
-//! | batch ops | element loop | WF one-FAA batches |
 //! | `stats()` | all-zero | WF, SCQ |
 //! | `gauges()` | `None` | WF |
 //! | `reclaim_hint()` | no-op | WF (hazard-bounded reclamation) |
@@ -46,47 +45,8 @@ pub trait BackendHandle: Send {
         Ok(())
     }
 
-    /// Enqueues every value in `vs` in order. The default is an element
-    /// loop; queues with a native batch fast path (one FAA per batch)
-    /// override it, so the harness's `--batch` workload compares each
-    /// queue's best effort at the same shape.
-    fn enqueue_batch(&mut self, vs: &[u64]) {
-        for &v in vs {
-            self.enqueue(v);
-        }
-    }
-
-    /// Fallible batch enqueue: all-or-nothing on backends with native
-    /// admission (the wait-free queue prices the whole batch up front);
-    /// the default loops `try_enqueue` and reports `Full` at the first
-    /// rejection, having enqueued the prefix — callers that need strict
-    /// all-or-nothing must use a backend that overrides this.
-    fn try_enqueue_batch(&mut self, vs: &[u64]) -> Result<(), Full> {
-        for &v in vs {
-            self.try_enqueue(v)?;
-        }
-        Ok(())
-    }
-
-    /// Dequeues up to `max` values into `out`, returning how many were
-    /// appended. The default loops `dequeue` and stops at the first
-    /// `None`; native implementations claim the whole run with one FAA.
-    fn dequeue_batch(&mut self, out: &mut Vec<u64>, max: usize) -> usize {
-        let mut got = 0;
-        while got < max {
-            match self.dequeue() {
-                Some(v) => {
-                    out.push(v);
-                    got += 1;
-                }
-                None => break,
-            }
-        }
-        got
-    }
-
-    /// Execution-path sample of this handle's most recent single-value
-    /// operation, for latency attribution (`wfq_harness::attribution`).
+    /// Execution-path sample of this handle's most recent operation, for
+    /// latency attribution (`wfq_harness::attribution`).
     /// The default reports `None` — correct for every backend without
     /// per-op path instrumentation; the wait-free queue overrides it when
     /// built with the `op-sample` feature.
@@ -182,18 +142,6 @@ mod wf_impl {
         fn try_enqueue(&mut self, v: u64) -> Result<(), Full> {
             Handle::try_enqueue(self, v)
         }
-        #[inline]
-        fn enqueue_batch(&mut self, vs: &[u64]) {
-            Handle::enqueue_batch(self, vs);
-        }
-        #[inline]
-        fn try_enqueue_batch(&mut self, vs: &[u64]) -> Result<(), Full> {
-            Handle::try_enqueue_batch(self, vs)
-        }
-        #[inline]
-        fn dequeue_batch(&mut self, out: &mut Vec<u64>, max: usize) -> usize {
-            Handle::dequeue_batch(self, out, max)
-        }
     }
 
     impl<const N: usize> QueueBackend for RawQueue<N> {
@@ -264,11 +212,11 @@ mod tests {
         let q = Minimal::new();
         let mut h = q.register();
         h.try_enqueue(1).unwrap();
-        h.enqueue_batch(&[2, 3]);
-        h.try_enqueue_batch(&[4, 5]).unwrap();
-        let mut out = Vec::new();
-        assert_eq!(h.dequeue_batch(&mut out, 8), 5);
-        assert_eq!(out, vec![1, 2, 3, 4, 5]);
+        h.enqueue(2);
+        assert_eq!(h.dequeue(), Some(1));
+        assert_eq!(h.dequeue(), Some(2));
+        assert_eq!(h.dequeue(), None);
+        assert_eq!(h.last_op_sample(), None);
         assert_eq!(q.stats(), QueueStats::default());
         assert!(q.gauges().is_none());
         assert!(!q.reclaim_hint());

@@ -87,18 +87,6 @@ impl Config {
     pub(crate) fn garbage_threshold(&self, handles: u64) -> u64 {
         self.max_garbage.unwrap_or_else(|| (2 * handles).max(4))
     }
-
-    /// Segment demand of a `k`-cell batch claim against `segment_size`-cell
-    /// segments: ⌈k / segment_size⌉. This is what the batch admission gate
-    /// (`try_enqueue_batch`) demands as headroom before the claiming FAA —
-    /// the worst case is one more when the claim straddles a segment
-    /// boundary, which the gate deliberately ignores: the ceiling is
-    /// advisory and that overshoot is already bounded per thread (see
-    /// [`Config::with_segment_ceiling`]).
-    pub(crate) fn batch_segments(k: u64, segment_size: u64) -> u64 {
-        debug_assert!(segment_size > 0);
-        k.div_ceil(segment_size)
-    }
 }
 
 #[cfg(test)]
@@ -139,15 +127,6 @@ mod tests {
         assert_eq!(c.patience, 3);
         assert_eq!(c.max_garbage, Some(9));
         assert_eq!(c.segment_ceiling, Some(12));
-    }
-
-    #[test]
-    fn batch_segment_demand_is_a_ceiling_division() {
-        assert_eq!(Config::batch_segments(1, 1024), 1);
-        assert_eq!(Config::batch_segments(1024, 1024), 1);
-        assert_eq!(Config::batch_segments(1025, 1024), 2);
-        assert_eq!(Config::batch_segments(8, 4), 2);
-        assert_eq!(Config::batch_segments(0, 1024), 0, "empty batch: no demand");
     }
 
     #[test]

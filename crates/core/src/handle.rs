@@ -88,17 +88,16 @@ pub(crate) struct HandleNode<const N: usize> {
     /// Owner-local: only the node's owner runs a pass with its node, so a
     /// plain `Cell` is sound here for the same reason as `last_sample`.
     pub reclaim_scratch: core::cell::Cell<Vec<*mut HandleNode<N>>>,
-    /// Whether the owner's next one-shot dequeue must pass the emptiness
-    /// guard (`H ≤ T`, DESIGN.md §9) before it may probe: set by a dequeue
-    /// that returned EMPTY (or a batch whose probe cell witnessed it),
-    /// cleared by a guard check that passes. A fresh or recycled node
+    /// Whether the owner's next dequeue must pass the emptiness guard
+    /// (`H ≤ T`, DESIGN.md §9) before it may probe: set by a dequeue that
+    /// returned EMPTY, cleared by a guard check that passes. A fresh or recycled node
     /// starts set, so a handle probes unguarded only right after it
     /// received a value. Owner-local, a plain `Cell` for the same reason
     /// as `reclaim_scratch`.
     pub empty_guard: core::cell::Cell<bool>,
-    /// Execution-path sample of the owner's most recent single-value
-    /// operation (feature `op-sample`; see `crate::sample`). A plain
-    /// `Cell` is sound here even though nodes are shared: only the owning
+    /// Execution-path sample of the owner's most recent operation (feature
+    /// `op-sample`; see `crate::sample`). A plain `Cell` is sound here
+    /// even though nodes are shared: only the owning
     /// thread ever touches this field, and nothing else is derived from it.
     #[cfg(feature = "op-sample")]
     pub last_sample: core::cell::Cell<Option<crate::sample::OpSample>>,
@@ -173,8 +172,7 @@ impl<const N: usize> HandleNode<N> {
     /// total order `S`, so no SeqCst access orders it. Off x86_64, and
     /// under Miri (which checks that model), the store stays SeqCst and
     /// pairs with the SeqCst pointer loads (`find_cell`'s first load,
-    /// `enq_slow`'s and the batch dequeue's local copies). DESIGN.md §3
-    /// has the argument.
+    /// `enq_slow`'s local copy). DESIGN.md §3 has the argument.
     #[inline]
     pub fn publish_hazard_before_faa(&self, seg_id: i64) {
         if cfg!(all(target_arch = "x86_64", not(miri))) {

@@ -159,16 +159,6 @@ pub const FAULT_POINTS: &[&str] = &[
     "pool::push",
     "pool::pop",
     "pool::stall",
-    // raw.rs — batch operations (DESIGN.md §10). Batch operations also
-    // pass through "enq::hazard_published" / "deq::hazard_published"
-    // above, so the parked-hazard fuzzing machinery covers batch claimants
-    // without a dedicated point.
-    "enq_batch::post_faa",
-    "enq_batch::straggler",
-    "enq_batch::abandon",
-    "deq_batch::post_faa",
-    "deq_batch::partial_probe",
-    "deq_batch::straggler",
     // raw.rs — durable-mode crash windows (DESIGN.md §12): the instant a
     // protocol effect is volatile-visible but its persist has not landed.
     // The points exist in every build (they are plain inject! sites); only

@@ -100,22 +100,11 @@ impl<const N: usize> SegmentPool<N> {
     /// allocation is still under the ceiling. Always true when unbounded.
     /// Advisory — the answer can change before the caller acts on it.
     pub fn has_headroom(&self) -> bool {
-        self.has_headroom_for(1)
-    }
-
-    /// Batch-aware headroom probe: whether `segs` list extensions could all
-    /// proceed right now without waiting — pooled segments plus the room
-    /// left under the ceiling cover the demand. `has_headroom()` is exactly
-    /// `has_headroom_for(1)`. The `try_enqueue_batch` admission gate asks
-    /// this for the whole claim (⌈k/N⌉ segments) before the batch FAA, so a
-    /// rejected batch never burns an index. Advisory, like `has_headroom`.
-    pub fn has_headroom_for(&self, segs: u64) -> bool {
         match self.ceiling {
             None => true,
             Some(c) => {
-                let pooled = self.pooled.load(Ordering::Relaxed);
-                let allocatable = c.saturating_sub(self.total.load(Ordering::Relaxed));
-                pooled + allocatable >= segs
+                self.pooled.load(Ordering::Relaxed) > 0
+                    || self.total.load(Ordering::Relaxed) < c
             }
         }
     }
@@ -359,20 +348,16 @@ mod tests {
     }
 
     #[test]
-    fn batch_headroom_counts_pool_plus_ceiling_room() {
-        let p = Pool::new(Some(4)); // initial segment counts: 3 allocatable
-        assert!(p.has_headroom_for(3));
-        assert!(!p.has_headroom_for(4));
+    fn headroom_counts_pool_plus_ceiling_room() {
+        let p = Pool::new(Some(2)); // initial segment counts: 1 allocatable
+        assert!(p.has_headroom());
         let a = p.acquire(1);
-        assert!(p.has_headroom_for(2));
-        assert!(!p.has_headroom_for(3));
-        // A pooled segment adds to the batch budget without changing total.
+        assert!(!p.has_headroom());
+        // A pooled segment is headroom without changing total.
         unsafe { p.push(a) };
-        assert!(p.has_headroom_for(3));
-        assert!(!p.has_headroom_for(4));
-        // has_headroom() must stay exactly has_headroom_for(1).
-        assert_eq!(p.has_headroom(), p.has_headroom_for(1));
-        assert!(Pool::new(None).has_headroom_for(u64::MAX), "unbounded: always");
+        assert!(p.has_headroom());
+        assert_eq!(p.total(), 2);
+        assert!(Pool::new(None).has_headroom(), "unbounded: always");
         let back = p.acquire(2);
         unsafe { Segment::dealloc(back) };
     }

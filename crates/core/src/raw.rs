@@ -1006,7 +1006,13 @@ impl<const N: usize> RawQueue<N> {
             }
         };
         if result.is_some() {
-            self.help_deq_peer(h);
+            // Lines 135–138: a successful dequeue helps its dequeue peer.
+            // help_deq may overwrite this thread's hazard with the helpee's;
+            // nothing below dereferences a segment, which is why the mirror
+            // is computed from the cell index rather than through h.head.
+            let peer = Self::deq_peer(h);
+            self.help_deq(h, peer);
+            h.deq_peer.store(peer.next_node(), Ordering::Relaxed);
         } else {
             // The next dequeue passes the emptiness guard before it probes.
             h.empty_guard.set(true);
@@ -1021,18 +1027,6 @@ impl<const N: usize> RawQueue<N> {
         self.cleanup(h);
         // A delivered value is never ⊥ (zero).
         result.and_then(NonZeroU64::new)
-    }
-
-    /// Lines 135–138: a successful dequeue helps its dequeue peer.
-    /// NOTE: help_deq may overwrite this thread's hazard with the
-    /// helpee's; after this call the operation must not dereference
-    /// segments (which is why the mirror is computed from the cell index
-    /// rather than through h.head).
-    #[inline]
-    fn help_deq_peer(&self, h: &HandleNode<N>) {
-        let peer = Self::deq_peer(h);
-        self.help_deq(h, peer);
-        h.deq_peer.store(peer.next_node(), Ordering::Relaxed);
     }
 
     /// The dequeue peer this operation helps, counted as a help when it is
@@ -1121,291 +1115,6 @@ impl<const N: usize> RawQueue<N> {
         } else {
             (Some(v), i)
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Batch operations — one FAA per k operations (DESIGN.md §10)
-    // ------------------------------------------------------------------
-
-    /// Enqueues every value in `vs`, claiming `vs.len()` consecutive cells
-    /// with a **single FAA** on `T` and depositing into them in order with
-    /// the same per-cell CAS as the one-shot fast path.
-    ///
-    /// A deposit can fail only if a dequeuer poisoned the pre-claimed cell
-    /// (⊥ → ⊤) first. The first such *straggler* element becomes an
-    /// ordinary help-ring request ([`Self::enq_slow`]), and every element
-    /// after it re-enters [`Self::enqueue_internal`] with fresh FAAs; the
-    /// remaining pre-claimed cells are **abandoned** — dequeuers seal them
-    /// ⊤, exactly like cells burned by failed one-shot fast paths. The
-    /// abandonment is what preserves within-batch FIFO: `enq_slow` may
-    /// claim a cell *past* the batch window, so depositing into the
-    /// remaining pre-claimed (earlier) cells afterwards would order a later
-    /// element before an earlier one. Because every completed element
-    /// advances `T` past its cell (the fast path's FAA, `enq_commit`'s
-    /// CAS-max), each fallback element lands strictly after its
-    /// predecessor, so final cell indices are monotone in element order.
-    /// Wait-freedom is preserved: the fallback is at most one slow path
-    /// plus `k − 1` ordinary enqueues, each individually wait-free.
-    pub(crate) fn enqueue_batch_internal(&self, h: &HandleNode<N>, vs: &[u64]) {
-        if let Some(&v) = vs.iter().find(|&&v| !is_valid_value(v)) {
-            reserved_value(v);
-        }
-        let k = vs.len() as u64;
-        if k == 0 {
-            return;
-        }
-        if k == 1 {
-            return self.enqueue_internal(h, vs[0]);
-        }
-        h.publish_hazard_before_faa(h.tail_seg_id.load(Ordering::Relaxed) as i64);
-        inject!("enq::hazard_published");
-        HandleStats::bump(&h.stats.enq_batches);
-        HandleStats::add(&h.stats.enq_batched_vals, k);
-        wfq_obs::record!(wfq_obs::EventKind::EnqBatch, k);
-
-        let base = self.tail_index.fetch_add(k, Ordering::SeqCst);
-        inject!("enq_batch::post_faa");
-        persist!(self, advance_tail(base + k));
-        let mut last_index = base + k - 1;
-        let mut straggler: Option<usize> = None;
-        for (j, &v) in vs.iter().enumerate() {
-            let i = base + j as u64;
-            // SAFETY: h.tail is ≥ the hazard this thread published and
-            // ≤ i/N (it only advances through cells claimed by this FAA;
-            // consecutive indices hit find_cell's same-segment fast path).
-            let c = unsafe { &*find_cell(&h.tail, i, &self.src(h)) };
-            if c.try_deposit(v) {
-                persist!(self, deposit(i, v));
-                continue;
-            }
-            // A dequeuer poisoned cell i before the deposit: element j
-            // becomes an ordinary wait-free help-ring request.
-            inject!("enq_batch::straggler");
-            HandleStats::bump(&h.stats.enq_batch_stragglers);
-            last_index = self.enq_slow(h, v, i);
-            HandleStats::bump(&h.stats.enq_slow);
-            straggler = Some(j);
-            break;
-        }
-        let Some(j) = straggler else {
-            // Whole batch deposited fast: k fast-path completions.
-            HandleStats::add(&h.stats.enq_fast, k);
-            h.tail_seg_id.store(last_index / N as u64, Ordering::Relaxed);
-            h.clear_hazard();
-            return;
-        };
-        // Elements 0..j deposited fast; j committed via the slow path.
-        HandleStats::add(&h.stats.enq_fast, j as u64);
-        let abandoned = k - 1 - j as u64;
-        if abandoned > 0 {
-            inject!("enq_batch::abandon");
-            HandleStats::add(&h.stats.enq_batch_abandoned, abandoned);
-        }
-        h.tail_seg_id.store(last_index / N as u64, Ordering::Relaxed);
-        h.clear_hazard();
-        for &v in &vs[j + 1..] {
-            self.enqueue_internal(h, v);
-        }
-    }
-
-    /// The fallible batch enqueue behind [`Handle::try_enqueue_batch`]:
-    /// the admission gate of [`Self::try_enqueue_internal`], made
-    /// batch-aware. The gate runs *before* the claiming FAA and demands
-    /// headroom for the whole batch (⌈k/N⌉ segments), so a rejected call
-    /// leaves no trace in the protocol and the slice is handed back
-    /// untouched — no partial publication.
-    pub(crate) fn try_enqueue_batch_internal(
-        &self,
-        h: &HandleNode<N>,
-        vs: &[u64],
-    ) -> Result<(), Full> {
-        if vs.is_empty() {
-            return Ok(());
-        }
-        if self.config.segment_ceiling.is_some() {
-            let need = Config::batch_segments(vs.len() as u64, N as u64);
-            if !self.pool.has_headroom_for(need) {
-                self.recover_headroom(h);
-                if !self.pool.has_headroom_for(need) {
-                    HandleStats::bump(&h.stats.enq_rejected);
-                    wfq_obs::record!(
-                        wfq_obs::EventKind::EnqRejected,
-                        self.config.segment_ceiling.unwrap_or(0)
-                    );
-                    return Err(Full(()));
-                }
-            }
-        }
-        self.enqueue_batch_internal(h, vs);
-        Ok(())
-    }
-
-    /// Dequeues up to `k` values into `out`, claiming the whole cell run
-    /// with a **single FAA** on `H`. Returns the number of values appended.
-    ///
-    /// The claim width is trimmed *before* the FAA to what an `(H, T)`
-    /// snapshot says is available, so a batch against a short queue returns
-    /// the partial count without burning unavailable cells: `H > T` returns
-    /// 0 with no FAA at all (the queue is linearizably empty — the one-shot
-    /// fast-out of DESIGN.md §9), and `H == T` claims a single probe cell,
-    /// preserving the one-shot probe's ⊤-seal semantics and bounding
-    /// empty-side growth at one cell per call. Each claimed cell is then
-    /// resolved strictly in order with the per-cell protocol of
-    /// [`Self::deq_fast`]; a cell whose value claim is lost (or that a
-    /// peer's candidate scan poisoned ahead of the claim) falls back to an
-    /// ordinary help-ring request ([`Self::deq_slow`]), which consumes some
-    /// strictly *later* cell (candidates start past the failed index and
-    /// already-claimed cells are skipped), so the appended values stay in
-    /// increasing cell order and the batch linearizes as `claim`
-    /// consecutive one-shot dequeues. Every claimed cell is visited —
-    /// skipping one could strand a deposited value forever. A claimed cell
-    /// that an earlier straggler's request already consumed is not turned
-    /// into a second request; its dequeue reruns on the one-shot path after
-    /// the batch.
-    pub(crate) fn dequeue_batch_internal(
-        &self,
-        h: &HandleNode<N>,
-        out: &mut Vec<u64>,
-        k: usize,
-    ) -> usize {
-        if k == 0 {
-            return 0;
-        }
-        // The emptiness fast-out runs before the hazard publication, as in
-        // the one-shot dequeue.
-        let h_idx = self.head_index.load(Ordering::SeqCst);
-        let t_idx = self.tail_index.load(Ordering::SeqCst);
-        if h_idx > t_idx {
-            HandleStats::bump(&h.stats.deq_batches);
-            HandleStats::bump(&h.stats.deq_fast);
-            HandleStats::bump(&h.stats.deq_empty);
-            wfq_obs::record!(wfq_obs::EventKind::DeqEmpty, h_idx);
-            return 0;
-        }
-        h.publish_hazard_before_faa(h.head_seg_id.load(Ordering::Relaxed) as i64);
-        inject!("deq::hazard_published");
-        let claim = (k as u64).min(t_idx.saturating_sub(h_idx).max(1));
-        if claim < k as u64 {
-            inject!("deq_batch::partial_probe");
-            HandleStats::bump(&h.stats.deq_batch_partial);
-        }
-        HandleStats::bump(&h.stats.deq_batches);
-        wfq_obs::record!(wfq_obs::EventKind::DeqBatch, claim);
-
-        let base = self.head_index.fetch_add(claim, Ordering::SeqCst);
-        inject!("deq_batch::post_faa");
-        persist!(self, advance_head(base + claim));
-        // Traverse the claimed cells with a *local* segment pointer, like
-        // enq_slow's tmp_tail: a straggler's deq_slow advances h.head to
-        // its announced cell, which can lie past claimed cells this loop
-        // still has to visit, and find_cell must never walk backward.
-        // SeqCst for the same reason as enq_slow's tmp_tail.
-        let bh = AtomicPtr::new(h.head.load(Ordering::SeqCst));
-        let own_req = h.req_name();
-        let mut got = 0u64;
-        let mut owed = 0u64;
-        let mut last_index = base;
-        for j in 0..claim {
-            let i = base + j;
-            last_index = last_index.max(i);
-            // SAFETY: bh starts at h.head (hazard-protected, segment
-            // ≤ base/N) and only advances through cells claimed by our FAA.
-            let c = unsafe { &*find_cell(&bh, i, &self.src(h)) };
-            match self.help_enq(h, c, i) {
-                HelpEnq::Empty => {
-                    // Only the H == T probe cell can witness emptiness:
-                    // every other claimed index is below the T snapshot,
-                    // which `T` can never drop back under. The handle's
-                    // next one-shot dequeue passes the emptiness guard, as
-                    // after a one-shot EMPTY (DESIGN.md §9).
-                    h.empty_guard.set(true);
-                    HandleStats::bump(&h.stats.deq_fast);
-                    HandleStats::bump(&h.stats.deq_empty);
-                    wfq_obs::record!(wfq_obs::EventKind::DeqEmpty, i);
-                }
-                HelpEnq::Value(v) if c.try_claim_deq_fast() => {
-                    persist!(self, consume(i, v));
-                    HandleStats::bump(&h.stats.deq_fast);
-                    wfq_obs::record!(wfq_obs::EventKind::DeqFast, i);
-                    out.push(v);
-                    got += 1;
-                }
-                HelpEnq::Value(_) if c.load_deq() == own_req => {
-                    // An earlier straggler's request in this batch already
-                    // consumed this cell and returned its value. A request
-                    // with id i would publish the state word (1, i) that the
-                    // earlier request announced for this cell, and a stale
-                    // helper of that request would then complete the new one
-                    // here — delivering the value a second time. This cell's
-                    // dequeue runs after the batch instead, on a fresh cell.
-                    owed += 1;
-                }
-                _ => {
-                    // Straggler: the cell is ⊤, or its value was claimed by
-                    // a peer's slow-path request.
-                    inject!("deq_batch::straggler");
-                    HandleStats::bump(&h.stats.deq_batch_stragglers);
-                    // deq_slow's request protocol (self-help and peers alike)
-                    // walks forward from h.head, so h.head must be ≤ i/N when
-                    // the request publishes — the one-shot path gets that from
-                    // its pre-FAA find_cell, but an earlier straggler in this
-                    // batch left h.head at its announced cell, possibly past
-                    // i. Rewind to the batch traversal pointer (exactly
-                    // segment i/N, still covered by our entry hazard); the
-                    // SeqCst publish inside deq_slow orders the store before
-                    // any helper can observe the request.
-                    h.head.store(bh.load(Ordering::Relaxed), Ordering::Release);
-                    let (r, si) = self.deq_slow(h, i);
-                    HandleStats::bump(&h.stats.deq_slow);
-                    last_index = last_index.max(si);
-                    match r {
-                        Some(v) => {
-                            out.push(v);
-                            got += 1;
-                        }
-                        None => {
-                            h.empty_guard.set(true);
-                            HandleStats::bump(&h.stats.deq_empty);
-                            wfq_obs::record!(wfq_obs::EventKind::DeqEmpty, si);
-                        }
-                    }
-                }
-            }
-        }
-        HandleStats::add(&h.stats.deq_batched_vals, got);
-        // Re-align h.head with the batch's frontier so it matches the
-        // head_seg_id mirror stored below — the next operation publishes
-        // that mirror as its hazard and then dereferences h.head, so the
-        // two must agree. h.head's segment is ≤ last_index/N here (entry
-        // position or a straggler's announced cell, both ≤ the max), and
-        // our own hazard still protects the walk.
-        // SAFETY: as above.
-        unsafe { find_cell(&h.head, last_index, &self.src(h)) };
-
-        // One amortized peer help per batch with ≥ 1 success — the batch
-        // analogue of Listing 4 lines 135–138. NOTE: help_deq may leave
-        // this thread's hazard pointing at the helpee's segment; nothing
-        // below dereferences a segment.
-        if got > 0 {
-            self.help_deq_peer(h);
-        }
-
-        h.head_seg_id.store(last_index / N as u64, Ordering::Relaxed);
-        h.clear_hazard();
-        self.cleanup(h);
-        // Dequeues whose cells an earlier straggler's request consumed run
-        // as one-shot dequeues. Their FAAs land past every claimed cell and
-        // every cell the batch's requests took (deq_slow advances H past its
-        // cell), so the appended values stay in cell order and their
-        // request ids stay unique.
-        for _ in 0..owed {
-            let Some(v) = self.dequeue_internal(h) else {
-                break;
-            };
-            out.push(v.get());
-            got += 1;
-        }
-        got as usize
     }
 
     // ------------------------------------------------------------------
@@ -1622,47 +1331,10 @@ impl<Q: QueueRef<N>, const N: usize> RawHandle<Q, N> {
         self.raw().dequeue_internal(self.node()).map(NonZeroU64::get)
     }
 
-    /// Enqueues every value in `vs`, claiming `vs.len()` consecutive cells
-    /// with a **single FAA** (DESIGN.md §10) — one atomic, one hazard
-    /// publish, and one stats/help epilogue amortized over the whole batch.
-    /// Equivalent to `vs.len()` back-to-back [`Handle::enqueue`] calls by
-    /// this thread: within-batch FIFO order is preserved even when cells
-    /// lose their deposit race and fall back to the help ring. Wait-free;
-    /// panics if any value is a reserved pattern.
-    ///
-    /// Like [`Handle::enqueue`] this bypasses the bounded-mode admission
-    /// gate; use [`Handle::try_enqueue_batch`] to respect the ceiling.
-    #[inline]
-    pub fn enqueue_batch(&mut self, vs: &[u64]) {
-        self.raw().enqueue_batch_internal(self.node(), vs);
-    }
-
-    /// Enqueues every value in `vs`, or rejects the **whole batch** with
-    /// [`Full`] when the segment ceiling leaves less than `⌈vs.len()/N⌉`
-    /// segments of headroom and a forced reclamation pass cannot recover
-    /// it. The gate runs before the claiming FAA, so on `Err` not one
-    /// element entered the queue — the slice is handed back untouched, with
-    /// no partial publication. Wait-free.
-    #[inline]
-    pub fn try_enqueue_batch(&mut self, vs: &[u64]) -> Result<(), Full> {
-        self.raw().try_enqueue_batch_internal(self.node(), vs)
-    }
-
-    /// Dequeues up to `k` values into `out` with a **single FAA**,
-    /// returning how many were appended. A short return means the `(H, T)`
-    /// snapshot had fewer than `k` values available — it is the batch
-    /// analogue of [`Handle::dequeue`] returning `None`, not a failure;
-    /// unavailable cells are never claimed or burned. Wait-free.
-    #[inline]
-    pub fn dequeue_batch(&mut self, out: &mut Vec<u64>, k: usize) -> usize {
-        self.raw().dequeue_batch_internal(self.node(), out, k)
-    }
-
     /// The execution-path sample of this handle's most recent
-    /// single-value operation (an [`OpSample`]): which protocol path it
-    /// took (fast / slow / helped) and the op id the PR-5 span taxonomy
-    /// keys on. `None` before the first operation, after batch operations
-    /// (which do not update the sample), and always in builds without the
+    /// operation (an [`OpSample`]): which protocol path it took (fast /
+    /// slow / helped) and the op id the span taxonomy keys on. `None`
+    /// before the first operation, and always in builds without the
     /// `op-sample` feature — where this compiles to a constant.
     #[inline]
     pub fn last_op_sample(&self) -> Option<OpSample> {
@@ -2041,22 +1713,6 @@ mod tests {
         assert_eq!(s.dequeues(), 1_100, "{s:?}");
     }
 
-    /// A batch whose probe cell witnesses EMPTY arms the guard like a
-    /// one-shot EMPTY, so a handle cannot burn a cell past `T` with a
-    /// batch and then another with an unguarded one-shot probe.
-    #[test]
-    fn a_batch_that_witnesses_empty_arms_the_guard() {
-        let q: RawQueue<64> = RawQueue::new();
-        let mut h = q.register();
-        h.enqueue(1);
-        assert_eq!(h.dequeue(), Some(1));
-        let mut out = Vec::new();
-        assert_eq!(h.dequeue_batch(&mut out, 4), 0);
-        assert_eq!(q.indices(), (2, 1));
-        assert_eq!(h.dequeue(), None);
-        assert_eq!(q.indices(), (2, 1), "the one-shot probe burned a cell");
-    }
-
     /// A node starts with its emptiness guard armed, fresh or recycled: a
     /// handle that has received nothing consults `H > T` before probing,
     /// so register/drop cycles cannot push `H` past `T`.
@@ -2131,213 +1787,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_roundtrip_preserves_fifo() {
-        let q: RawQueue<64> = RawQueue::new();
-        let mut h = q.register();
-        let vals: Vec<u64> = (1..=100).collect();
-        h.enqueue_batch(&vals);
-        let mut out = Vec::new();
-        assert_eq!(h.dequeue_batch(&mut out, 100), 100);
-        assert_eq!(out, vals);
-        assert_eq!(h.dequeue(), None);
-    }
-
-    #[test]
-    fn batch_crosses_segment_boundaries() {
-        let q: RawQueue<8> = RawQueue::new();
-        let mut h = q.register();
-        let vals: Vec<u64> = (1..=1000).collect();
-        for chunk in vals.chunks(37) {
-            h.enqueue_batch(chunk);
-        }
-        let mut out = Vec::new();
-        while h.dequeue_batch(&mut out, 29) > 0 {}
-        assert_eq!(out, vals);
-    }
-
-    #[test]
-    fn batch_dequeue_trims_to_available_without_burning() {
-        let q: RawQueue<64> = RawQueue::new();
-        let mut h = q.register();
-        h.enqueue_batch(&[1, 2, 3]);
-        let mut out = Vec::new();
-        // Asking for 10 with 3 available claims exactly 3 cells: the next
-        // enqueue/dequeue pair must still meet (no cells burned past T).
-        assert_eq!(h.dequeue_batch(&mut out, 10), 3);
-        assert_eq!(out, [1, 2, 3]);
-        assert_eq!(q.indices(), (3, 3), "partial probe must not overclaim");
-        let s = q.stats();
-        assert_eq!(s.deq_batch_partial, 1);
-        assert_eq!(s.deq_batched_vals, 3);
-    }
-
-    #[test]
-    fn batch_dequeue_on_empty_queue_returns_zero() {
-        let q: RawQueue<64> = RawQueue::new();
-        let mut h = q.register();
-        let mut out = Vec::new();
-        // First call probes H == T (burns one cell, like single dequeue);
-        // once H > T later calls are FAA-free fast-outs.
-        assert_eq!(h.dequeue_batch(&mut out, 8), 0);
-        assert_eq!(h.dequeue_batch(&mut out, 8), 0);
-        assert!(out.is_empty());
-        h.enqueue(5);
-        assert_eq!(h.dequeue_batch(&mut out, 8), 1);
-        assert_eq!(out, [5]);
-    }
-
-    #[test]
-    fn batch_mixed_with_singles_stays_fifo() {
-        let q: RawQueue<16> = RawQueue::new();
-        let mut h = q.register();
-        h.enqueue(1);
-        h.enqueue_batch(&[2, 3, 4]);
-        h.enqueue(5);
-        h.enqueue_batch(&[6, 7]);
-        let mut out = Vec::new();
-        assert_eq!(h.dequeue(), Some(1));
-        assert_eq!(h.dequeue_batch(&mut out, 4), 4);
-        assert_eq!(out, [2, 3, 4, 5]);
-        assert_eq!(h.dequeue(), Some(6));
-        assert_eq!(h.dequeue(), Some(7));
-        assert_eq!(h.dequeue(), None);
-    }
-
-    #[test]
-    fn batch_edge_widths_zero_and_one() {
-        let q: RawQueue<64> = RawQueue::new();
-        let mut h = q.register();
-        h.enqueue_batch(&[]);
-        let mut out = Vec::new();
-        assert_eq!(h.dequeue_batch(&mut out, 0), 0);
-        assert_eq!(q.indices(), (0, 0), "width 0: no FAA at all");
-        // Width 1 delegates to the one-shot path: no batch counters.
-        h.enqueue_batch(&[9]);
-        assert_eq!(h.dequeue(), Some(9));
-        let s = q.stats();
-        assert_eq!(s.enq_batches, 0);
-        assert_eq!(s.enq_fast, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "reserved")]
-    fn batch_rejects_reserved_values_before_any_claim() {
-        let q: RawQueue<64> = RawQueue::new();
-        let mut h = q.register();
-        h.enqueue_batch(&[1, 2, 0]);
-    }
-
-    #[test]
-    fn batch_stats_count_every_element() {
-        let q: RawQueue<64> = RawQueue::new();
-        let mut h = q.register();
-        h.enqueue_batch(&[1, 2, 3, 4]);
-        h.enqueue(5);
-        let mut out = Vec::new();
-        assert_eq!(h.dequeue_batch(&mut out, 5), 5);
-        let s = q.stats();
-        assert_eq!(s.enqueues(), 5, "batched elements count as enqueues");
-        assert_eq!(s.dequeues(), 5);
-        assert_eq!(s.enq_batches, 1);
-        assert_eq!(s.enq_batched_vals, 4);
-        assert_eq!(s.deq_batches, 1);
-        assert_eq!(s.deq_batched_vals, 5);
-        assert!((s.avg_enq_batch_width() - 4.0).abs() < 1e-9);
-        assert_eq!(s.enq_batch_stragglers, 0);
-        assert_eq!(s.enq_batch_abandoned, 0);
-    }
-
-    #[test]
-    fn concurrent_batches_conserve_values() {
-        let q: RawQueue<32> = RawQueue::new();
-        const PER: u64 = 4_000;
-        const PRODUCERS: u64 = 3;
-        let sum = std::sync::atomic::AtomicU64::new(0);
-        let taken = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for t in 0..PRODUCERS {
-                let q = &q;
-                s.spawn(move || {
-                    let mut h = q.register();
-                    let vals: Vec<u64> = (0..PER).map(|v| t * PER + v + 1).collect();
-                    for chunk in vals.chunks(8) {
-                        h.enqueue_batch(chunk);
-                    }
-                });
-            }
-            // Consumers exit on a *shared* taken-count: a batch can deliver
-            // past a per-consumer quota, which would strand a sibling.
-            let taken = &taken;
-            for _ in 0..3 {
-                let q = &q;
-                let sum = &sum;
-                s.spawn(move || {
-                    let mut h = q.register();
-                    let mut local = 0u64;
-                    let mut out = Vec::new();
-                    while taken.load(Ordering::Relaxed) < PRODUCERS * PER {
-                        out.clear();
-                        let n = h.dequeue_batch(&mut out, 8) as u64;
-                        if n > 0 {
-                            local += out.iter().sum::<u64>();
-                            taken.fetch_add(n, Ordering::Relaxed);
-                        }
-                    }
-                    sum.fetch_add(local, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(taken.load(Ordering::Relaxed), PRODUCERS * PER);
-        let expect: u64 = (1..=PRODUCERS * PER).sum();
-        assert_eq!(sum.load(Ordering::Relaxed), expect);
-    }
-
-    #[test]
-    fn wf0_concurrent_batches_survive_the_slow_path() {
-        // Patience 0 + contending batch dequeuers force straggler cells
-        // through the help ring; values must still be conserved in order.
-        let q: RawQueue<16> = RawQueue::with_config(Config::wf0());
-        let taken = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for t in 0..2u64 {
-                let q = &q;
-                s.spawn(move || {
-                    let mut h = q.register();
-                    let vals: Vec<u64> = (0..2000).map(|v| t * 10_000 + v + 1).collect();
-                    for chunk in vals.chunks(5) {
-                        h.enqueue_batch(chunk);
-                    }
-                });
-            }
-            // Shared exit condition — a batch can overshoot a per-consumer
-            // quota and strand the sibling below its own.
-            let taken = &taken;
-            for _ in 0..2 {
-                let q = &q;
-                s.spawn(move || {
-                    let mut h = q.register();
-                    let mut prev_per_producer = [0u64; 2];
-                    let mut out = Vec::new();
-                    while taken.load(Ordering::Relaxed) < 4000 {
-                        out.clear();
-                        let n = h.dequeue_batch(&mut out, 7) as u64;
-                        if n > 0 {
-                            taken.fetch_add(n, Ordering::Relaxed);
-                        }
-                        for &v in &out {
-                            // Per-producer order must survive the help ring.
-                            let p = (v / 10_000) as usize;
-                            assert!(v > prev_per_producer[p], "FIFO violated: {v}");
-                            prev_per_producer[p] = v;
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(taken.load(Ordering::Relaxed), 4000);
-    }
-
-    #[test]
     fn owned_raw_handle_moves_into_spawned_threads() {
         let q: Arc<RawQueue<64>> = Arc::new(RawQueue::new());
         let mut producer = OwnedHandle::new(Arc::clone(&q));
@@ -2355,32 +1804,6 @@ mod tests {
                     sum += v;
                     got += 1;
                 }
-            }
-            sum
-        });
-        p.join().unwrap();
-        assert_eq!(c.join().unwrap(), (1..=1000u64).sum::<u64>());
-    }
-
-    #[test]
-    fn owned_handles_batch_across_spawned_threads() {
-        let q: Arc<RawQueue<64>> = Arc::new(RawQueue::new());
-        let mut producer = OwnedHandle::new(Arc::clone(&q));
-        let mut consumer = OwnedHandle::new(Arc::clone(&q));
-        let p = std::thread::spawn(move || {
-            let vals: Vec<u64> = (1..=1000).collect();
-            for chunk in vals.chunks(16) {
-                producer.enqueue_batch(chunk);
-            }
-        });
-        let c = std::thread::spawn(move || {
-            let mut sum = 0u64;
-            let mut got = 0usize;
-            let mut out = Vec::new();
-            while got < 1000 {
-                out.clear();
-                got += consumer.dequeue_batch(&mut out, 16);
-                sum += out.iter().sum::<u64>();
             }
             sum
         });

@@ -11,8 +11,8 @@
 //! per op, so they cannot be joined with that op's measured latency.
 //!
 //! This module adds the minimal per-op channel: each [`crate::Handle`]
-//! remembers an [`OpSample`] describing its most recent single-value
-//! operation, written by the owner thread at operation epilogue (one plain
+//! remembers an [`OpSample`] describing its most recent operation,
+//! written by the owner thread at operation epilogue (one plain
 //! store into owner-local memory — no atomics, no sharing). The harness
 //! reads it back through [`crate::Handle::last_op_sample`] immediately
 //! after timing the operation and buckets the latency by [`OpPath`].
@@ -57,7 +57,7 @@ pub enum OpPath {
 }
 
 /// What [`crate::Handle::last_op_sample`] reports about the handle's most
-/// recent single-value operation.
+/// recent operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OpSample {
     /// Operation side.

@@ -38,16 +38,6 @@ pub(crate) struct HandleStats {
     pub enq_rejected: AtomicU64,
     pub forced_cleanups: AtomicU64,
     pub segs_recycled: AtomicU64,
-    // Batch operations (DESIGN.md §10). Per-element path counters above
-    // still count every batched element; these add per-call width data.
-    pub enq_batches: AtomicU64,
-    pub enq_batched_vals: AtomicU64,
-    pub enq_batch_stragglers: AtomicU64,
-    pub enq_batch_abandoned: AtomicU64,
-    pub deq_batches: AtomicU64,
-    pub deq_batched_vals: AtomicU64,
-    pub deq_batch_partial: AtomicU64,
-    pub deq_batch_stragglers: AtomicU64,
 }
 
 impl HandleStats {
@@ -138,32 +128,6 @@ pub struct QueueStats {
     /// Retired segments recycled through the bounded-mode pool instead of
     /// freed (a subset of `segs_freed`).
     pub segs_recycled: u64,
-    /// Batch enqueue calls (`enqueue_batch` with ≥ 2 elements). Their
-    /// elements are already counted in `enq_fast`/`enq_slow`, so
-    /// [`enqueues`](Self::enqueues) needs no batch term.
-    pub enq_batches: u64,
-    /// Elements submitted through batch enqueues (the batch-width mass;
-    /// `enq_batched_vals / enq_batches` is the mean claimed width).
-    pub enq_batched_vals: u64,
-    /// Batch enqueue elements whose pre-claimed cell was poisoned by a
-    /// dequeuer before the deposit landed (each fell back to one help-ring
-    /// request; DESIGN.md §10).
-    pub enq_batch_stragglers: u64,
-    /// Pre-claimed batch cells abandoned after a straggler (sealed ⊤ by
-    /// dequeuers, exactly like cells burned by failed one-shot fast paths).
-    pub enq_batch_abandoned: u64,
-    /// Batch dequeue calls (`dequeue_batch` with `k ≥ 1`).
-    pub deq_batches: u64,
-    /// Values delivered by batch dequeues (`deq_batched_vals / deq_batches`
-    /// is the mean delivered width).
-    pub deq_batched_vals: u64,
-    /// Batch dequeues whose `(H, T)` probe trimmed the claim below the
-    /// requested `k` (the partial-count fast-out: unavailable cells are
-    /// never claimed, hence never burned).
-    pub deq_batch_partial: u64,
-    /// Batch dequeue cells that lost their per-cell race and fell back to a
-    /// help-ring request.
-    pub deq_batch_stragglers: u64,
 }
 
 impl QueueStats {
@@ -190,14 +154,6 @@ impl QueueStats {
         self.enq_rejected += h.enq_rejected.load(Ordering::Relaxed);
         self.forced_cleanups += h.forced_cleanups.load(Ordering::Relaxed);
         self.segs_recycled += h.segs_recycled.load(Ordering::Relaxed);
-        self.enq_batches += h.enq_batches.load(Ordering::Relaxed);
-        self.enq_batched_vals += h.enq_batched_vals.load(Ordering::Relaxed);
-        self.enq_batch_stragglers += h.enq_batch_stragglers.load(Ordering::Relaxed);
-        self.enq_batch_abandoned += h.enq_batch_abandoned.load(Ordering::Relaxed);
-        self.deq_batches += h.deq_batches.load(Ordering::Relaxed);
-        self.deq_batched_vals += h.deq_batched_vals.load(Ordering::Relaxed);
-        self.deq_batch_partial += h.deq_batch_partial.load(Ordering::Relaxed);
-        self.deq_batch_stragglers += h.deq_batch_stragglers.load(Ordering::Relaxed);
     }
 
     /// Visits every counter as a `(field_name, value)` pair, in declaration
@@ -228,14 +184,6 @@ impl QueueStats {
         f("enq_rejected", self.enq_rejected);
         f("forced_cleanups", self.forced_cleanups);
         f("segs_recycled", self.segs_recycled);
-        f("enq_batches", self.enq_batches);
-        f("enq_batched_vals", self.enq_batched_vals);
-        f("enq_batch_stragglers", self.enq_batch_stragglers);
-        f("enq_batch_abandoned", self.enq_batch_abandoned);
-        f("deq_batches", self.deq_batches);
-        f("deq_batched_vals", self.deq_batched_vals);
-        f("deq_batch_partial", self.deq_batch_partial);
-        f("deq_batch_stragglers", self.deq_batch_stragglers);
     }
 
     /// Total completed enqueues.
@@ -267,19 +215,6 @@ impl QueueStats {
     /// segment is not counted as allocated).
     pub fn live_segments(&self) -> i64 {
         self.segs_alloc as i64 - self.segs_freed as i64
-    }
-
-    /// Mean width of batch enqueue claims (elements per `enqueue_batch`
-    /// call; 0 when no batches ran). The single-gauge stand-in for a
-    /// batch-width histogram.
-    pub fn avg_enq_batch_width(&self) -> f64 {
-        avg(self.enq_batched_vals, self.enq_batches)
-    }
-
-    /// Mean number of values delivered per `dequeue_batch` call (0 when no
-    /// batches ran). Lower than the requested `k` under partial probes.
-    pub fn avg_deq_batch_width(&self) -> f64 {
-        avg(self.deq_batched_vals, self.deq_batches)
     }
 }
 
@@ -353,22 +288,6 @@ impl fmt::Display for QueueStats {
                 "bounded", self.enq_rejected, self.forced_cleanups, self.segs_recycled
             )?;
         }
-        // Batch line only when batch operations ran, for the same reason.
-        if self.enq_batches + self.deq_batches > 0 {
-            write!(
-                f,
-                "\n{:<10} enq {}×{:.1} (stragglers {}, abandoned {}) deq {}×{:.1} (partial {}, stragglers {})",
-                "batch",
-                self.enq_batches,
-                self.avg_enq_batch_width(),
-                self.enq_batch_stragglers,
-                self.enq_batch_abandoned,
-                self.deq_batches,
-                self.avg_deq_batch_width(),
-                self.deq_batch_partial,
-                self.deq_batch_stragglers
-            )?;
-        }
         Ok(())
     }
 }
@@ -433,14 +352,6 @@ fn pct(part: u64, whole: u64) -> f64 {
         0.0
     } else {
         100.0 * part as f64 / whole as f64
-    }
-}
-
-fn avg(mass: u64, count: u64) -> f64 {
-    if count == 0 {
-        0.0
-    } else {
-        mass as f64 / count as f64
     }
 }
 
@@ -536,61 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_widths_average_over_calls() {
-        let s = QueueStats {
-            enq_batches: 4,
-            enq_batched_vals: 32,
-            deq_batches: 5,
-            deq_batched_vals: 20,
-            ..Default::default()
-        };
-        assert!((s.avg_enq_batch_width() - 8.0).abs() < 1e-9);
-        assert!((s.avg_deq_batch_width() - 4.0).abs() < 1e-9);
-        assert_eq!(QueueStats::default().avg_enq_batch_width(), 0.0);
-        assert_eq!(QueueStats::default().avg_deq_batch_width(), 0.0);
-    }
-
-    #[test]
-    fn display_adds_a_batch_line_only_when_batches_ran() {
-        let mut s = QueueStats {
-            enq_fast: 10,
-            ..Default::default()
-        };
-        assert!(
-            !s.to_string().contains("batch"),
-            "batch-free runs keep the exact Table-2 layout"
-        );
-        s.enq_batches = 2;
-        s.enq_batched_vals = 16;
-        s.deq_batches = 4;
-        s.deq_batched_vals = 16;
-        s.deq_batch_partial = 1;
-        let out = s.to_string();
-        assert!(
-            out.contains("batch      enq 2×8.0 (stragglers 0, abandoned 0) deq 4×4.0 (partial 1, stragglers 0)"),
-            "{out}"
-        );
-    }
-
-    #[test]
-    fn batch_counters_absorb_like_the_rest() {
-        let h = HandleStats::default();
-        h.enq_batches.store(3, Ordering::Relaxed);
-        h.enq_batched_vals.store(24, Ordering::Relaxed);
-        h.deq_batches.store(2, Ordering::Relaxed);
-        h.deq_batched_vals.store(9, Ordering::Relaxed);
-        h.deq_batch_stragglers.store(1, Ordering::Relaxed);
-        let mut s = QueueStats::default();
-        s.absorb(&h);
-        s.absorb(&h);
-        assert_eq!(s.enq_batches, 6);
-        assert_eq!(s.enq_batched_vals, 48);
-        assert_eq!(s.deq_batches, 4);
-        assert_eq!(s.deq_batched_vals, 18);
-        assert_eq!(s.deq_batch_stragglers, 2);
-    }
-
-    #[test]
     fn for_each_counter_visits_every_field_exactly_once() {
         // Exhaustive struct literal, deliberately without `..Default`: a
         // new counter field fails this test at *compile* time until it is
@@ -618,14 +474,6 @@ mod tests {
             enq_rejected: 120,
             forced_cleanups: 121,
             segs_recycled: 122,
-            enq_batches: 123,
-            enq_batched_vals: 124,
-            enq_batch_stragglers: 125,
-            enq_batch_abandoned: 126,
-            deq_batches: 127,
-            deq_batched_vals: 128,
-            deq_batch_partial: 129,
-            deq_batch_stragglers: 130,
         };
         let mut names = std::collections::BTreeSet::new();
         let mut values = Vec::new();
@@ -633,9 +481,9 @@ mod tests {
             assert!(names.insert(name), "counter {name} visited twice");
             values.push(v);
         });
-        assert_eq!(names.len(), 30);
+        assert_eq!(names.len(), 22);
         values.sort_unstable();
-        assert_eq!(values, (101..=130).collect::<Vec<u64>>());
+        assert_eq!(values, (101..=122).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -254,41 +254,6 @@ impl<T, Q: QueueRef<N>, const N: usize> TypedHandle<T, Q, N> {
         self.raw.dequeue().map(|bits| unsafe { self.decode(bits) })
     }
 
-    /// Enqueues every value in `values`, in order, claiming all the cells
-    /// with **one FAA** (see [`RawHandle::enqueue_batch`] and DESIGN.md
-    /// §10). The batch is contiguous in the FIFO order unless a concurrent
-    /// dequeuer poisons a pre-claimed cell, in which case the affected
-    /// suffix falls back to element-wise enqueues (still FIFO within the
-    /// batch). Wait-free.
-    pub fn enqueue_batch(&mut self, values: Vec<T>) {
-        let bits: Vec<u64> = values.into_iter().map(|v| self.encode(v)).collect();
-        self.raw.enqueue_batch(&bits);
-    }
-
-    /// Like [`enqueue_batch`](Self::enqueue_batch), but fails fast with
-    /// [`Full`] — handing the whole batch back, in order, with no element
-    /// published — when the queue's segment ceiling leaves less than
-    /// `⌈values.len() / N⌉` segments of headroom. Never fails on an
-    /// unbounded queue.
-    pub fn try_enqueue_batch(&mut self, values: Vec<T>) -> Result<(), Full<Vec<T>>> {
-        let bits: Vec<u64> = values.into_iter().map(|v| self.encode(v)).collect();
-        self.raw.try_enqueue_batch(&bits).map_err(|Full(())| {
-            // SAFETY: rejection is all-or-nothing and happens before any
-            // cell claim; no element entered the queue.
-            Full(bits.iter().map(|&b| unsafe { self.decode(b) }).collect())
-        })
-    }
-
-    /// Dequeues up to `max` values into `out` with **one FAA**, returning
-    /// how many were appended (see [`RawHandle::dequeue_batch`]). Returns
-    /// 0 only when the queue was observed empty. Wait-free.
-    pub fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut bits = Vec::with_capacity(max);
-        let n = self.raw.dequeue_batch(&mut bits, max);
-        // SAFETY: as in `dequeue`.
-        out.extend(bits.into_iter().map(|b| unsafe { self.decode(b) }));
-        n
-    }
 }
 
 impl<T, const N: usize> Drop for WfQueue<T, N> {
@@ -442,20 +407,14 @@ mod tests {
             h.try_enqueue(d())
                 .unwrap_or_else(|_| panic!("{kind}: unbounded"));
             drop(h.dequeue());
-            // Batches while a spare is held: the first element fills it,
-            // the first unboxed one refills it and the rest are freed.
-            h.enqueue_batch((0..3).map(|_| d()).collect());
-            let mut out = Vec::new();
-            assert_eq!(h.dequeue_batch(&mut out, 8), 3, "{kind}");
             assert!(h.spare.is_some(), "{kind}");
-            drop(out);
-            assert_eq!(drops.load(Ordering::Relaxed), 6, "{kind}");
+            assert_eq!(drops.load(Ordering::Relaxed), 3, "{kind}");
             h.enqueue(d());
             drop(h);
             drop(q);
             assert_eq!(
                 drops.load(Ordering::Relaxed),
-                7,
+                4,
                 "{kind}: queue drop drains the rest"
             );
         });
@@ -477,15 +436,10 @@ mod tests {
                     "{kind}: a rejected value returns its box"
                 );
                 drop(back);
-                let Err(Full(back)) = h.try_enqueue_batch((0..9).map(|_| d()).collect()) else {
-                    panic!("{kind}: expected Full");
-                };
-                assert_eq!(back.len(), 9, "{kind}");
-                drop(back);
-                assert_eq!(drops.load(Ordering::Relaxed), 11, "{kind}");
+                assert_eq!(drops.load(Ordering::Relaxed), 2, "{kind}");
                 assert!(q.is_empty(), "{kind}");
                 drop(h);
-                assert_eq!(drops.load(Ordering::Relaxed), 11, "{kind}");
+                assert_eq!(drops.load(Ordering::Relaxed), 2, "{kind}");
             }
         );
     }
@@ -507,10 +461,6 @@ mod tests {
                     h.enqueue(v.clone());
                     assert_eq!(h.dequeue().as_ref(), Some(v), "{kind}");
                 }
-                h.enqueue_batch(vals.to_vec());
-                let mut out = Vec::new();
-                assert_eq!(h.dequeue_batch(&mut out, 3), 3, "{kind}");
-                assert_eq!(out, vals, "{kind}");
             }
             assert!(q.is_empty(), "{kind}");
         });
@@ -542,72 +492,12 @@ mod tests {
     }
 
     #[test]
-    fn typed_batches_roundtrip_heap_values() {
-        let q: WfQueue<String> = WfQueue::new();
-        let mut h = q.handle();
-        h.enqueue_batch((0..20).map(|i| format!("v{i}")).collect());
-        let mut out = Vec::new();
-        assert_eq!(h.dequeue_batch(&mut out, 8), 8);
-        assert_eq!(h.dequeue_batch(&mut out, 64), 12);
-        let expect: Vec<String> = (0..20).map(|i| format!("v{i}")).collect();
-        assert_eq!(out, expect);
-        assert_eq!(h.dequeue_batch(&mut out, 4), 0);
-    }
-
-    #[test]
-    fn typed_try_enqueue_batch_returns_whole_batch_on_full() {
-        // Ceiling of 1 segment on a 4-cell queue: a 9-value batch needs
-        // ⌈9/4⌉ = 3 segments of headroom and must bounce untouched.
-        let ceiling_1 = Config::default().with_segment_ceiling(1);
-        over_both_handles!(WfQueue::<String, 4>::with_config(ceiling_1), |kind, q, h| {
-            let batch: Vec<String> = (0..9).map(|i| format!("b{i}")).collect();
-            let Err(Full(back)) = h.try_enqueue_batch(batch.clone()) else {
-                panic!("{kind}: expected Full");
-            };
-            assert_eq!(back, batch, "{kind}: rejected batch must come back in order");
-            assert!(q.is_empty(), "{kind}: no element may have been published");
-        });
-    }
-
-    #[test]
-    fn typed_batch_values_drop_exactly_once() {
-        over_both_handles!(WfQueue::<DropCounter>::new(), |kind, q, h| {
-            let drops = Arc::new(AtomicUsize::new(0));
-            h.enqueue_batch((0..6).map(|_| DropCounter(Arc::clone(&drops))).collect());
-            let mut out = Vec::new();
-            assert_eq!(h.dequeue_batch(&mut out, 2), 2);
-            drop(out);
-            assert_eq!(drops.load(Ordering::Relaxed), 2, "{kind}");
-            drop(h);
-            drop(q);
-            assert_eq!(drops.load(Ordering::Relaxed), 6, "{kind}: queue drop drains the rest");
-        });
-    }
-
-    #[test]
     fn owned_typed_handle_roundtrip() {
         let q: Arc<WfQueue<String>> = Arc::new(WfQueue::new());
         let mut h = OwnedLocalHandle::new(Arc::clone(&q));
         h.enqueue("x".to_string());
         assert_eq!(h.dequeue().as_deref(), Some("x"));
         assert_eq!(h.dequeue(), None);
-    }
-
-    #[test]
-    fn owned_typed_batch_roundtrip_and_bounce() {
-        let q: Arc<WfQueue<String, 4>> = Arc::new(WfQueue::with_config(
-            crate::Config::default().with_segment_ceiling(1),
-        ));
-        let mut h = OwnedLocalHandle::new(Arc::clone(&q));
-        let batch: Vec<String> = (0..9).map(|i| format!("o{i}")).collect();
-        let Err(Full(back)) = h.try_enqueue_batch(batch.clone()) else {
-            panic!("expected Full");
-        };
-        assert_eq!(back, batch);
-        h.enqueue_batch(batch.clone()); // plain batch ignores the gate
-        let mut out = Vec::new();
-        assert_eq!(h.dequeue_batch(&mut out, 16), 9);
-        assert_eq!(out, batch);
     }
 
     #[test]

@@ -31,10 +31,8 @@ pub struct Breakdown {
     pub stats: QueueStats,
 }
 
-/// Runs the 50%-enqueues workload — or its batched extension, where each
-/// coin flip moves a whole `enqueue_batch`/`dequeue_batch` of width k —
-/// on a fresh wait-free queue with the given patience and returns the
-/// path breakdown.
+/// Runs the 50%-enqueues workload on a fresh wait-free queue with the
+/// given patience and returns the path breakdown.
 pub fn run_breakdown(patience: u32, cfg: &BenchConfig) -> Breakdown {
     let mut config = Config::default().with_patience(patience);
     if let Some(c) = cfg.segment_ceiling {
@@ -55,11 +53,10 @@ pub fn run_breakdown_on<Q: BenchQueue>(cfg: &BenchConfig) -> Breakdown {
 }
 
 fn drive<Q: BenchQueue>(q: &Q, cfg: &BenchConfig) -> Breakdown {
-    let batch = match cfg.workload {
-        Workload::FiftyEnqueues => None,
-        Workload::BatchPairs(k) => Some(k.max(1)),
-        _ => panic!("Table 2 is defined on the 50%-enqueues benchmark"),
-    };
+    assert!(
+        cfg.workload == Workload::FiftyEnqueues,
+        "Table 2 is defined on the 50%-enqueues benchmark"
+    );
     let delay = SpinDelay::calibrate();
     let threads = cfg.threads.max(1);
     let per_thread = (cfg.total_ops / threads as u64).max(1);
@@ -81,38 +78,15 @@ fn drive<Q: BenchQueue>(q: &Q, cfg: &BenchConfig) -> Breakdown {
                 let mut counter = 0;
                 let (dlo, dhi) = cfg.delay_ns;
                 barrier.wait();
-                match batch {
-                    None => {
-                        for _ in 0..per_thread {
-                            if rng.coin() {
-                                counter += 1;
-                                h.enqueue(tag + counter);
-                            } else {
-                                let _ = h.dequeue();
-                            }
-                            if dhi > 0 {
-                                delay.wait_ns(rng.next_in(dlo, dhi));
-                            }
-                        }
+                for _ in 0..per_thread {
+                    if rng.coin() {
+                        counter += 1;
+                        h.enqueue(tag + counter);
+                    } else {
+                        let _ = h.dequeue();
                     }
-                    Some(k) => {
-                        let mut vals = vec![0u64; k as usize];
-                        let mut out = Vec::with_capacity(k as usize);
-                        for _ in 0..per_thread / u64::from(k) {
-                            if rng.coin() {
-                                for slot in vals.iter_mut() {
-                                    counter += 1;
-                                    *slot = tag + counter;
-                                }
-                                h.enqueue_batch(&vals);
-                            } else {
-                                out.clear();
-                                let _ = h.dequeue_batch(&mut out, k as usize);
-                            }
-                            if dhi > 0 {
-                                delay.wait_ns(rng.next_in(dlo, dhi));
-                            }
-                        }
+                    if dhi > 0 {
+                        delay.wait_ns(rng.next_in(dlo, dhi));
                     }
                 }
             });
@@ -182,19 +156,6 @@ mod tests {
         let b = run_breakdown(10, &tiny(1));
         assert_eq!(b.pct_slow_enq, 0.0);
         assert_eq!(b.pct_slow_deq, 0.0);
-    }
-
-    #[test]
-    fn batched_breakdown_runs_the_batch_paths() {
-        let mut cfg = tiny(2);
-        cfg.workload = Workload::BatchPairs(4);
-        let b = run_breakdown(0, &cfg);
-        assert!(
-            b.stats.enq_batches > 0 && b.stats.deq_batches > 0,
-            "batched Table 2 never took the batch paths: {:?}",
-            b.stats
-        );
-        assert!(b.pct_empty_deq >= 0.0 && b.pct_empty_deq <= 100.0);
     }
 
     #[test]

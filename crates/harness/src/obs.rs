@@ -58,14 +58,6 @@ fn counter_help(field: &str) -> &'static str {
         "enq_rejected" => "Enqueues rejected at the segment ceiling",
         "forced_cleanups" => "Enqueuer-elected (forced) reclamation passes",
         "segs_recycled" => "Segments recycled into the bounded-mode pool",
-        "enq_batches" => "Batch enqueue calls (one FAA each)",
-        "enq_batched_vals" => "Values enqueued through batch calls",
-        "enq_batch_stragglers" => "Batch enqueue elements that fell to the slow path",
-        "enq_batch_abandoned" => "Pre-claimed cells abandoned after a batch straggler",
-        "deq_batches" => "Batch dequeue calls (including empty fast-outs)",
-        "deq_batched_vals" => "Values dequeued through batch calls",
-        "deq_batch_partial" => "Batch dequeue claims trimmed below the requested width",
-        "deq_batch_stragglers" => "Batch dequeue cells that fell to the slow path",
         _ => "Queue protocol counter",
     }
 }
@@ -86,22 +78,6 @@ pub fn render_prometheus(stats: &QueueStats, gauges: Option<&Gauges>) -> String 
             value,
         );
     });
-    if s.enq_batches > 0 {
-        gauge(
-            &mut out,
-            "wfq_enq_batch_avg_width",
-            "Mean claimed width of batch enqueues (absent: no batches ran)",
-            s.avg_enq_batch_width(),
-        );
-    }
-    if s.deq_batches > 0 {
-        gauge(
-            &mut out,
-            "wfq_deq_batch_avg_width",
-            "Mean delivered width of batch dequeues (absent: no batches ran)",
-            s.avg_deq_batch_width(),
-        );
-    }
     if let Some(g) = gauges {
         gauge(&mut out, "wfq_head_index", "Head index H (dequeue FAA counter)", g.head_index as f64);
         gauge(&mut out, "wfq_tail_index", "Tail index T (enqueue FAA counter)", g.tail_index as f64);
@@ -259,36 +235,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_counters_always_render_and_widths_only_when_batches_ran() {
-        let idle = render_prometheus(&QueueStats::default(), None);
-        assert!(idle.contains("wfq_enq_batches_total 0\n"));
-        assert!(idle.contains("wfq_deq_batch_stragglers_total 0\n"));
-        assert!(!idle.contains("wfq_enq_batch_avg_width"), "no batches ran");
-        assert!(!idle.contains("wfq_deq_batch_avg_width"));
-
-        let s = QueueStats {
-            enq_batches: 2,
-            enq_batched_vals: 16,
-            deq_batches: 4,
-            deq_batched_vals: 10,
-            deq_batch_partial: 1,
-            ..Default::default()
-        };
-        let out = render_prometheus(&s, None);
-        assert!(out.contains("wfq_enq_batched_vals_total 16\n"));
-        assert!(out.contains("wfq_deq_batch_partial_total 1\n"));
-        assert!(out.contains("wfq_enq_batch_avg_width 8\n"));
-        assert!(out.contains("wfq_deq_batch_avg_width 2.5\n"));
-        assert!(out.contains("# TYPE wfq_enq_batch_avg_width gauge"));
-    }
-
-    #[test]
     fn every_counter_appears_in_both_display_and_exposition() {
         // Satellite guard for stats/exposition drift: fill every counter
         // with a unique sentinel and require each to surface in both the
-        // Prometheus exposition and `Display for QueueStats`. The batch
-        // `*_batched_vals` masses surface in Display as computed mean
-        // widths, so those two are asserted through the width strings.
+        // Prometheus exposition and `Display for QueueStats`.
         let mut s = QueueStats::default();
         let mut fields: Vec<&'static str> = Vec::new();
         s.for_each_counter(|name, _| fields.push(name));
@@ -317,14 +267,6 @@ mod tests {
             "enq_rejected" => s.enq_rejected = v,
             "forced_cleanups" => s.forced_cleanups = v,
             "segs_recycled" => s.segs_recycled = v,
-            "enq_batches" => s.enq_batches = v,
-            "enq_batched_vals" => s.enq_batched_vals = v,
-            "enq_batch_stragglers" => s.enq_batch_stragglers = v,
-            "enq_batch_abandoned" => s.enq_batch_abandoned = v,
-            "deq_batches" => s.deq_batches = v,
-            "deq_batched_vals" => s.deq_batched_vals = v,
-            "deq_batch_partial" => s.deq_batch_partial = v,
-            "deq_batch_stragglers" => s.deq_batch_stragglers = v,
             other => panic!("for_each_counter emitted unknown field {other}"),
         };
         for (i, name) in fields.iter().enumerate() {
@@ -339,22 +281,11 @@ mod tests {
                 exposition.contains(&line),
                 "counter {name} missing from exposition: wanted {line:?}"
             );
-            if name == "enq_batched_vals" || name == "deq_batched_vals" {
-                return; // asserted via the width strings below
-            }
             assert!(
                 display.contains(&value.to_string()),
                 "counter {name}={value} missing from Display:\n{display}"
             );
         });
-        // The two width masses show up as `count×width` in Display and as
-        // avg-width gauges in the exposition.
-        let enq_width = format!("{}×{:.1}", s.enq_batches, s.avg_enq_batch_width());
-        let deq_width = format!("{}×{:.1}", s.deq_batches, s.avg_deq_batch_width());
-        assert!(display.contains(&enq_width), "{display}");
-        assert!(display.contains(&deq_width), "{display}");
-        assert!(exposition.contains("wfq_enq_batch_avg_width"));
-        assert!(exposition.contains("wfq_deq_batch_avg_width"));
     }
 
     #[test]

@@ -36,31 +36,14 @@ pub enum Workload {
     Pairs,
     /// Enqueue or dequeue with equal odds per operation.
     FiftyEnqueues,
-    /// Enqueue–dequeue pairs in batches of the given width: each thread
-    /// alternates one `enqueue_batch` of `k` values with one
-    /// `dequeue_batch` of up to `k` (one FAA per `k` operations on the
-    /// wait-free queue, the element loop on baselines without a native
-    /// batch path). An under-delivering dequeue batch leaves the surplus
-    /// for later rounds, mirroring how `Pairs` tolerates `None`.
-    BatchPairs(u32),
 }
 
 impl Workload {
-    /// Paper-style display name (batch width reported separately).
+    /// Paper-style display name.
     pub fn name(self) -> &'static str {
         match self {
             Workload::Pairs => "enqueue-dequeue pairs",
             Workload::FiftyEnqueues => "50%-enqueues",
-            Workload::BatchPairs(_) => "batched pairs",
-        }
-    }
-
-    /// The batch width this workload claims per FAA (1 for the
-    /// element-wise workloads).
-    pub fn batch_width(self) -> u32 {
-        match self {
-            Workload::BatchPairs(k) => k.max(1),
-            _ => 1,
         }
     }
 }
@@ -211,24 +194,6 @@ pub fn run_iteration<Q: BenchQueue>(q: &Q, cfg: &BenchConfig, delay: &SpinDelay,
                                 spin(&mut rng, &mut delay_ns_total);
                             }
                         }
-                        Workload::BatchPairs(k) => {
-                            let k = k.max(1) as usize;
-                            let rounds = (per_thread / (2 * k as u64)).max(1);
-                            let mut batch = Vec::with_capacity(k);
-                            let mut out = Vec::with_capacity(k);
-                            for _ in 0..rounds {
-                                batch.clear();
-                                for _ in 0..k {
-                                    counter += 1;
-                                    batch.push(tag + counter);
-                                }
-                                h.enqueue_batch(&batch);
-                                spin(&mut rng, &mut delay_ns_total);
-                                out.clear();
-                                let _ = h.dequeue_batch(&mut out, k);
-                                spin(&mut rng, &mut delay_ns_total);
-                            }
-                        }
                     }
                     let elapsed = start.elapsed().as_nanos() as u64;
                     // Work exclusion with a sanity floor: if the calibrated
@@ -254,10 +219,6 @@ pub fn run_iteration<Q: BenchQueue>(q: &Q, cfg: &BenchConfig, delay: &SpinDelay,
     let ops_done: u64 = match cfg.workload {
         Workload::Pairs => (per_thread / 2) * 2 * threads as u64,
         Workload::FiftyEnqueues => per_thread * threads as u64,
-        Workload::BatchPairs(k) => {
-            let k = k.max(1) as u64;
-            (per_thread / (2 * k)).max(1) * 2 * k * threads as u64
-        }
     };
     let max_ns = *effective_ns.iter().max().unwrap() as f64;
     ops_done as f64 / max_ns * 1e3 // ops/ns → Mops/s
@@ -640,23 +601,6 @@ mod tests {
     fn workload_names() {
         assert_eq!(Workload::Pairs.name(), "enqueue-dequeue pairs");
         assert_eq!(Workload::FiftyEnqueues.name(), "50%-enqueues");
-        assert_eq!(Workload::BatchPairs(8).name(), "batched pairs");
-        assert_eq!(Workload::BatchPairs(8).batch_width(), 8);
-        assert_eq!(Workload::BatchPairs(0).batch_width(), 1, "width clamps");
-        assert_eq!(Workload::Pairs.batch_width(), 1);
-    }
-
-    #[test]
-    fn batch_pairs_iteration_runs_on_native_and_fallback_queues() {
-        let delay = SpinDelay::calibrate();
-        let q = <RawQueue as BenchQueue>::new();
-        let mops = run_iteration(&q, &tiny(Workload::BatchPairs(8), 2), &delay, 3);
-        assert!(mops > 0.0);
-        let s = q.stats();
-        assert!(s.enq_batches > 0, "native batch path must be exercised");
-        let q2 = <MutexQueue as BenchQueue>::new();
-        let mops = run_iteration(&q2, &tiny(Workload::BatchPairs(8), 2), &delay, 3);
-        assert!(mops > 0.0, "fallback loop path must work too");
     }
 
     #[test]

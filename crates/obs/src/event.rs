@@ -58,26 +58,19 @@ pub enum EventKind {
     /// A reclamation pass recycled segments into the bounded-mode pool
     /// instead of freeing them (arg: segments recycled).
     SegRecycle = 18,
-    /// A batch enqueue claimed its cells with one FAA (arg: batch width k).
-    /// Per-element completions still emit their own fast/slow events when a
-    /// straggler falls back, so widths — not op counts — are the payload.
-    EnqBatch = 19,
-    /// A batch dequeue claimed its cell run with one FAA (arg: claimed
-    /// width, after the `(H, T)` partial-probe trim).
-    DeqBatch = 20,
     /// `help_deq` started working on a pending request (arg: the request's
     /// publish id; op: same). Opens a helper span — nested inside the
     /// helper's own slow-path span when `deq_slow` self-helps.
-    HelpDeqEnter = 21,
+    HelpDeqEnter = 19,
     /// `help_deq` stopped working on that request (arg: the request's
     /// final announced index; op: the request's publish id).
-    HelpDeqExit = 22,
+    HelpDeqExit = 20,
     /// Durable-mode recovery replayed surviving values into a fresh queue
     /// (arg: number of values re-enqueued).
-    RecoverReplay = 23,
+    RecoverReplay = 21,
     /// Durable-mode recovery sealed torn cells — claimed by a pre-crash
     /// FAA but with no durable deposit (arg: cells sealed).
-    RecoverSeal = 24,
+    RecoverSeal = 22,
 }
 
 /// Every kind, in discriminant order (index `k as usize` is `ALL[k]`).
@@ -101,8 +94,6 @@ pub const ALL_KINDS: &[EventKind] = &[
     EventKind::EnqRejected,
     EventKind::ForcedCleanup,
     EventKind::SegRecycle,
-    EventKind::EnqBatch,
-    EventKind::DeqBatch,
     EventKind::HelpDeqEnter,
     EventKind::HelpDeqExit,
     EventKind::RecoverReplay,
@@ -137,8 +128,6 @@ impl EventKind {
             EventKind::EnqRejected => "enq_rejected",
             EventKind::ForcedCleanup => "forced_cleanup",
             EventKind::SegRecycle => "seg_recycle",
-            EventKind::EnqBatch => "enq_batch",
-            EventKind::DeqBatch => "deq_batch",
             EventKind::HelpDeqEnter => "help_deq",
             EventKind::HelpDeqExit => "help_deq_exit",
             EventKind::RecoverReplay => "recover_replay",
@@ -149,11 +138,7 @@ impl EventKind {
     /// Chrome trace category (Perfetto groups and filters by these).
     pub fn category(self) -> &'static str {
         match self {
-            EventKind::EnqFast
-            | EventKind::DeqFast
-            | EventKind::DeqEmpty
-            | EventKind::EnqBatch
-            | EventKind::DeqBatch => "fast",
+            EventKind::EnqFast | EventKind::DeqFast | EventKind::DeqEmpty => "fast",
             EventKind::EnqSlowEnter | EventKind::EnqSlowExit => "slow",
             EventKind::DeqSlowEnter | EventKind::DeqSlowExit => "slow",
             EventKind::HelpEnqCommit
@@ -194,7 +179,6 @@ impl EventKind {
             EventKind::SegFree => "segments_freed",
             EventKind::EnqRejected => "ceiling",
             EventKind::SegRecycle => "segments_recycled",
-            EventKind::EnqBatch | EventKind::DeqBatch => "width",
             EventKind::HelpDeqEnter => "request",
             EventKind::HelpDeqExit => "cell",
             EventKind::RecoverReplay => "values",

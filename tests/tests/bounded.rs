@@ -143,13 +143,7 @@ fn fed_consumer_probes(ceiling: u64) {
     let (mut next, mut expect, mut widest) = (1u64, 1u64, 0u64);
     for probe in 0..10_000u64 {
         if probe % 10 == 0 {
-            // Both admission gates, the one-shot and the batch one.
-            let admitted = if probe % 20 == 0 {
-                a.try_enqueue(next)
-            } else {
-                a.try_enqueue_batch(&[next])
-            };
-            admitted.unwrap_or_else(|_| {
+            a.try_enqueue(next).unwrap_or_else(|_| {
                 panic!("ceiling {ceiling}: probes wedged the queue at probe {probe}")
             });
             next += 1;
@@ -216,72 +210,6 @@ fn more_fed_consumers_than_a_segment_holds_do_not_wedge_the_gate() {
         }
         assert_eq!(q.stats().enq_rejected, 0);
     }
-}
-
-#[test]
-fn bounded_batch_rejection_is_all_or_nothing() {
-    // The batch admission gate runs *before* the claiming FAA and demands
-    // headroom for the whole batch, so a rejected `try_enqueue_batch` must
-    // leave no trace: no element published, no protocol state disturbed,
-    // the slice handed back untouched.
-    const CEILING: u64 = 3;
-    let q: RawQueue<SEG> =
-        RawQueue::with_config(Config::default().with_segment_ceiling(CEILING));
-    let mut h = q.register();
-
-    // Fill to the first single-op rejection.
-    let mut accepted = Vec::new();
-    for v in 1..=CEILING * SEG as u64 * 2 {
-        match h.try_enqueue(v) {
-            Ok(()) => accepted.push(v),
-            Err(Full(())) => break,
-        }
-    }
-    assert!(
-        (accepted.len() as u64) < CEILING * SEG as u64 * 2,
-        "bounded queue never rejected"
-    );
-    let before = q.stats();
-
-    // The batch must bounce whole — not strand a prefix.
-    let batch: Vec<u64> = (1_000..1_000 + SEG as u64).collect();
-    assert_eq!(h.try_enqueue_batch(&batch), Err(Full(())));
-    let after = q.stats();
-    assert_eq!(
-        after.enq_batches, before.enq_batches,
-        "rejected batch entered the batch protocol: {after:?}"
-    );
-    assert!(after.enq_rejected > before.enq_rejected);
-
-    // No partial publication: draining yields exactly the accepted prefix.
-    for &v in &accepted {
-        assert_eq!(h.dequeue(), Some(v));
-    }
-    assert_eq!(h.dequeue(), None, "rejected batch leaked an element");
-
-    // Headroom restored by the drain: the identical batch now goes through
-    // and comes back FIFO-intact.
-    h.try_enqueue_batch(&batch)
-        .expect("batch still rejected after drain");
-    let mut out = Vec::new();
-    assert_eq!(h.dequeue_batch(&mut out, SEG), SEG);
-    assert_eq!(out, batch);
-}
-
-#[test]
-fn batch_admission_gate_is_width_aware() {
-    // A fresh ceiling-2 queue has exactly one segment of headroom: a
-    // single-op `try_enqueue` clears the gate, but a batch spanning two
-    // segments (⌈k/N⌉ = 2) must be rejected up front — the gate prices the
-    // whole claim run, not just its first cell.
-    let q: RawQueue<SEG> =
-        RawQueue::with_config(Config::default().with_segment_ceiling(2));
-    let mut h = q.register();
-    let wide: Vec<u64> = (1..=2 * SEG as u64).collect();
-    assert_eq!(h.try_enqueue_batch(&wide), Err(Full(())));
-    h.try_enqueue(7).expect("single op must still fit");
-    assert_eq!(h.dequeue(), Some(7));
-    assert_eq!(h.dequeue(), None, "rejected wide batch left residue");
 }
 
 #[test]
@@ -379,12 +307,6 @@ mod ring_parity {
         assert_eq!(h.try_enqueue(capacity + 1), Err(Full(())));
         assert_eq!(h.try_enqueue(capacity + 2), Err(Full(())));
 
-        // The default batch fallback stops at the first Full with the
-        // accepted prefix enqueued (documented prefix-on-Full contract) —
-        // on an already-full ring that prefix is empty.
-        let batch: Vec<u64> = (100..100 + capacity).collect();
-        assert_eq!(h.try_enqueue_batch(&batch), Err(Full(())));
-
         // Nothing lost, nothing invented, FIFO intact.
         for v in 1..=capacity {
             assert_eq!(h.dequeue(), Some(v), "{} corrupted under Full", Q::NAME);
@@ -400,7 +322,7 @@ mod ring_parity {
             assert_eq!(h.dequeue(), Some(v + 50));
         }
         drop(h); // handle-local counters flush on drop
-        assert!(q.stats().enq_rejected >= 4, "{:?}", q.stats());
+        assert!(q.stats().enq_rejected >= 3, "{:?}", q.stats());
     }
 
     #[test]

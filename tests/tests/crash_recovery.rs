@@ -51,10 +51,10 @@ mod matrix {
     const SEG: usize = 16;
     /// Values each producer attempts per run.
     const VALS_PER_THREAD: u64 = 12;
-    /// Index-space headroom of the persist store: burned cells, slow-path
-    /// candidate FAAs and batch probes all consume cell indices beyond the
-    /// value count, and the store's capacity assert must never be what
-    /// fails a matrix run.
+    /// Index-space headroom of the persist store: burned cells and
+    /// slow-path candidate FAAs consume cell indices beyond the value
+    /// count, and the store's capacity assert must never be what fails a
+    /// matrix run.
     const STORE_CELLS: u64 = 8192;
     /// Request-record slots: one per handle node ever registered.
     const STORE_SLOTS: u64 = 16;

@@ -89,18 +89,7 @@ mod fuzz {
     /// fresh queue under per-thread seeded plans; returns the recorded
     /// history already certified by the *necessary-conditions* checker,
     /// and runs the exhaustive checker when the history is small enough.
-    ///
-    /// With `batch >= 2` every thread alternates single ops with batch ops
-    /// of that width (one FAA per batch), recorded through the checker's
-    /// batch helpers. The adjacency links those helpers attach are kept
-    /// only when the queue's batch-straggler counters stayed at zero —
-    /// i.e. every batch element really completed on the one-FAA fast path,
-    /// which is exactly when a batch is k *adjacent* atomic ops. Under
-    /// fault plans that force the slow paths, a straggler element may land
-    /// past concurrent single ops, so dirty rounds demote each batch to k
-    /// same-interval ops (conservation and real-time order still fully
-    /// certified).
-    fn run_schedule(seed: u64, cfg: Config, producers: u64, consumers: u64, batch: u32) {
+    fn run_schedule(seed: u64, cfg: Config, producers: u64, consumers: u64) {
         let q = RawQueue::<SEG>::with_config(cfg);
         let rec = Recorder::new();
         // Consumers poll a little more than was produced so EMPTY returns
@@ -114,28 +103,11 @@ mod fuzz {
                 s.spawn(move || {
                     fault::with_plan(thread_plan(seed, t, 70), || {
                         let mut h = q.register();
-                        let mut k = 0u64;
-                        let mut use_batch = batch >= 2;
-                        while k < VALS_PER_THREAD {
-                            let width = u64::from(batch).min(VALS_PER_THREAD - k);
-                            if use_batch && width >= 2 {
-                                let vals: Vec<u64> = (0..width)
-                                    .map(|j| t * VALS_PER_THREAD + k + j + 1)
-                                    .collect();
-                                let inv = tr.invoke();
-                                h.enqueue_batch(&vals);
-                                tr.record_enqueue_batch(&vals, inv);
-                                k += width;
-                            } else {
-                                let v = t * VALS_PER_THREAD + k + 1;
-                                let inv = tr.invoke();
-                                h.enqueue(v);
-                                tr.record(OpKind::Enqueue(v), inv);
-                                k += 1;
-                            }
-                            if batch >= 2 {
-                                use_batch = !use_batch;
-                            }
+                        for k in 0..VALS_PER_THREAD {
+                            let v = t * VALS_PER_THREAD + k + 1;
+                            let inv = tr.invoke();
+                            h.enqueue(v);
+                            tr.record(OpKind::Enqueue(v), inv);
                         }
                     });
                 });
@@ -146,41 +118,17 @@ mod fuzz {
                 s.spawn(move || {
                     fault::with_plan(thread_plan(seed, producers + t, 70), || {
                         let mut h = q.register();
-                        let mut out = Vec::new();
-                        let mut polled = 0u64;
-                        let mut use_batch = false;
-                        while polled < deq_attempts {
-                            if use_batch {
-                                out.clear();
-                                let inv = tr.invoke();
-                                h.dequeue_batch(&mut out, batch as usize);
-                                tr.record_dequeue_batch(&out, inv);
-                                polled += u64::from(batch);
-                            } else {
-                                let inv = tr.invoke();
-                                let got = h.dequeue();
-                                tr.record(OpKind::Dequeue(got), inv);
-                                polled += 1;
-                            }
-                            if batch >= 2 {
-                                use_batch = !use_batch;
-                            }
+                        for _ in 0..deq_attempts {
+                            let inv = tr.invoke();
+                            let got = h.dequeue();
+                            tr.record(OpKind::Dequeue(got), inv);
                         }
                     });
                 });
             }
         });
 
-        let stats = q.stats();
-        let clean = stats.enq_batch_stragglers == 0
-            && stats.enq_batch_abandoned == 0
-            && stats.deq_batch_stragglers == 0;
-        let mut h = rec.finish();
-        if !clean {
-            for op in &mut h.ops {
-                op.batch = None;
-            }
-        }
+        let h = rec.finish();
         if let Err(v) = check_necessary(&h) {
             panic!(
                 "necessary-condition violation under fuzz schedule: {v:?}\n\
@@ -202,45 +150,28 @@ mod fuzz {
         }
     }
 
-    /// Schedule shapes the sweep cycles through (the last tuple field is
-    /// the batch width; 0 disables batch ops). The patience-0 shapes force
+    /// Schedule shapes the sweep cycles through. The patience-0 shapes force
     /// the wait-free slow paths (every lost fast-path race enlists
     /// helpers); the `max_garbage(1)` shapes force a reclamation pass at
     /// every segment retirement.
-    fn schedule_for(seed: u64) -> (Config, u64, u64, u32) {
-        match seed % 6 {
+    fn schedule_for(seed: u64) -> (Config, u64, u64) {
+        match seed % 5 {
             // Slow-path stress: zero patience, consumer-heavy (cells get
             // ⊤-poisoned under the enqueuers, forcing enq_slow).
-            0 => (Config::wf0().with_max_garbage(1), 2, 3, 0),
+            0 => (Config::wf0().with_max_garbage(1), 2, 3),
             // Reclamation stress: default patience, tiny garbage bound.
-            1 => (Config::wf10().with_max_garbage(1), 3, 2, 0),
+            1 => (Config::wf10().with_max_garbage(1), 3, 2),
             // Mixed: low patience, balanced.
-            2 => (
-                Config::default().with_patience(1).with_max_garbage(2),
-                2,
-                2,
-                0,
-            ),
+            2 => (Config::default().with_patience(1).with_max_garbage(2), 2, 2),
             // Producer-heavy WF-0: deep queues, segment turnover.
-            3 => (Config::wf0().with_max_garbage(2), 3, 2, 0),
+            3 => (Config::wf0().with_max_garbage(2), 3, 2),
             // Bounded-memory mode: a ceiling tight enough that segment
             // acquisition goes through the recycling pool (and, when the
             // consumers lag, through the acquire stall/overshoot path).
-            4 => (
+            _ => (
                 Config::wf0().with_max_garbage(1).with_segment_ceiling(3),
                 2,
                 2,
-                0,
-            ),
-            // Batch shape: every thread interleaves one-FAA batch claims
-            // (width 2–4, varying with the seed) with single-op claims,
-            // under a low-patience config so batch stragglers meet the
-            // helping protocol mid-batch.
-            _ => (
-                Config::default().with_patience(1).with_max_garbage(1),
-                2,
-                2,
-                2 + ((seed / 6) % 3) as u32,
             ),
         }
     }
@@ -254,16 +185,15 @@ mod fuzz {
         // A pinned seed (from a failure message) replays one schedule.
         if let Ok(s) = std::env::var("WFQ_FUZZ_SEED") {
             let seed: u64 = s.parse().expect("WFQ_FUZZ_SEED must be a u64");
-            let (cfg, p, c, b) = schedule_for(seed);
-            run_schedule(seed, cfg, p, c, b);
+            let (cfg, p, c) = schedule_for(seed);
+            run_schedule(seed, cfg, p, c);
             return;
         }
         for seed in 0..SWEEP_SEEDS {
-            let (cfg, p, c, b) = schedule_for(seed);
-            run_schedule(seed, cfg, p, c, b);
+            let (cfg, p, c) = schedule_for(seed);
+            run_schedule(seed, cfg, p, c);
         }
         drive_bounded_points();
-        drive_batch_points();
         drive_help_enq_point();
         stale_claim_tape(0);
         let cov = fault::coverage();
@@ -314,47 +244,6 @@ mod fuzz {
             h.enqueue(v); // plain enqueue: stalls, then overshoots
         }
         assert!(fault::coverage_count("pool::stall") > 0);
-    }
-
-    /// Deterministic drivers for the batch injection points (DESIGN.md
-    /// §10), exploiting a protocol fact visible single-threadedly: an
-    /// EMPTY probe ⊤-seals the cell `T` points at *without* advancing `T`,
-    /// so the very next batch enqueue's FAA claims the sealed cell — its
-    /// first element stragglers, the rest are abandoned, and the cells it
-    /// left behind send the following batch dequeue down its straggler arm.
-    /// No race required anywhere.
-    fn drive_batch_points() {
-        let q = RawQueue::<SEG>::with_config(Config::wf10());
-        let mut h = q.register();
-
-        // Seal the head-of-tail cell, then batch straight into it.
-        assert_eq!(h.dequeue(), None);
-        h.enqueue_batch(&[1, 2, 3]);
-        assert!(fault::coverage_count("enq_batch::post_faa") > 0);
-        assert!(fault::coverage_count("enq_batch::straggler") > 0);
-        assert!(fault::coverage_count("enq_batch::abandon") > 0);
-
-        // The straggler fallback left abandoned (⊤) cells below the new
-        // values; a batch dequeue's claim run crosses them.
-        let mut out = Vec::new();
-        while out.len() < 3 {
-            let before = out.len();
-            h.dequeue_batch(&mut out, 3);
-            assert!(out.len() > before, "batch values lost: {out:?}");
-        }
-        assert_eq!(out, vec![1, 2, 3], "straggler fallback broke batch FIFO");
-        assert!(fault::coverage_count("deq_batch::post_faa") > 0);
-        assert!(fault::coverage_count("deq_batch::straggler") > 0);
-
-        // Partial claim: one value available, two requested — the (H, T)
-        // snapshot trims the claim before the FAA.
-        let q = RawQueue::<SEG>::with_config(Config::wf10());
-        let mut h = q.register();
-        h.enqueue(7);
-        let mut out = Vec::new();
-        assert_eq!(h.dequeue_batch(&mut out, 2), 1);
-        assert_eq!(out, vec![7]);
-        assert!(fault::coverage_count("deq_batch::partial_probe") > 0);
     }
 
     /// Deterministic driver for `help_enq::pre_complete` — a dequeuer
@@ -660,78 +549,6 @@ mod fuzz {
         assert_eq!(q.indices(), (2, 3), "E must have reserved cell 2");
         assert!(q.is_empty(), "the reserved cell 2 holds no value");
         assert_eq!(m.dequeue(), None);
-    }
-
-    /// A batch dequeue must not turn a cell its own earlier straggler
-    /// request already consumed into a second request. Such a request
-    /// would publish the state word `(1, i)` the earlier request announced
-    /// for that cell, and a stale helper of the earlier request, parked
-    /// just before its completing CAS, would complete the new request on
-    /// the same cell: one value delivered twice. Staged on one batch:
-    ///
-    /// 1. B's empty probe ⊤-seals cell 0, so `enqueue_batch(&[1, 2, 3])`
-    ///    stragglers into cell 3 and leaves cells 1 and 2 abandoned: cells
-    ///    1..=5 hold ⊥, ⊥, 1, 2, 3;
-    /// 2. B's `dequeue_batch(3)` claims cells 1–3; cell 1 stragglers and B
-    ///    parks right after publishing its request (id 1);
-    /// 3. Q dequeues cell 4 (value 2) and helps its peer B: it ⊤-seals
-    ///    cell 2, announces cell 3, claims it for B's request and parks
-    ///    before the completing CAS `(1, 3) → (0, 3)`;
-    /// 4. B completes its request on cell 3 (value 1), stragglers again on
-    ///    cell 2 (its second request takes cell 5, value 3) and reaches
-    ///    cell 3, which its own first request consumed;
-    /// 5. Q's CAS runs. Had B published a request for cell 3, its state
-    ///    would be `(1, 3)` and Q would complete it there. B instead reruns
-    ///    that dequeue after the batch, and finds the queue empty.
-    #[test]
-    fn batch_dequeue_does_not_reopen_a_cell_its_own_request_consumed() {
-        let q = RawQueue::<SEG>::with_config(Config::wf10());
-        let mut b = q.register(); // ring anchor: Q's dequeue peer is B
-        let mut qh = q.register();
-        assert_eq!(b.dequeue(), None);
-        b.enqueue_batch(&[1, 2, 3]);
-
-        let [b_parked, b_resume, b_reached, b_finish, q_parked, q_resume] =
-            std::array::from_fn(|_| Arc::new(Event::default()));
-        let (out, q_got) = std::thread::scope(|s| {
-            let b_thread = {
-                let plan = FaultPlan::new()
-                    .hook_at("deq_slow::request_published", 0, park(&b_parked, &b_resume))
-                    .hook_at(
-                        "deq_slow::request_published",
-                        2,
-                        park(&b_reached, &b_finish),
-                    );
-                let b_reached = Arc::clone(&b_reached);
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    fault::with_plan(plan, || b.dequeue_batch(&mut out, 3));
-                    b_reached.set();
-                    out
-                })
-            };
-            b_parked.wait();
-            let q_thread = {
-                let plan = FaultPlan::new().hook_at(
-                    "help_deq::pre_complete",
-                    0,
-                    park(&q_parked, &q_resume),
-                );
-                s.spawn(move || fault::with_plan(plan, || qh.dequeue()))
-            };
-            q_parked.wait();
-            b_resume.set();
-            // B either finished its batch or parked in a third request.
-            b_reached.wait();
-            q_resume.set();
-            let q_got = q_thread.join().unwrap();
-            b_finish.set();
-            (b_thread.join().unwrap(), q_got)
-        });
-        assert_eq!(q_got, Some(2));
-        assert_eq!(out, vec![1, 3], "a batch cell was delivered twice");
-        let mut h = q.register();
-        assert_eq!(h.dequeue(), None);
     }
 
     /// The branch counters behind the paper's Table 2 extension: a
@@ -1379,106 +1196,6 @@ mod fuzz {
         assert!(
             s2.segs_freed > 0,
             "reclamation still stuck after the enqueuer was released: {s2:?}"
-        );
-    }
-
-    /// The batch analogue of the parked-hazard regression: a *batch*
-    /// dequeuer parks between publishing its entry hazard and the claiming
-    /// FAA (batch ops share the single-op `deq::hazard_published` window),
-    /// while another thread churns segments with pure batch traffic. The
-    /// batch claim covers k cells under one hazard, so a reclaimer that
-    /// treated batch hazards any differently from single-op hazards would
-    /// free the parked thread's segment out from under its whole claim
-    /// run. The cleaner must refuse to free anything until release.
-    #[test]
-    fn batch_ops_respect_a_parked_hazard() {
-        let q = RawQueue::<SEG>::with_config(Config::default().with_max_garbage(1));
-        let parked = Arc::new(Event::default());
-        let release = Arc::new(Event::default());
-
-        std::thread::scope(|s| {
-            // Thread A: a batch dequeue parked inside the hazard window,
-            // pinning segment 0 (fresh handle).
-            {
-                let q = &q;
-                let (parked, release) = (Arc::clone(&parked), Arc::clone(&release));
-                s.spawn(move || {
-                    let mut h = q.register();
-                    let p = Arc::clone(&parked);
-                    let r = Arc::clone(&release);
-                    let mut out = Vec::new();
-                    fault::with_plan(
-                        FaultPlan::new().hook_at(
-                            "deq::hazard_published",
-                            0,
-                            Arc::new(move |_| {
-                                p.set();
-                                r.wait();
-                            }),
-                        ),
-                        || {
-                            let _ = h.dequeue_batch(&mut out, 4);
-                        },
-                    );
-                });
-            }
-
-            // Thread B: pure batch churn across many segment boundaries.
-            {
-                let q = &q;
-                let parked = Arc::clone(&parked);
-                let release = Arc::clone(&release);
-                s.spawn(move || {
-                    parked.wait();
-                    let mut h = q.register();
-                    let mut out = Vec::new();
-                    let mut batch = [0u64; 8];
-                    let mut v = 0u64;
-                    for _ in 0..SEG as u64 * 40 / 8 {
-                        for slot in &mut batch {
-                            v += 1;
-                            *slot = v;
-                        }
-                        h.enqueue_batch(&batch);
-                        out.clear();
-                        let _ = h.dequeue_batch(&mut out, 8);
-                    }
-                    let s1 = q.stats();
-                    // Release before asserting, so a failure fails the
-                    // test instead of leaving A parked forever.
-                    release.set();
-                    assert!(s1.enq_batches > 0 && s1.deq_batches > 0);
-                    assert!(
-                        s1.cleanups > 0,
-                        "batch traffic never elected a cleaner: {s1:?}"
-                    );
-                    assert_eq!(
-                        s1.segs_freed, 0,
-                        "reclaimer freed past a parked batch dequeuer: {s1:?}"
-                    );
-                });
-            }
-        });
-
-        // Hazard released: the same batch traffic must reclaim freely.
-        let mut h = q.register();
-        let mut out = Vec::new();
-        let mut batch = [0u64; 8];
-        let mut v = 1 << 20;
-        for _ in 0..SEG as u64 * 40 / 8 {
-            for slot in &mut batch {
-                v += 1;
-                *slot = v;
-            }
-            h.enqueue_batch(&batch);
-            out.clear();
-            let _ = h.dequeue_batch(&mut out, 8);
-        }
-        drop(h);
-        let s2 = q.stats();
-        assert!(
-            s2.segs_freed > 0,
-            "reclamation still stuck after the batch hazard was released: {s2:?}"
         );
     }
 

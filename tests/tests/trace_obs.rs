@@ -320,44 +320,62 @@ mod watchdog_integration {
         assert_eq!(h.dequeue(), Some(42));
     }
 
-    /// The batch slow path is watched too: a `dequeue_batch` straggler
-    /// falls back to `deq_slow`, and a thread parked inside that fallback
-    /// (here: just before its self-help announces a candidate cell) must
-    /// be reported as a `DeqSlowEnter` stall — the nested help span the
-    /// self-help opens must not disarm the progress words.
+    /// The dequeue slow path is watched too: a dequeue that reaches
+    /// `deq_slow` and parks inside its self-help (just before it announces
+    /// a candidate cell) must be reported as a `DeqSlowEnter` stall — the
+    /// nested help span the self-help opens must not disarm the progress
+    /// words.
+    ///
+    /// The staging is that of `is_empty_skips_a_cell_a_helped_enqueue_reserved`
+    /// in `fault_schedules.rs`: M's empty probe ⊤-seals cell 0; E's
+    /// patience-0 enqueue fails there and parks with its request
+    /// published; D completes E's request at cell 1; E resumes and
+    /// reserves cell 2, which it never fills. A patience-0 dequeue of cell
+    /// 2 then finds it unusable and enters `deq_slow`.
     #[test]
-    fn watchdog_catches_a_batch_dequeue_straggler_parked_in_deq_slow() {
-        let q = RawQueue::<16>::with_config(Config::default().with_patience(0));
+    fn watchdog_catches_a_dequeue_parked_in_deq_slow() {
+        let q = RawQueue::<16>::with_config(Config::wf0());
+        let mut m = q.register();
+        assert_eq!(m.dequeue(), None);
+        let e_parked = Arc::new(Event::default());
+        let e_resume = Arc::new(Event::default());
+        std::thread::scope(|s| {
+            let e = {
+                let q = &q;
+                let (p, r) = (Arc::clone(&e_parked), Arc::clone(&e_resume));
+                s.spawn(move || {
+                    fault::with_plan(
+                        FaultPlan::new().hook_at(
+                            "enq_slow::request_published",
+                            0,
+                            Arc::new(move |_| {
+                                p.set();
+                                r.wait();
+                            }),
+                        ),
+                        || q.register().enqueue(42),
+                    );
+                })
+            };
+            e_parked.wait();
+            assert_eq!(q.register().dequeue(), Some(42));
+            e_resume.set();
+            e.join().unwrap();
+        });
+        assert_eq!(q.indices(), (2, 3), "setup: E must have reserved cell 2");
+        let slow_before = q.stats().deq_slow;
+
         let parked = Arc::new(Event::default());
         let release = Arc::new(Event::default());
-
-        // Seal cell 0 (empty dequeue), then batch-enqueue: the deposit
-        // into sealed cell 0 stragglers, so the batch abandons its other
-        // pre-claimed cells and re-enqueues — leaving abandoned ⊥ cells
-        // ahead of the values. A later batch dequeue that claims those
-        // cells stragglers in turn and enters `deq_slow`.
-        let mut h = q.register();
-        assert_eq!(h.dequeue(), None);
-        h.enqueue_batch(&[1, 2, 3]);
-        assert!(
-            q.stats().enq_batch_stragglers >= 1,
-            "setup: no enq straggler"
-        );
-
         let dog = Watchdog::spawn(WatchdogConfig {
             interval: Duration::from_millis(2),
             threshold: Duration::from_millis(20),
         });
 
-        let mut out = Vec::new();
-        std::thread::scope(|s| {
-            {
-                let q = &q;
-                let out = &mut out;
-                let (parked, release) = (Arc::clone(&parked), Arc::clone(&release));
+        let got = std::thread::scope(|s| {
+            let d = {
+                let (p, r) = (Arc::clone(&parked), Arc::clone(&release));
                 s.spawn(move || {
-                    let p = Arc::clone(&parked);
-                    let r = Arc::clone(&release);
                     fault::with_plan(
                         FaultPlan::new().hook_at(
                             "help_deq::pre_announce",
@@ -367,13 +385,10 @@ mod watchdog_integration {
                                 r.wait();
                             }),
                         ),
-                        || {
-                            let mut h = q.register();
-                            h.dequeue_batch(out, 3);
-                        },
-                    );
-                });
-            }
+                        || m.dequeue(),
+                    )
+                })
+            };
 
             parked.wait();
             std::thread::sleep(Duration::from_millis(80));
@@ -381,18 +396,16 @@ mod watchdog_integration {
             let stall = reports
                 .iter()
                 .find(|r| r.kind == EventKind::DeqSlowEnter)
-                .unwrap_or_else(|| panic!("parked batch deq_slow not reported: {reports:?}"));
+                .unwrap_or_else(|| panic!("parked deq_slow not reported: {reports:?}"));
             assert!(stall.stalled >= Duration::from_millis(20));
             release.set();
+            d.join().unwrap()
         });
 
         drop(dog);
-        // Once released, the batch recovered every value despite the
-        // stragglers, in order.
-        assert_eq!(out, vec![1, 2, 3]);
-        assert!(
-            q.stats().deq_batch_stragglers >= 1,
-            "setup: the batch dequeue never straggled"
-        );
+        // Once released, the dequeue completed: cell 2 holds no value and
+        // nothing follows it.
+        assert_eq!(got, None);
+        assert_eq!(q.stats().deq_slow, slow_before + 1);
     }
 }
