@@ -107,41 +107,6 @@ fn bench_inject_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-/// Guardrail for the `op-sample` path hooks (the latency observatory's
-/// attribution layer): in the default build `wfqueue`'s internal
-/// `op_sample!` expands to `()` — the const proof in `core/src/raw.rs`
-/// shows the expansion is a valid constant expression, so no Cell write,
-/// no branch, nothing. This bench makes the claim observable the same way
-/// the inject/trace guards do: a pair loop on the hook-instrumented queue
-/// must price identically whether or not the build carries the feature
-/// (compare `op_sample_overhead/pair` across `--features op-sample`
-/// builds), and `last_op_sample()` in the default build is a constant
-/// `None`.
-fn bench_op_sample_overhead(c: &mut Criterion) {
-    let mut g = c.benchmark_group("op_sample_overhead");
-    g.sample_size(20).measurement_time(Duration::from_secs(1));
-
-    let q = <RawQueue as BenchQueue>::new();
-    let mut h = RawQueue::register(&q);
-    let mut i = 0u64;
-    g.bench_function("pair", |b| {
-        b.iter(|| {
-            i += 1;
-            h.enqueue(i);
-            std::hint::black_box(h.dequeue())
-        })
-    });
-    g.bench_function("pair_reading_last_op_sample", |b| {
-        b.iter(|| {
-            i += 1;
-            h.enqueue(i);
-            let v = h.dequeue();
-            std::hint::black_box((v, h.last_op_sample()))
-        })
-    });
-    g.finish();
-}
-
 /// Guardrail for bounded-memory mode: on an *unbounded* queue,
 /// `try_enqueue` is the plain enqueue plus one branch on a constant
 /// (`config.segment_ceiling.is_some()`), never a pool or ceiling atomic —
@@ -242,7 +207,6 @@ fn main() {
     bench_atomics(&mut c);
     bench_single_op(&mut c);
     bench_inject_overhead(&mut c);
-    bench_op_sample_overhead(&mut c);
     bench_try_enqueue_overhead(&mut c);
     bench_persist_overhead(&mut c);
 }

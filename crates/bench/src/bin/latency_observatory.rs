@@ -2,7 +2,7 @@
 //! latency measurement across backends and offered arrival rates.
 //!
 //! ```text
-//! cargo run -p wfq-bench --release --features op-sample --bin latency_observatory -- \
+//! cargo run -p wfq-bench --release --bin latency_observatory -- \
 //!     [--backends wf,wf0,faa,scq] [--rates 250,1000,4000] [--ramp] \
 //!     [--schedule fixed|poisson|bursty] [--threads T] [--ops N] \
 //!     [--invocations I] [--seed S] [--overload] [--handicap-ns N] \
@@ -16,8 +16,9 @@
 //! its intended-start schedule from the offered rate and charges each
 //! operation from its **intended** start, so a stall that delays 100
 //! pending arrivals is billed 100 times. Quantiles carry Student-t 95% CIs
-//! across invocations, and backends built with `--features op-sample`
-//! additionally report per-path attribution (fast / slow / helped).
+//! across invocations, and backends whose handles count their paths (the
+//! wait-free queues) additionally report per-path attribution (fast / slow
+//! / helped).
 //!
 //! `--rates` takes offered rates in **kops/s**; `--ramp` instead doubles
 //! the rate from the first `--rates` entry (default 250) until the backend
@@ -218,11 +219,6 @@ fn main() {
              thread{}; latencies include scheduler delay",
             cfg.threads,
             if hw == 1 { "" } else { "s" }
-        );
-    }
-    if !wfqueue::SAMPLING_ENABLED {
-        eprintln!(
-            "  note: built without --features op-sample; attribution shares will be 0/0/0"
         );
     }
 

@@ -16,6 +16,7 @@
 //! |---|---|---|
 //! | `try_enqueue` (backpressure) | always accepts | WF bounded mode, SCQ ring |
 //! | `stats()` | all-zero | WF, SCQ |
+//! | handle `stats()` | all-zero | WF |
 //! | `gauges()` | `None` | WF |
 //! | `reclaim_hint()` | no-op | WF (hazard-bounded reclamation) |
 //!
@@ -23,7 +24,7 @@
 //! state (peer cursors, hazard mirrors, stat counters) that must not be
 //! shared; the queue itself is the `Sync` object.
 
-use crate::{Full, Gauges, OpSample, QueueStats};
+use crate::{Full, Gauges, QueueStats};
 
 /// A per-thread handle through which a queue backend is operated.
 pub trait BackendHandle: Send {
@@ -45,13 +46,13 @@ pub trait BackendHandle: Send {
         Ok(())
     }
 
-    /// Execution-path sample of this handle's most recent operation, for
-    /// latency attribution (`wfq_harness::attribution`).
-    /// The default reports `None` — correct for every backend without
-    /// per-op path instrumentation; the wait-free queue overrides it when
-    /// built with the `op-sample` feature.
-    fn last_op_sample(&self) -> Option<OpSample> {
-        None
+    /// This handle's own execution-path counters, in the taxonomy of
+    /// [`QueueBackend::stats`]. The latency attribution
+    /// (`wfq_harness::attribution`) classifies each operation by the
+    /// counters it moved. The default reports all-zero, so a backend that
+    /// counts nothing per handle leaves every operation unclassified.
+    fn stats(&self) -> QueueStats {
+        QueueStats::default()
     }
 }
 
@@ -123,16 +124,12 @@ pub trait QueueBackend: Send + Sync + Sized {
 
 mod wf_impl {
     use super::{BackendHandle, QueueBackend};
-    use crate::{Config, Full, Gauges, Handle, OpSample, QueueStats, RawQueue};
+    use crate::{Config, Full, Gauges, Handle, QueueStats, RawQueue};
 
     impl<const N: usize> BackendHandle for Handle<'_, N> {
         #[inline]
         fn enqueue(&mut self, v: u64) {
             Handle::enqueue(self, v);
-        }
-        #[inline]
-        fn last_op_sample(&self) -> Option<OpSample> {
-            Handle::last_op_sample(self)
         }
         #[inline]
         fn dequeue(&mut self) -> Option<u64> {
@@ -141,6 +138,9 @@ mod wf_impl {
         #[inline]
         fn try_enqueue(&mut self, v: u64) -> Result<(), Full> {
             Handle::try_enqueue(self, v)
+        }
+        fn stats(&self) -> QueueStats {
+            Handle::stats(self)
         }
     }
 
@@ -216,7 +216,7 @@ mod tests {
         assert_eq!(h.dequeue(), Some(1));
         assert_eq!(h.dequeue(), Some(2));
         assert_eq!(h.dequeue(), None);
-        assert_eq!(h.last_op_sample(), None);
+        assert_eq!(BackendHandle::stats(&h), QueueStats::default());
         assert_eq!(q.stats(), QueueStats::default());
         assert!(q.gauges().is_none());
         assert!(!q.reclaim_hint());

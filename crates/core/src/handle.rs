@@ -86,7 +86,8 @@ pub(crate) struct HandleNode<const N: usize> {
     /// The ring nodes a reclamation pass visits, kept between passes so a
     /// pass does not allocate once the list has grown to the ring's size.
     /// Owner-local: only the node's owner runs a pass with its node, so a
-    /// plain `Cell` is sound here for the same reason as `last_sample`.
+    /// plain `Cell` is sound here even though nodes are shared: no other
+    /// thread ever touches this field.
     pub reclaim_scratch: core::cell::Cell<Vec<*mut HandleNode<N>>>,
     /// Whether the owner's next dequeue must pass the emptiness guard
     /// (`H ≤ T`, DESIGN.md §9) before it may probe: set by a dequeue that
@@ -95,12 +96,6 @@ pub(crate) struct HandleNode<const N: usize> {
     /// received a value. Owner-local, a plain `Cell` for the same reason
     /// as `reclaim_scratch`.
     pub empty_guard: core::cell::Cell<bool>,
-    /// Execution-path sample of the owner's most recent operation (feature
-    /// `op-sample`; see `crate::sample`). A plain `Cell` is sound here
-    /// even though nodes are shared: only the owning
-    /// thread ever touches this field, and nothing else is derived from it.
-    #[cfg(feature = "op-sample")]
-    pub last_sample: core::cell::Cell<Option<crate::sample::OpSample>>,
 }
 
 impl<const N: usize> HandleNode<N> {
@@ -126,8 +121,6 @@ impl<const N: usize> HandleNode<N> {
             stats: HandleStats::default(),
             reclaim_scratch: core::cell::Cell::new(Vec::new()),
             empty_guard: core::cell::Cell::new(true),
-            #[cfg(feature = "op-sample")]
-            last_sample: core::cell::Cell::new(None),
         }));
         // Self-loops until spliced into the ring.
         // SAFETY: `node` was just allocated and is exclusively owned.

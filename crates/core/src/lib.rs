@@ -93,7 +93,6 @@ mod pool;
 mod raw;
 mod reclaim;
 mod request;
-mod sample;
 mod segment;
 mod stats;
 mod typed;
@@ -111,7 +110,6 @@ pub use full::Full;
 #[cfg(feature = "durable")]
 pub use persist::PersistSink;
 pub use raw::{Handle, OwnedHandle, QueueRef, RawHandle, RawQueue};
-pub use sample::{OpPath, OpSample, OpSide, SAMPLING_ENABLED};
 pub use stats::{Gauges, QueueStats};
 pub use typed::{LocalHandle, OwnedLocalHandle, TypedHandle, WfQueue};
 
@@ -123,8 +121,10 @@ pub const DEFAULT_PATIENCE: u32 = 10;
 
 /// Every named fault-injection point compiled into this crate
 /// (`wfq_sync::inject!` sites). The schedule fuzzer asserts its sweep
-/// drives each of these at least once; keep this list in sync with the
-/// `inject!("...")` calls in `raw.rs`, `reclaim.rs`, and `pool.rs`.
+/// drives each of these at least once. The list is exactly the
+/// `inject!("...")` calls in `raw.rs`, `reclaim.rs` and `pool.rs`:
+/// `fault_points_match_the_inject_sites` in `tests/tests/fault_schedules.rs`
+/// fails when they drift apart.
 ///
 /// Points are named `<protocol>::<window>` after the race window they sit
 /// in, not the function they appear in (see DESIGN.md).

@@ -33,22 +33,13 @@ use crate::handle::{HandleNode, NodeTable, NO_HAZARD};
 use crate::persist::PersistSink;
 use crate::persist::persist;
 use crate::pool::SegmentPool;
-use crate::sample::{op_sample, OpPath, OpSample};
 use crate::segment::{find_cell, SegSource, Segment};
 use crate::stats::{Gauges, HandleStats, QueueStats};
 use crate::DEFAULT_SEGMENT_SIZE;
 
-// Zero-overhead guard (the mirror of `wfq_obs::_ZERO_OVERHEAD_PROOF`):
-// with `op-sample` off the sampling hook must expand to a constant
-// expression — no store, no argument evaluation — so the instrumented
-// operation epilogues carry no trace of the sampler. The runtime twin is
-// the `op_sample_overhead` group of the `primitives` bench.
-#[cfg(not(feature = "op-sample"))]
-const _OP_SAMPLE_ZERO_OVERHEAD_PROOF: () =
-    op_sample!(no_node, OpSide::Enq, OpPath::Fast, 0u64);
-
-// Same guard for durable mode: with `durable` off the persist hooks at the
-// three commit frontiers (DESIGN.md §12) must expand to a constant
+// Zero-overhead guard for durable mode (the mirror of
+// `wfq_obs::_ZERO_OVERHEAD_PROOF`): with `durable` off the persist hooks
+// at the three commit frontiers (DESIGN.md §12) must expand to a constant
 // expression — no field access, no branch, no argument evaluation. The
 // runtime twin is the `persist_overhead` group of the `primitives` bench.
 #[cfg(not(feature = "durable"))]
@@ -282,10 +273,6 @@ impl<const N: usize> RawQueue<N> {
                 // The new owner has received nothing yet, so its first
                 // dequeue passes the emptiness guard like a fresh node's.
                 (*node).empty_guard.set(true);
-                // A recycled node must not leak the previous owner's
-                // execution-path sample to the new handle.
-                #[cfg(feature = "op-sample")]
-                (*node).last_sample.set(None);
             }
             self.active_count.fetch_add(1, Ordering::Relaxed);
             return node;
@@ -515,7 +502,6 @@ impl<const N: usize> RawQueue<N> {
         }
         HandleStats::bump(&h.stats.enq_fast);
         wfq_obs::record!(wfq_obs::EventKind::EnqFast, i);
-        op_sample!(h, crate::sample::OpSide::Enq, OpPath::Fast, i);
         // Epilogue: the mirror already names segment i/N.
         h.clear_hazard();
     }
@@ -541,7 +527,6 @@ impl<const N: usize> RawQueue<N> {
         let last_index = if done {
             HandleStats::bump(&h.stats.enq_fast);
             wfq_obs::record!(wfq_obs::EventKind::EnqFast, cell_id);
-            op_sample!(h, crate::sample::OpSide::Enq, OpPath::Fast, cell_id);
             cell_id
         } else {
             let claimed = self.enq_slow(h, v, cell_id);
@@ -661,7 +646,7 @@ impl<const N: usize> RawQueue<N> {
         // below may need to revisit an *earlier* cell. SeqCst: a read of a
         // pointer a cleaner may CAS, after the hazard publication.
         let tmp_tail = AtomicPtr::new(h.tail.load(Ordering::SeqCst));
-        let mut path = OpPath::Slow;
+        let mut helped = false;
         loop {
             // Line 78.
             let i = self.tail_index.fetch_add(1, Ordering::SeqCst);
@@ -678,11 +663,11 @@ impl<const N: usize> RawQueue<N> {
             }
             // Line 85.
             if !r.state().pending {
-                path = OpPath::Helped;
+                helped = true;
                 break;
             }
         }
-        if matches!(path, OpPath::Helped) {
+        if helped {
             // A helper finished the request before any reservation of
             // ours stuck — the helping scheme's raison d'être.
             HandleStats::bump(&h.stats.enq_slow_helped);
@@ -702,7 +687,6 @@ impl<const N: usize> RawQueue<N> {
         let c = unsafe { &*find_cell(&h.tail, id, &self.src(h)) };
         self.enq_commit(c, v, id);
         wfq_obs::record!(wfq_obs::EventKind::EnqSlowExit, id, cell_id);
-        op_sample!(h, crate::sample::OpSide::Enq, path, cell_id);
         id
     }
 
@@ -904,7 +888,6 @@ impl<const N: usize> RawQueue<N> {
                 HandleStats::bump(&h.stats.deq_fast);
                 HandleStats::bump(&h.stats.deq_empty);
                 wfq_obs::record!(wfq_obs::EventKind::DeqEmpty, h_idx);
-                op_sample!(h, crate::sample::OpSide::Deq, OpPath::Fast, h_idx);
                 return None;
             }
             h.empty_guard.set(false);
@@ -935,7 +918,6 @@ impl<const N: usize> RawQueue<N> {
         }
         HandleStats::bump(&h.stats.deq_fast);
         wfq_obs::record!(wfq_obs::EventKind::DeqFast, i);
-        op_sample!(h, crate::sample::OpSide::Deq, OpPath::Fast, i);
         // Lines 135–138 up to the bail-out; a pending peer finishes the
         // operation out of line.
         let peer = Self::deq_peer(h);
@@ -991,12 +973,10 @@ impl<const N: usize> RawQueue<N> {
             FastDeq::Value(v, i) => {
                 HandleStats::bump(&h.stats.deq_fast);
                 wfq_obs::record!(wfq_obs::EventKind::DeqFast, i);
-                op_sample!(h, crate::sample::OpSide::Deq, OpPath::Fast, i);
                 (Some(v), i)
             }
             FastDeq::Empty(i) => {
                 HandleStats::bump(&h.stats.deq_fast);
-                op_sample!(h, crate::sample::OpSide::Deq, OpPath::Fast, i);
                 (None, i)
             }
             FastDeq::Fail(cell_id) => {
@@ -1104,11 +1084,6 @@ impl<const N: usize> RawQueue<N> {
             persist!(self, consume(i, v));
         }
         wfq_obs::record!(wfq_obs::EventKind::DeqSlowExit, i, cid);
-        // Slow dequeues always report `Slow`: the requester helps itself
-        // through `help_deq` and cannot locally tell whether a peer
-        // finished the request first (see `crate::sample::OpPath` — the
-        // span join upgrades multi-hop episodes to Helped offline).
-        op_sample!(h, crate::sample::OpSide::Deq, OpPath::Slow, cid);
         if v == VAL_TOP {
             HandleStats::bump(&h.stats.deq_slow_empty);
             (None, i)
@@ -1331,23 +1306,16 @@ impl<Q: QueueRef<N>, const N: usize> RawHandle<Q, N> {
         self.raw().dequeue_internal(self.node()).map(NonZeroU64::get)
     }
 
-    /// The execution-path sample of this handle's most recent
-    /// operation (an [`OpSample`]): which protocol path it took (fast /
-    /// slow / helped) and the op id the span taxonomy keys on. `None`
-    /// before the first operation, and always in builds without the
-    /// `op-sample` feature — where this compiles to a constant.
-    #[inline]
-    pub fn last_op_sample(&self) -> Option<OpSample> {
-        #[cfg(feature = "op-sample")]
-        {
-            return self.node().last_sample.get();
-        }
-        #[cfg(not(feature = "op-sample"))]
-        {
-            None
-        }
+    /// This handle's own execution-path counters (the per-handle share of
+    /// [`RawQueue::stats`]). A recycled registration slot keeps counting
+    /// from where its previous handle left off, so compare two snapshots:
+    /// the counters that moved between them name the path each operation
+    /// in between took.
+    pub fn stats(&self) -> QueueStats {
+        let mut s = QueueStats::default();
+        s.absorb(&self.node().stats);
+        s
     }
-
 }
 
 impl<'q, const N: usize> Handle<'q, N> {

@@ -6,58 +6,58 @@
 //! tail is populated by help-ring episodes whose length the helping scheme
 //! bounds. Throughput numbers cannot test that prediction; a single merged
 //! latency histogram cannot either, because it does not say *why* a sample
-//! is slow. This module joins the two per-op channels the repo already
-//! has:
+//! is slow.
 //!
-//! 1. the **sampling hook** (`wfqueue` feature `op-sample`,
-//!    [`wfqueue::OpSample`]) — the handle's own classification of its most
-//!    recent operation as fast / slow / helped, read by the open-loop
-//!    engine right after timing the op, and
-//! 2. the **PR-5 help-chain spans** ([`crate::spans`], feature `trace`) —
-//!    the offline reconstruction keyed by the same `(side, op)` ids, which
-//!    can see what the requester cannot: whether *other* threads' helper
-//!    hops landed inside the episode.
+//! The path comes from the handle's own Table 2 counters
+//! ([`wfqueue::BackendHandle::stats`], counted in every build). The
+//! open-loop engine reads them after each operation, outside the timed
+//! window, and [`OpClass::of`] names the operation by the counters that
+//! moved since the previous read ([`OpClass`]):
 //!
-//! The taxonomy ([`OpClass`]):
-//!
-//! - **Fast** — completed on the one-FAA path (for dequeues this includes
-//!   EMPTY results and the `H > T` fast-out).
-//! - **Slow** — a help-ring episode the requester finished itself.
-//! - **Helped** — an episode a helper materially participated in: the
-//!   hook reports this directly for enqueues (the `enq_slow_helped`
-//!   branch is requester-visible), and [`Attribution::with_spans`]
-//!   upgrades `Slow` samples whose reconstructed chain is multi-hop —
-//!   the only way to classify helped *dequeues*, where `deq_slow`'s
-//!   self-help hides peer completion from the requester.
+//! - **Helped** — `enq_slow_helped` moved: a slow enqueue whose request a
+//!   peer finished before any reservation of the requester's stuck.
+//! - **Slow** — else `enq_slow` or `deq_slow` moved: a help-ring episode.
+//!   Slow dequeues always land here, because `deq_slow` helps itself and
+//!   cannot tell whether a peer finished its request first.
+//! - **Fast** — else `enq_fast` or `deq_fast` moved: the one-FAA path (for
+//!   dequeues this includes EMPTY results and the emptiness guard's
+//!   `H > T` fast-out).
+//! - Nothing moved — the operation is **unsampled**: a `try_enqueue`
+//!   rejected at the admission gate, and every operation of a backend
+//!   that counts nothing per handle.
 //!
 //! **Soundness invariant**: every sampled op lands in exactly one class,
 //! so `fast + slow + helped == sampled` always — asserted by the 16-thread
-//! acceptance test in `tests/tests/openloop.rs` and checked cheaply by
+//! acceptance tests in `tests/tests/openloop.rs` and checked cheaply by
 //! [`Attribution::counts_are_sound`].
 
 use crate::histogram::{fmt_ns, Histogram};
-use crate::spans::{Side, SpanReport};
-use wfqueue::{OpPath, OpSample, OpSide};
+use wfqueue::QueueStats;
 
 /// Attribution class of one sampled operation (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpClass {
     /// One-FAA fast path.
     Fast,
-    /// Help-ring episode finished by the requester.
+    /// Help-ring episode: any slow dequeue, and a slow enqueue whose own
+    /// reservation stuck.
     Slow,
-    /// Help-ring episode a helper participated in.
+    /// Slow enqueue whose request a peer finished first.
     Helped,
 }
 
 impl OpClass {
-    /// The hook's own classification of a sample (span-blind: slow
-    /// dequeues stay `Slow` until [`Attribution::with_spans`]).
-    pub fn of(sample: &OpSample) -> OpClass {
-        match sample.path {
-            OpPath::Fast => OpClass::Fast,
-            OpPath::Slow => OpClass::Slow,
-            OpPath::Helped => OpClass::Helped,
+    /// Classifies the one operation a handle ran between two snapshots of
+    /// its counters, `None` if it moved no path counter.
+    pub fn of(before: &QueueStats, after: &QueueStats) -> Option<OpClass> {
+        if after.enq_slow_helped != before.enq_slow_helped {
+            Some(OpClass::Helped)
+        } else if after.enq_slow != before.enq_slow || after.deq_slow != before.deq_slow {
+            Some(OpClass::Slow)
+        } else if after.enq_fast != before.enq_fast || after.deq_fast != before.deq_fast {
+            Some(OpClass::Fast)
+        } else {
+            None
         }
     }
 
@@ -71,23 +71,6 @@ impl OpClass {
     }
 }
 
-/// One retained slow-path sample, kept for the offline span join.
-#[derive(Debug, Clone, Copy)]
-pub struct SlowSample {
-    /// Which side the episode ran on (span op ids are per-side).
-    pub side: Side,
-    /// The episode's publish id (the span reconstruction key).
-    pub op: u64,
-    /// The op's measured latency, nanoseconds.
-    pub ns: u64,
-}
-
-/// Cap on retained slow samples per [`Attribution`]. Slow paths are rare
-/// by design (patience keeps most ops on the fast path), so the cap only
-/// trips under extreme contention; past it, new slow samples still count
-/// in the histograms but can no longer be re-classified by a span join.
-const SLOW_SAMPLE_CAP: usize = 1 << 16;
-
 /// Per-class latency decomposition of a sampled-op population.
 #[derive(Debug, Clone, Default)]
 pub struct Attribution {
@@ -97,11 +80,8 @@ pub struct Attribution {
     pub slow: Histogram,
     /// Latencies of helper-assisted ops.
     pub helped: Histogram,
-    /// Retained `Slow`-class samples for [`Attribution::with_spans`]
-    /// (capped at `SLOW_SAMPLE_CAP`).
-    pub slow_ops: Vec<SlowSample>,
-    /// Slow samples recorded past the cap (a span join would be partial).
-    pub slow_ops_dropped: u64,
+    /// Ops recorded, whatever their class.
+    sampled: u64,
 }
 
 impl Attribution {
@@ -110,34 +90,19 @@ impl Attribution {
         Self::default()
     }
 
-    /// Records one sampled op: its hook classification and its measured
-    /// latency. `Slow` samples are additionally retained (up to the cap)
-    /// so a later span join can upgrade them to `Helped`.
-    pub fn record(&mut self, sample: &OpSample, ns: u64) {
-        match OpClass::of(sample) {
+    /// Records one sampled op: its class and its measured latency.
+    pub fn record(&mut self, class: OpClass, ns: u64) {
+        match class {
             OpClass::Fast => self.fast.record(ns),
+            OpClass::Slow => self.slow.record(ns),
             OpClass::Helped => self.helped.record(ns),
-            OpClass::Slow => {
-                self.slow.record(ns);
-                if self.slow_ops.len() < SLOW_SAMPLE_CAP {
-                    self.slow_ops.push(SlowSample {
-                        side: match sample.side {
-                            OpSide::Enq => Side::Enq,
-                            OpSide::Deq => Side::Deq,
-                        },
-                        op: sample.op,
-                        ns,
-                    });
-                } else {
-                    self.slow_ops_dropped += 1;
-                }
-            }
         }
+        self.sampled += 1;
     }
 
     /// Total sampled ops across all classes.
     pub fn sampled(&self) -> u64 {
-        self.fast.count() + self.slow.count() + self.helped.count()
+        self.sampled
     }
 
     /// `(fast, slow, helped)` shares of the sampled population, each in
@@ -155,64 +120,19 @@ impl Attribution {
         )
     }
 
-    /// The soundness invariant: per-class counts partition the sampled
-    /// population (and the retained slow samples tally with the slow
-    /// histogram). `true` means every sampled op is accounted for.
+    /// The soundness invariant: the per-class counts partition the
+    /// sampled population. `true` means every sampled op is in exactly one
+    /// class.
     pub fn counts_are_sound(&self) -> bool {
-        self.fast.count() + self.slow.count() + self.helped.count() == self.sampled()
-            && self.slow_ops.len() as u64 + self.slow_ops_dropped == self.slow.count()
+        self.fast.count() + self.slow.count() + self.helped.count() == self.sampled
     }
 
-    /// Merges another attribution into this one (per-class histograms,
-    /// retained samples up to the cap).
+    /// Merges another attribution into this one.
     pub fn merge(&mut self, other: &Attribution) {
         self.fast.merge(&other.fast);
         self.slow.merge(&other.slow);
         self.helped.merge(&other.helped);
-        for s in &other.slow_ops {
-            if self.slow_ops.len() < SLOW_SAMPLE_CAP {
-                self.slow_ops.push(*s);
-            } else {
-                self.slow_ops_dropped += 1;
-            }
-        }
-        self.slow_ops_dropped += other.slow_ops_dropped;
-    }
-
-    /// Joins the retained slow samples with a PR-5 span reconstruction:
-    /// every `Slow` sample whose `(side, op)` episode has a **multi-hop**
-    /// help chain (hops from more than one thread — cross-thread help the
-    /// requester could not observe) moves to `Helped`. Fast and
-    /// hook-classified helped samples are untouched.
-    ///
-    /// If the retention cap was exceeded (`slow_ops_dropped > 0`) the join
-    /// would mis-partition the population (dropped samples cannot be
-    /// re-bucketed), so the attribution is returned unchanged — sums stay
-    /// sound either way.
-    pub fn with_spans(&self, report: &SpanReport) -> Attribution {
-        if self.slow_ops_dropped > 0 {
-            return self.clone();
-        }
-        let multi_hop: std::collections::HashSet<(Side, u64)> = report
-            .chains
-            .iter()
-            .filter(|c| c.is_multi_hop())
-            .map(|c| (c.span.side, c.span.op))
-            .collect();
-        let mut out = Attribution {
-            fast: self.fast.clone(),
-            helped: self.helped.clone(),
-            ..Attribution::new()
-        };
-        for s in &self.slow_ops {
-            if multi_hop.contains(&(s.side, s.op)) {
-                out.helped.record(s.ns);
-            } else {
-                out.slow.record(s.ns);
-                out.slow_ops.push(*s);
-            }
-        }
-        out
+        self.sampled += other.sampled;
     }
 
     /// Human-readable share/latency table.
@@ -247,36 +167,61 @@ impl Attribution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spans::{HelpChain, SlowSpan};
 
-    fn sample(side: OpSide, path: OpPath, op: u64) -> OpSample {
-        OpSample { side, path, op }
-    }
-
-    fn chain(side: Side, op: u64, helpers: Vec<u64>) -> HelpChain {
-        HelpChain {
-            span: SlowSpan {
-                recorder: 1,
-                side,
-                op,
-                start_ns: 0,
-                end_ns: 100,
-                final_cell: op,
-            },
-            hops: Vec::new(),
-            helpers,
-            depth: 1,
-        }
+    #[test]
+    fn each_path_counter_names_its_class() {
+        let before = QueueStats {
+            enq_fast: 3,
+            enq_slow: 2,
+            deq_fast: 5,
+            deq_slow: 1,
+            enq_slow_helped: 1,
+            ..QueueStats::default()
+        };
+        let moved = |f: fn(&mut QueueStats)| {
+            let mut after = before;
+            f(&mut after);
+            OpClass::of(&before, &after)
+        };
+        assert_eq!(moved(|s| s.enq_fast += 1), Some(OpClass::Fast));
+        assert_eq!(moved(|s| s.deq_fast += 1), Some(OpClass::Fast));
+        // An EMPTY dequeue completes on the fast path.
+        assert_eq!(
+            moved(|s| {
+                s.deq_fast += 1;
+                s.deq_empty += 1
+            }),
+            Some(OpClass::Fast)
+        );
+        assert_eq!(moved(|s| s.enq_slow += 1), Some(OpClass::Slow));
+        assert_eq!(moved(|s| s.deq_slow += 1), Some(OpClass::Slow));
+        // A peer-finished slow enqueue moves both slow counters.
+        assert_eq!(
+            moved(|s| {
+                s.enq_slow += 1;
+                s.enq_slow_helped += 1
+            }),
+            Some(OpClass::Helped)
+        );
+        // A rejected `try_enqueue` moves no path counter.
+        assert_eq!(
+            moved(|s| {
+                s.enq_rejected += 1;
+                s.forced_cleanups += 1
+            }),
+            None
+        );
+        assert_eq!(moved(|_| ()), None);
     }
 
     #[test]
     fn every_sample_lands_in_exactly_one_class() {
         let mut a = Attribution::new();
-        a.record(&sample(OpSide::Enq, OpPath::Fast, 1), 50);
-        a.record(&sample(OpSide::Deq, OpPath::Fast, 2), 60);
-        a.record(&sample(OpSide::Enq, OpPath::Slow, 3), 900);
-        a.record(&sample(OpSide::Deq, OpPath::Slow, 4), 1_000);
-        a.record(&sample(OpSide::Enq, OpPath::Helped, 5), 1_100);
+        a.record(OpClass::Fast, 50);
+        a.record(OpClass::Fast, 60);
+        a.record(OpClass::Slow, 900);
+        a.record(OpClass::Slow, 1_000);
+        a.record(OpClass::Helped, 1_100);
         assert_eq!(a.sampled(), 5);
         assert_eq!(a.fast.count(), 2);
         assert_eq!(a.slow.count(), 2);
@@ -298,61 +243,24 @@ mod tests {
     fn merge_preserves_totals_and_soundness() {
         let mut a = Attribution::new();
         let mut b = Attribution::new();
-        a.record(&sample(OpSide::Enq, OpPath::Fast, 1), 10);
-        a.record(&sample(OpSide::Enq, OpPath::Slow, 2), 500);
-        b.record(&sample(OpSide::Deq, OpPath::Slow, 3), 700);
-        b.record(&sample(OpSide::Enq, OpPath::Helped, 4), 800);
+        a.record(OpClass::Fast, 10);
+        a.record(OpClass::Slow, 500);
+        b.record(OpClass::Slow, 700);
+        b.record(OpClass::Helped, 800);
         a.merge(&b);
         assert_eq!(a.sampled(), 4);
-        assert_eq!(a.slow_ops.len(), 2);
+        assert_eq!(a.slow.count(), 2);
         assert!(a.counts_are_sound());
-    }
-
-    #[test]
-    fn span_join_upgrades_multi_hop_slow_samples() {
-        let mut a = Attribution::new();
-        a.record(&sample(OpSide::Deq, OpPath::Slow, 42), 2_000); // multi-hop below
-        a.record(&sample(OpSide::Deq, OpPath::Slow, 43), 1_500); // single-hop
-        a.record(&sample(OpSide::Enq, OpPath::Fast, 44), 80);
-        let report = SpanReport {
-            chains: vec![
-                chain(Side::Deq, 42, vec![2]), // a peer helped: multi-hop
-                chain(Side::Deq, 43, vec![]),  // self-completed: stays slow
-            ],
-            ..SpanReport::default()
-        };
-        let joined = a.with_spans(&report);
-        assert_eq!(joined.sampled(), 3, "join must not lose samples");
-        assert_eq!(joined.helped.count(), 1);
-        assert_eq!(joined.slow.count(), 1);
-        assert_eq!(joined.fast.count(), 1);
-        assert!(joined.counts_are_sound());
-    }
-
-    #[test]
-    fn span_join_keys_on_side_so_enq_and_deq_ids_do_not_collide() {
-        // Op ids are per-side FAA indices: a Deq episode with op 7 must not
-        // be upgraded by an Enq chain with the same id.
-        let mut a = Attribution::new();
-        a.record(&sample(OpSide::Deq, OpPath::Slow, 7), 1_000);
-        let report = SpanReport {
-            chains: vec![chain(Side::Enq, 7, vec![1, 2])],
-            ..SpanReport::default()
-        };
-        let joined = a.with_spans(&report);
-        assert_eq!(joined.slow.count(), 1, "cross-side id must not match");
-        assert_eq!(joined.helped.count(), 0);
     }
 
     #[test]
     fn render_mentions_all_classes() {
         let mut a = Attribution::new();
-        a.record(&sample(OpSide::Enq, OpPath::Fast, 1), 100);
-        a.record(&sample(OpSide::Enq, OpPath::Helped, 2), 900);
+        a.record(OpClass::Fast, 100);
+        a.record(OpClass::Helped, 900);
         let r = a.render();
         assert!(r.contains("fast"), "{r}");
         assert!(r.contains("helped"), "{r}");
         assert_eq!(OpClass::Fast.name(), "fast");
-        assert_eq!(OpClass::of(&sample(OpSide::Enq, OpPath::Helped, 0)), OpClass::Helped);
     }
 }

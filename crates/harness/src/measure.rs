@@ -106,7 +106,8 @@ pub struct OpenLoopMeasurement {
     pub max: QuantileStat,
     /// All invocations' samples merged (Prometheus export, reports).
     pub merged: Histogram,
-    /// Merged per-path attribution (empty without `op-sample` backends).
+    /// Merged per-path attribution (empty for backends whose handles count
+    /// no paths).
     pub attribution: Attribution,
     /// Whether a majority of invocations ended saturated (generator lag
     /// above 10% of the intended span).

@@ -120,8 +120,8 @@ pub fn render_json_with_commit(
 /// One (offered rate → tail latency) point of a latency-observatory
 /// frontier line. Quantiles are means over invocations with Student-t 95%
 /// half-widths (`*_ci`), all in nanoseconds; `share_*` are the attribution
-/// fractions of `sampled` operations (zero when the backend exposes no
-/// `op-sample` hooks).
+/// fractions of `sampled` operations (zero when the backend's handles
+/// count no paths).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyPoint {
     /// Offered arrival rate, kops/s.
@@ -162,7 +162,8 @@ pub struct LatencyPoint {
     pub share_slow: f64,
     /// Fraction completed by a helper.
     pub share_helped: f64,
-    /// Operations with a path sample (0 without `op-sample`).
+    /// Operations that moved a path counter of their handle (0 for backends
+    /// that count none; rejected `try_enqueue`s are not sampled).
     pub sampled: u64,
 }
 

@@ -25,7 +25,7 @@ use wfq_baselines::{BenchQueue, QueueHandle};
 use wfq_sync::delay::SpinDelay;
 use wfq_sync::XorShift64;
 
-use crate::attribution::Attribution;
+use crate::attribution::{Attribution, OpClass};
 use crate::histogram::Histogram;
 use crate::topology;
 
@@ -364,8 +364,8 @@ impl Default for OpenLoopConfig {
 pub struct OpenLoopIteration {
     /// Coordinated-omission-free op latencies (`completion − intended`).
     pub latency: Histogram,
-    /// Per-path latency decomposition (empty unless the backend reports
-    /// op samples — the wait-free queue built with `op-sample`).
+    /// Per-path latency decomposition (empty unless the backend's handle
+    /// counts its operations' paths, as the wait-free queue's does).
     pub attribution: Attribution,
     /// Completed ops per second over the iteration wall time.
     pub achieved_rate: f64,
@@ -416,8 +416,9 @@ fn wait_until(start: Instant, intended: u64) -> u64 {
 /// pre-computes its arrival schedule, then executes one op per arrival at
 /// (or as soon as possible after) its intended start, alternating
 /// enqueue/dequeue (or the 2:1 overload mix). Latency is recorded against
-/// the *intended* start; the per-op path sample, when the backend exposes
-/// one, is recorded into the attribution.
+/// the *intended* start; the path each op took, read from the handle's
+/// counters after the op's latency is taken, is recorded into the
+/// attribution.
 pub fn run_open_loop_iteration<Q: BenchQueue>(
     q: &Q,
     cfg: &OpenLoopConfig,
@@ -460,6 +461,7 @@ pub fn run_open_loop_iteration<Q: BenchQueue>(
                         cfg.seed ^ round.wrapping_mul(0x9E37) ^ ((t as u64) << 32),
                     );
                     let mut h = q.register();
+                    let mut counted = h.stats();
                     let tag = ((t as u64 + 1) << 40) | 1;
                     let mut counter = 0u64;
                     let mut o = ThreadOut {
@@ -502,9 +504,11 @@ pub fn run_open_loop_iteration<Q: BenchQueue>(
                         let done = start.elapsed().as_nanos() as u64;
                         let ns = done.saturating_sub(intended).max(1);
                         o.latency.record(ns);
-                        if let Some(sample) = h.last_op_sample() {
-                            o.attribution.record(&sample, ns);
+                        let now = h.stats();
+                        if let Some(class) = OpClass::of(&counted, &now) {
+                            o.attribution.record(class, ns);
                         }
+                        counted = now;
                         o.max_lag_ns = o.max_lag_ns.max(lag);
                         o.end_lag_ns = lag;
                     }

@@ -34,6 +34,50 @@ fn injection_layer_matches_build_mode() {
     let _: () = wfq_sync::inject!("fault_schedules::build_mode_probe");
 }
 
+/// Each `FAULT_POINTS` list names exactly the `inject!` sites of its
+/// crate's sources. A site missing from a list escapes the sweep's
+/// coverage assert; a listed point with no site fails it in every sweep.
+#[test]
+fn fault_points_match_the_inject_sites() {
+    use std::collections::BTreeSet;
+
+    /// The literals of the `inject!("…")` calls in `sources`, comments
+    /// skipped.
+    fn sites<'a>(sources: &[&'a str]) -> BTreeSet<&'a str> {
+        let mut out = BTreeSet::new();
+        for line in sources.iter().flat_map(|s| s.lines()) {
+            let code = line.split("//").next().unwrap_or("");
+            for call in code.split("inject!(\"").skip(1) {
+                out.insert(call.split('"').next().unwrap_or(""));
+            }
+        }
+        out
+    }
+
+    fn listed(points: &'static [&'static str]) -> BTreeSet<&'static str> {
+        let set: BTreeSet<&str> = points.iter().copied().collect();
+        assert_eq!(set.len(), points.len(), "a point is listed twice");
+        set
+    }
+
+    let core = sites(&[
+        include_str!("../../crates/core/src/raw.rs"),
+        include_str!("../../crates/core/src/reclaim.rs"),
+        include_str!("../../crates/core/src/pool.rs"),
+    ]);
+    assert_eq!(core, listed(wfqueue::FAULT_POINTS), "wfqueue::FAULT_POINTS");
+    let baselines = sites(&[
+        include_str!("../../crates/baselines/src/scq.rs"),
+        include_str!("../../crates/baselines/src/lcrq.rs"),
+        include_str!("../../crates/baselines/src/msqueue.rs"),
+    ]);
+    assert_eq!(
+        baselines,
+        listed(wfq_baselines::FAULT_POINTS),
+        "wfq_baselines::FAULT_POINTS"
+    );
+}
+
 #[cfg(feature = "fault-injection")]
 mod fuzz {
     use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};

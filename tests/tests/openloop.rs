@@ -1,19 +1,10 @@
 //! Acceptance tests for the open-loop latency observatory: attribution
 //! soundness (every sampled operation is exactly one of fast / slow /
-//! helped) and the zero-overhead contract of the `op-sample` hooks.
-//!
-//! The attribution tests need the queue built with path sampling:
-//!
-//! ```text
-//! cargo test -p wfq-integration --features op-sample --test openloop
-//! ```
-//!
-//! Without the feature this file still runs the default-build half: the
-//! hooks must be compile-time inert (`SAMPLING_ENABLED == false`, every
-//! `last_op_sample()` a constant `None`, attribution permanently empty).
+//! helped) on the wait-free backends, and no attribution where no path
+//! counter moves (a rejected `try_enqueue`, a baseline's operations).
 
-use wfq_baselines::BenchQueue;
-use wfq_harness::{measure_open_loop, ArrivalSchedule, OpenLoopConfig};
+use wfq_baselines::{BenchQueue, MutexQueue, Wf0};
+use wfq_harness::{measure_open_loop, ArrivalSchedule, OpClass, OpenLoopConfig};
 use wfqueue::RawQueue;
 
 fn observatory_cfg(threads: usize, total_ops: u64) -> OpenLoopConfig {
@@ -30,89 +21,98 @@ fn observatory_cfg(threads: usize, total_ops: u64) -> OpenLoopConfig {
     }
 }
 
-#[cfg(not(feature = "op-sample"))]
-mod default_build {
-    use super::*;
-
-    #[test]
-    fn sampling_is_compiled_out() {
-        assert!(!wfqueue::SAMPLING_ENABLED);
-        let q = <RawQueue as BenchQueue>::new();
-        let mut h = RawQueue::register(&q);
-        h.enqueue(7);
-        assert_eq!(h.dequeue(), Some(7));
-        assert_eq!(h.last_op_sample(), None, "default build: hooks are inert");
-    }
-
-    #[test]
-    fn open_loop_attribution_stays_empty_without_the_feature() {
-        let m = measure_open_loop::<RawQueue>(&observatory_cfg(2, 2_000));
-        assert_eq!(m.merged.count(), 2_000, "latency is recorded regardless");
-        assert_eq!(m.attribution.sampled(), 0, "no samples without op-sample");
-        assert!(m.attribution.counts_are_sound());
-    }
+#[test]
+fn every_operation_leaves_a_sample() {
+    let q = std::sync::Arc::new(<RawQueue as BenchQueue>::new());
+    sample_each_op(RawQueue::register(&q));
+    // The same handle code holds the queue through an Arc.
+    sample_each_op(wfqueue::OwnedHandle::new(std::sync::Arc::clone(&q)));
 }
 
-#[cfg(feature = "op-sample")]
-mod sampled_build {
-    use super::*;
-    use wfq_baselines::Wf0;
+fn sample_each_op<Q: wfqueue::QueueRef<1024>>(mut h: wfqueue::RawHandle<Q>) {
+    let before = h.stats();
+    h.enqueue(7);
+    let enqueued = h.stats();
+    assert_eq!(OpClass::of(&before, &enqueued), Some(OpClass::Fast));
+    assert_eq!(h.dequeue(), Some(7));
+    let dequeued = h.stats();
+    assert_eq!(OpClass::of(&enqueued, &dequeued), Some(OpClass::Fast));
+    assert_eq!(h.dequeue(), None);
+    assert_eq!(
+        OpClass::of(&dequeued, &h.stats()),
+        Some(OpClass::Fast),
+        "an EMPTY dequeue is a fast-path operation"
+    );
+}
 
-    #[test]
-    fn every_operation_leaves_a_sample() {
-        assert!(wfqueue::SAMPLING_ENABLED);
-        let q = std::sync::Arc::new(<RawQueue as BenchQueue>::new());
-        sample_each_op(RawQueue::register(&q));
-        // The same handle code holds the queue through an Arc.
-        sample_each_op(wfqueue::OwnedHandle::new(std::sync::Arc::clone(&q)));
-    }
+/// Under 16 threads, `fast + slow + helped` must account for **every**
+/// sampled operation — no op is double-counted, none vanishes — and on the
+/// WF backend every executed operation is sampled.
+#[test]
+fn attribution_sums_are_sound_at_16_threads() {
+    let m = measure_open_loop::<RawQueue>(&observatory_cfg(16, 16_000));
+    assert_eq!(m.merged.count(), 16_000);
+    assert!(
+        m.attribution.counts_are_sound(),
+        "fast+slow+helped must equal sampled: {}",
+        m.attribution.render()
+    );
+    assert_eq!(
+        m.attribution.sampled(),
+        m.merged.count(),
+        "WF backend: every op carries a path sample"
+    );
+    let (f, s, h) = m.attribution.shares();
+    assert!(
+        (f + s + h - 1.0).abs() < 1e-9,
+        "shares must partition the sampled ops: {f} + {s} + {h}"
+    );
+}
 
-    fn sample_each_op<Q: wfqueue::QueueRef<1024>>(mut h: wfqueue::RawHandle<Q>) {
-        assert_eq!(h.last_op_sample(), None, "no sample before the first op");
-        h.enqueue(7);
-        let s = h.last_op_sample().expect("enqueue must leave a sample");
-        assert_eq!(s.side, wfqueue::OpSide::Enq);
-        assert_eq!(h.dequeue(), Some(7));
-        let s = h.last_op_sample().expect("dequeue must leave a sample");
-        assert_eq!(s.side, wfqueue::OpSide::Deq);
-    }
+/// Same invariant on WF-0 (patience 0), which falls back to the slow
+/// path on the first failed FAA — the classes beyond `fast` get
+/// exercised under contention without breaking the partition.
+#[test]
+fn attribution_sums_are_sound_on_the_slow_path_heavy_backend() {
+    let m = measure_open_loop::<Wf0>(&observatory_cfg(16, 16_000));
+    assert!(
+        m.attribution.counts_are_sound(),
+        "{}",
+        m.attribution.render()
+    );
+    assert_eq!(m.attribution.sampled(), m.merged.count());
+}
 
-    /// The issue's acceptance criterion: under 16 threads, `fast + slow +
-    /// helped` must account for **every** sampled operation — no op is
-    /// double-counted, none vanishes — and on the WF backend every executed
-    /// operation is sampled.
-    #[test]
-    fn attribution_sums_are_sound_at_16_threads() {
-        let m = measure_open_loop::<RawQueue>(&observatory_cfg(16, 16_000));
-        assert_eq!(m.merged.count(), 16_000);
-        assert!(
-            m.attribution.counts_are_sound(),
-            "fast+slow+helped must equal sampled: {}",
-            m.attribution.render()
-        );
-        assert_eq!(
-            m.attribution.sampled(),
-            m.merged.count(),
-            "WF backend: every op carries a path sample"
-        );
-        let (f, s, h) = m.attribution.shares();
-        assert!(
-            (f + s + h - 1.0).abs() < 1e-9,
-            "shares must partition the sampled ops: {f} + {s} + {h}"
-        );
-    }
+/// A `try_enqueue` rejected at the admission gate completes no path, so
+/// it is not sampled: it must not inherit the class of the operation
+/// before it.
+#[test]
+fn rejected_enqueues_are_not_sampled() {
+    let cfg = OpenLoopConfig {
+        overload: true,
+        segment_ceiling: Some(2),
+        ..observatory_cfg(1, 30_000)
+    };
+    let m = measure_open_loop::<RawQueue>(&cfg);
+    assert!(m.drops > 0, "a 2:1 enqueue mix must reach the ceiling");
+    assert_eq!(
+        m.attribution.sampled() + m.drops,
+        m.merged.count(),
+        "every completed op is sampled, every rejection is not"
+    );
+    assert!(
+        m.attribution.counts_are_sound(),
+        "{}",
+        m.attribution.render()
+    );
+}
 
-    /// Same invariant on WF-0 (patience 0), which falls back to the slow
-    /// path on the first failed FAA — the classes beyond `fast` get
-    /// exercised under contention without breaking the partition.
-    #[test]
-    fn attribution_sums_are_sound_on_the_slow_path_heavy_backend() {
-        let m = measure_open_loop::<Wf0>(&observatory_cfg(16, 16_000));
-        assert!(
-            m.attribution.counts_are_sound(),
-            "{}",
-            m.attribution.render()
-        );
-        assert_eq!(m.attribution.sampled(), m.merged.count());
-    }
+/// A backend whose handles count nothing leaves every operation
+/// unsampled: latency is recorded, attribution stays empty.
+#[test]
+fn baseline_operations_stay_unsampled() {
+    let m = measure_open_loop::<MutexQueue>(&observatory_cfg(2, 2_000));
+    assert_eq!(m.merged.count(), 2_000, "latency is recorded regardless");
+    assert_eq!(m.attribution.sampled(), 0);
+    assert!(m.attribution.counts_are_sound());
 }
