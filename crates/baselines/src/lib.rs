@@ -7,7 +7,6 @@
 //! | Module | Algorithm | Progress | Hot-spot primitive |
 //! |---|---|---|---|
 //! | [`msqueue`] | Michael & Scott 1996 (hazard pointers) | lock-free | CAS (retry loops) |
-//! | [`msqueue_ebr`] | Michael & Scott 1996 (epoch reclamation) | lock-free | CAS (retry loops) |
 //! | [`kpqueue`] | Kogan & Petrank 2011 | wait-free | CAS + phase-ordered helping |
 //! | [`lcrq`] | Morrison & Afek 2013 (CRQ ring + list) | lock-free | FAA + CAS2 |
 //! | [`ccqueue`] | Fatourou & Kallimanis 2012 (CC-Synch) | blocking | SWAP + combining |
@@ -36,7 +35,6 @@ pub mod faa;
 pub mod kpqueue;
 pub mod lcrq;
 pub mod msqueue;
-pub mod msqueue_ebr;
 pub mod mutex_queue;
 pub mod scq;
 
@@ -45,7 +43,6 @@ pub use faa::FaaBench;
 pub use kpqueue::KpQueue;
 pub use lcrq::Lcrq;
 pub use msqueue::MsQueue;
-pub use msqueue_ebr::MsQueueEbr;
 pub use mutex_queue::MutexQueue;
 pub use scq::Scq;
 

@@ -3,7 +3,7 @@
 //! Quantifies the building blocks the paper's argument rests on: FAA
 //! (always succeeds) vs CAS (can fail) vs CAS2, and the uncontended
 //! single-op cost of each queue — the "single core performance" discussion
-//! of §5.2.
+//! of §5.2. Built with `--features durable`, it also prices durable mode.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -70,93 +70,22 @@ fn bench_single_op(c: &mut Criterion) {
     g.finish();
 }
 
-/// Zero-overhead guard for the fault-injection layer: in the default build
-/// `wfq_sync::inject!` must expand to literally nothing — no atomic loads,
-/// no branches — so the fast paths measured above are unperturbed. The
-/// static proof lives in `wfq-sync` (the macro expansion is a valid
-/// constant expression, which no runtime atomic access is); this bench
-/// makes the same claim observable: an `inject!`-laden loop must price
-/// identically to the bare loop.
-fn bench_inject_overhead(c: &mut Criterion) {
-    let mut g = c.benchmark_group("inject_overhead");
-    g.sample_size(20).measurement_time(Duration::from_secs(1));
-
-    let counter = AtomicU64::new(0);
-    g.bench_function("faa_bare", |b| {
-        b.iter(|| std::hint::black_box(counter.fetch_add(1, Ordering::SeqCst)))
-    });
-    g.bench_function("faa_with_inject_points", |b| {
-        b.iter(|| {
-            wfq_sync::inject!("bench::before_faa");
-            let v = std::hint::black_box(counter.fetch_add(1, Ordering::SeqCst));
-            wfq_sync::inject!("bench::after_faa");
-            v
-        })
-    });
-    // Same guardrail for the flight recorder (`wfq_obs::record!`): without
-    // the `trace` feature the instrumented loop must be cycle-identical to
-    // the bare FAA loop — the recorder's const proof made observable.
-    g.bench_function("faa_with_trace_points", |b| {
-        b.iter(|| {
-            wfq_obs::record!(wfq_obs::EventKind::EnqFast, 0u64);
-            let v = std::hint::black_box(counter.fetch_add(1, Ordering::SeqCst));
-            wfq_obs::record!(wfq_obs::EventKind::DeqFast, v);
-            v
-        })
-    });
-    g.finish();
-}
-
-/// Guardrail for bounded-memory mode: on an *unbounded* queue,
-/// `try_enqueue` is the plain enqueue plus one branch on a constant
-/// (`config.segment_ceiling.is_some()`), never a pool or ceiling atomic —
-/// so a pair loop driven through `try_enqueue` must price identically to
-/// one driven through `enqueue`. A regression here means the admission
-/// gate leaked onto the paper's fast path.
-fn bench_try_enqueue_overhead(c: &mut Criterion) {
-    let mut g = c.benchmark_group("try_enqueue_overhead");
-    g.sample_size(20).measurement_time(Duration::from_secs(1));
-
-    let q = <RawQueue as BenchQueue>::new();
-    let mut h = RawQueue::register(&q);
-    let mut i = 0u64;
-    g.bench_function("pair_enqueue", |b| {
-        b.iter(|| {
-            i += 1;
-            h.enqueue(i);
-            std::hint::black_box(h.dequeue())
-        })
-    });
-    g.bench_function("pair_try_enqueue_unbounded", |b| {
-        b.iter(|| {
-            i += 1;
-            h.try_enqueue(i).expect("unbounded queue never rejects");
-            std::hint::black_box(h.dequeue())
-        })
-    });
-    g.finish();
-}
-
-/// Guardrail for durable mode (DESIGN.md §12): in the default build the
-/// internal `persist!` macro at the three commit frontiers expands to `()`
-/// — the const proof in `core/src/raw.rs` shows the expansion is a valid
-/// constant expression, so no `Option` load, no branch, no sink call. This
-/// bench makes that observable: `persist_hooks_disabled` is the plain pair
-/// loop walked straight through every persist site, and it must price
-/// identically to `uncontended_pair/wf-faa` above. Rebuild with
-/// `--features durable` and the group grows the priced tiers — the no-sink
-/// branch (`durable_no_sink`) and a live in-memory store
-/// (`durable_mem_store`) — so EXPERIMENTS.md can quote what durable mode
-/// actually costs and what merely *compiling* it would cost if the proof
-/// ever broke.
+/// What durable mode costs (DESIGN.md §12), built only with `--features
+/// durable`: the pair loop with the persist hooks compiled in and no sink
+/// attached (`durable_no_sink`, one `Option` load and branch per
+/// frontier), and with a live in-memory store (`durable_mem_store`).
+/// EXPERIMENTS.md quotes both against `uncontended_pair/WF-10`. That the
+/// hooks cost nothing in the default build is not timed here:
+/// `examples/check_fast_path.py` checks it in the fast path's machine code.
+#[cfg(feature = "durable")]
 fn bench_persist_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("persist_overhead");
     g.sample_size(20).measurement_time(Duration::from_secs(1));
 
-    let q = <RawQueue as BenchQueue>::new();
-    let mut h = RawQueue::register(&q);
+    let q: RawQueue = RawQueue::with_config(wfqueue::Config::default());
+    let mut h = q.register();
     let mut i = 0u64;
-    g.bench_function("persist_hooks_disabled", |b| {
+    g.bench_function("durable_no_sink", |b| {
         b.iter(|| {
             i += 1;
             h.enqueue(i);
@@ -164,41 +93,26 @@ fn bench_persist_overhead(c: &mut Criterion) {
         })
     });
 
-    #[cfg(feature = "durable")]
-    {
-        // Hooks compiled in but no sink attached: each frontier pays one
-        // `Option` load and branch.
-        let q2: RawQueue = RawQueue::with_config(wfqueue::Config::default());
-        let mut h2 = q2.register();
-        g.bench_function("durable_no_sink", |b| {
-            b.iter(|| {
-                i += 1;
-                h2.enqueue(i);
-                std::hint::black_box(h2.dequeue())
-            })
-        });
-
-        // Full durable pair: deposit + index-advance + consume records into
-        // an in-memory store on every operation. The store's index space is
-        // finite and each pair burns two cells, so every sample gets a
-        // fresh store sized to its batch (built outside the timed region).
-        g.bench_function("durable_mem_store", |b| {
-            b.iter_custom(|iters| {
-                let store = std::sync::Arc::new(wfqueue::MemStore::new(2 * iters + 64, 4));
-                let q3: RawQueue = RawQueue::with_persist(
-                    wfqueue::Config::default(),
-                    store as std::sync::Arc<dyn wfqueue::PersistSink>,
-                );
-                let mut h3 = q3.register();
-                let start = std::time::Instant::now();
-                for j in 1..=iters {
-                    h3.enqueue(j);
-                    std::hint::black_box(h3.dequeue());
-                }
-                start.elapsed()
-            })
-        });
-    }
+    // Full durable pair: deposit + index-advance + consume records into
+    // an in-memory store on every operation. The store's index space is
+    // finite and each pair burns two cells, so every sample gets a fresh
+    // store sized to its batch (built outside the timed region).
+    g.bench_function("durable_mem_store", |b| {
+        b.iter_custom(|iters| {
+            let store = std::sync::Arc::new(wfqueue::MemStore::new(2 * iters + 64, 4));
+            let q: RawQueue = RawQueue::with_persist(
+                wfqueue::Config::default(),
+                store as std::sync::Arc<dyn wfqueue::PersistSink>,
+            );
+            let mut h = q.register();
+            let start = std::time::Instant::now();
+            for j in 1..=iters {
+                h.enqueue(j);
+                std::hint::black_box(h.dequeue());
+            }
+            start.elapsed()
+        })
+    });
     g.finish();
 }
 
@@ -206,7 +120,6 @@ fn main() {
     let mut c = Criterion::new();
     bench_atomics(&mut c);
     bench_single_op(&mut c);
-    bench_inject_overhead(&mut c);
-    bench_try_enqueue_overhead(&mut c);
+    #[cfg(feature = "durable")]
     bench_persist_overhead(&mut c);
 }

@@ -40,8 +40,9 @@ use crate::DEFAULT_SEGMENT_SIZE;
 // Zero-overhead guard for durable mode (the mirror of
 // `wfq_obs::_ZERO_OVERHEAD_PROOF`): with `durable` off the persist hooks
 // at the three commit frontiers (DESIGN.md §12) must expand to a constant
-// expression — no field access, no branch, no argument evaluation. The
-// runtime twin is the `persist_overhead` group of the `primitives` bench.
+// expression — no field access, no branch, no argument evaluation. In
+// machine code, `examples/check_fast_path.py` fails on any call the hooks
+// leave in the fast path.
 #[cfg(not(feature = "durable"))]
 const _PERSIST_ZERO_OVERHEAD_PROOF: () = persist!(no_queue, deposit(0u64, 0u64));
 
@@ -550,47 +551,54 @@ impl<const N: usize> RawQueue<N> {
     /// The gate runs *before* any index FAA, so a rejected call leaves no
     /// trace in the protocol — that is what makes the rejection wait-free
     /// and the ceiling enforceable: only admitted operations can allocate.
-    /// When headroom is gone the caller first elects itself cleaner
-    /// (enqueuers never do on the plain path — today only dequeuers call
-    /// `cleanup`), because the missing headroom is often recoverable
-    /// garbage that dequeuers simply haven't tripped the threshold on.
+    /// Inline, it is the enqueue front plus one test; a queue at its
+    /// ceiling continues in [`Self::try_enqueue_at_ceiling`].
+    #[inline]
     pub(crate) fn try_enqueue_internal(&self, h: &HandleNode<N>, v: u64) -> Result<(), Full> {
         if self.config.segment_ceiling.is_some() && !self.pool.has_headroom() {
-            self.recover_headroom(h);
-            if !self.pool.has_headroom() {
-                HandleStats::bump(&h.stats.enq_rejected);
-                wfq_obs::record!(
-                    wfq_obs::EventKind::EnqRejected,
-                    self.config.segment_ceiling.unwrap_or(0)
-                );
-                return Err(Full(()));
-            }
+            return self.try_enqueue_at_ceiling(h, v);
         }
         self.enqueue_internal(h, v);
         Ok(())
     }
 
-    /// The admission gates' recovery step when headroom is gone: moves the
-    /// tail index up to the head index if probes have pushed `H` past `T`,
-    /// then runs one forced reclamation pass.
+    /// The admission gate once headroom is gone: it recovers what it can,
+    /// then enqueues if that made headroom and rejects with [`Full`]
+    /// otherwise.
     ///
-    /// Every index in `[T, H)` was already taken by a dequeue. Moving `T`
-    /// over them is the CAS-max that `enq_commit` applies (lines 53–55),
-    /// as if enqueues had taken those indices and found their cells burned;
-    /// a dequeue still deciding at one sees `T` past it and goes on, as it
-    /// would after such an enqueue. Without it the
-    /// tail's segment stays unreclaimable (the pass never goes past `T / N`)
-    /// while the head's is live too, and at a low ceiling a drained queue
-    /// would report `Full` for as long as no plain `enqueue` moves `T`
-    /// (DESIGN.md §9).
+    /// Recovery first moves the tail index up to the head index if probes
+    /// have pushed `H` past `T`. Every index in `[T, H)` was already taken
+    /// by a dequeue. Moving `T` over them is the CAS-max that `enq_commit`
+    /// applies (lines 53–55), as if enqueues had taken those indices and
+    /// found their cells burned; a dequeue still deciding at one sees `T`
+    /// past it and goes on, as it would after such an enqueue. Without it
+    /// the tail's segment stays unreclaimable (the pass never goes past
+    /// `T / N`) while the head's is live too, and at a low ceiling a
+    /// drained queue would report `Full` for as long as no plain `enqueue`
+    /// moves `T` (DESIGN.md §9). Then the caller elects itself cleaner for
+    /// one forced reclamation pass (enqueuers never do on the plain path —
+    /// only dequeuers call `cleanup`), because the missing headroom is
+    /// often recoverable garbage that dequeuers simply haven't tripped the
+    /// threshold on.
     #[cold]
-    fn recover_headroom(&self, h: &HandleNode<N>) {
+    #[inline(never)]
+    fn try_enqueue_at_ceiling(&self, h: &HandleNode<N>, v: u64) -> Result<(), Full> {
         let head = self.head_index.load(Ordering::SeqCst);
         if head > self.tail_index.load(Ordering::SeqCst) {
             advance_index(&self.tail_index, head);
             persist!(self, advance_tail(head));
         }
         self.forced_cleanup(h);
+        if !self.pool.has_headroom() {
+            HandleStats::bump(&h.stats.enq_rejected);
+            wfq_obs::record!(
+                wfq_obs::EventKind::EnqRejected,
+                self.config.segment_ceiling.unwrap_or(0)
+            );
+            return Err(Full(()));
+        }
+        self.enqueue_internal(h, v);
+        Ok(())
     }
 
     /// Lines 65–69: one FAA, one CAS. `cell_id` receives the attempted

@@ -23,10 +23,11 @@
 //! - **The `trace` feature gate**: without it, [`record!`] expands to
 //!   literally nothing — provably: the expansion is a valid constant
 //!   expression, which no atomic store, TSC read, or thread-local access
-//!   is (the same const-proof trick as `wfq_sync::fault`, whose runtime
-//!   twin lives in the `primitives` bench). The drain/serialize/watchdog
-//!   API surface compiles in both modes (a drain is simply empty), so
-//!   tools can be feature-agnostic.
+//!   is (the same const-proof trick as `wfq_sync::fault`; the runtime
+//!   twin of both is `examples/check_fast_path.py`, which fails when the
+//!   fast path's machine code calls into either). The
+//!   drain/serialize/watchdog API surface compiles in both modes (a drain
+//!   is simply empty), so tools can be feature-agnostic.
 //!
 //! Prometheus-style metrics exposition lives in `wfq-harness::obs` (it
 //! needs `QueueStats` from the core crate, which this crate deliberately
@@ -105,8 +106,9 @@ pub use recorder::record as rt_record;
 // macro's expansion must be a constant expression. Thread-local access,
 // TSC reads, and atomic stores are not permitted in constants, so this
 // item compiling proves the default build's instrumented fast paths carry
-// no trace of the recorder. The runtime twin is the `inject_overhead`
-// group of the `primitives` bench.
+// no trace of the recorder. The runtime twin is
+// `examples/check_fast_path.py`, which fails when the fast path's machine
+// code calls `recorder::record`.
 #[cfg(not(feature = "trace"))]
 const _ZERO_OVERHEAD_PROOF: () = {
     record!(EventKind::EnqFast, 0u64);

@@ -21,14 +21,10 @@
 //!   frees whatever is left when it drops.
 //!
 //! This scheme is lock-free, not wait-free — fitting, since it backs the
-//! *lock-free* baselines the paper compares against. A classic epoch-based
-//! alternative lives in [`ebr`], so the fence-count comparison the paper
-//! makes in §3.6 can be measured in-repo.
+//! *lock-free* baselines the paper compares against.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
-
-pub mod ebr;
 
 use core::sync::atomic::{fence, AtomicBool, AtomicPtr, Ordering};
 use std::sync::atomic::AtomicUsize;

@@ -452,9 +452,8 @@ pub use imp::*;
 // macro's expansion must be a constant expression. Atomic loads, branches
 // on globals, and function calls are not permitted in constants, so this
 // item compiling *proves* the default-build fast path carries no trace of
-// the injection layer. (The runtime twin of this guard lives in the
-// `primitives` bench: an `inject!`-laden loop prices identically to a bare
-// one.)
+// the injection layer. (Its runtime twin is `examples/check_fast_path.py`,
+// which fails when the fast path's machine code calls into the layer.)
 #[cfg(not(feature = "fault-injection"))]
 const _ZERO_OVERHEAD_PROOF: () = {
     inject!("fault::zero_overhead_proof");

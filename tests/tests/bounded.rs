@@ -4,7 +4,8 @@
 //! The contract under test:
 //!
 //! - an **unbounded** queue's `try_enqueue` never fails and prices like
-//!   `enqueue` (the price half is the `try_enqueue_overhead` bench);
+//!   `enqueue` (the price half is checked in machine code by
+//!   `examples/check_fast_path.py`, `probe_try_enqueue`);
 //! - a **bounded** queue accepts at least `(S − 1) × N` values before its
 //!   first rejection, keeps live segments at the ceiling, and recovers
 //!   fully once the backlog drains;
