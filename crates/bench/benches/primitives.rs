@@ -1,7 +1,8 @@
 //! Per-primitive and per-operation micro-costs.
 //!
 //! Quantifies the building blocks the paper's argument rests on: FAA
-//! (always succeeds) vs CAS (can fail) vs CAS2, and the uncontended
+//! (always succeeds) vs CAS (can fail) vs CAS2, the chains of locked
+//! instructions a queue pair is made of, and the uncontended
 //! single-op cost of each queue — the "single core performance" discussion
 //! of §5.2. Built with `--features durable`, it also prices durable mode.
 
@@ -70,6 +71,75 @@ fn bench_single_op(c: &mut Criterion) {
     g.finish();
 }
 
+/// The locked-instruction chains an uncontended pair is made of, for the
+/// cost model of a load placed between a front's two locked instructions
+/// (EXPERIMENTS.md, "Locked chains"). Every CAS succeeds: a cell holds the
+/// ticket that last wrote it, so its expected value is the ticket `CELLS`
+/// earlier, and the pair's dequeue returns its cell to empty.
+fn bench_locked_chain(c: &mut Criterion) {
+    const CELLS: u64 = 1024;
+    let mut g = c.benchmark_group("locked_chain");
+    g.sample_size(20).measurement_time(Duration::from_secs(1));
+    // Each loop captures a slice, not the `Vec`, so the compiler keeps the
+    // cells' address in a register instead of reloading the `Vec` header
+    // after every FAA: the only load between the locked instructions is
+    // the one `faa_load_cas` adds.
+    let primed = || -> Vec<AtomicU64> {
+        (0..CELLS)
+            .map(|i| AtomicU64::new(i.wrapping_sub(CELLS)))
+            .collect()
+    };
+
+    let (counter, owned) = (AtomicU64::new(0), primed());
+    let cells = &owned[..];
+    g.bench_function("faa_cas", |b| {
+        b.iter(|| {
+            let t = counter.fetch_add(1, Ordering::SeqCst);
+            let cell = &cells[(t % CELLS) as usize];
+            std::hint::black_box(
+                cell.compare_exchange(t.wrapping_sub(CELLS), t, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok(),
+            )
+        })
+    });
+
+    // The dependent load stands in for a front's `h.head` read: an L1 hit
+    // that cannot complete before the FAA, and that the CAS's address needs.
+    let (counter, owned, base) = (AtomicU64::new(0), primed(), AtomicU64::new(0));
+    let cells = &owned[..];
+    g.bench_function("faa_load_cas", |b| {
+        b.iter(|| {
+            let t = counter.fetch_add(1, Ordering::SeqCst);
+            let cell = &cells[((base.load(Ordering::Relaxed) + t) % CELLS) as usize];
+            std::hint::black_box(
+                cell.compare_exchange(t.wrapping_sub(CELLS), t, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok(),
+            )
+        })
+    });
+
+    // An enqueue (FAA on T, CAS empty → value) then a dequeue (FAA on H,
+    // CAS value → empty) on the same cell: the pair's four locked
+    // instructions with none of the queue around them.
+    let (tail, head) = (AtomicU64::new(0), AtomicU64::new(0));
+    let owned: Vec<AtomicU64> = (0..CELLS).map(|_| AtomicU64::new(0)).collect();
+    let cells = &owned[..];
+    g.bench_function("pair", |b| {
+        b.iter(|| {
+            let t = tail.fetch_add(1, Ordering::SeqCst);
+            let deposited = cells[(t % CELLS) as usize]
+                .compare_exchange(0, t + 1, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok();
+            let h = head.fetch_add(1, Ordering::SeqCst);
+            let claimed = cells[(h % CELLS) as usize]
+                .compare_exchange(h + 1, 0, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok();
+            std::hint::black_box(deposited & claimed)
+        })
+    });
+    g.finish();
+}
+
 /// What durable mode costs (DESIGN.md §12), built only with `--features
 /// durable`: the pair loop with the persist hooks compiled in and no sink
 /// attached (`durable_no_sink`, one `Option` load and branch per
@@ -119,6 +189,7 @@ fn bench_persist_overhead(c: &mut Criterion) {
 fn main() {
     let mut c = Criterion::new();
     bench_atomics(&mut c);
+    bench_locked_chain(&mut c);
     bench_single_op(&mut c);
     #[cfg(feature = "durable")]
     bench_persist_overhead(&mut c);

@@ -3,8 +3,8 @@
 /// Configuration for a [`crate::RawQueue`] / [`crate::WfQueue`].
 ///
 /// The defaults are the paper's evaluation configuration: `PATIENCE = 10`
-/// ("WF-10") and an automatic `MAX_GARBAGE` of twice the number of
-/// registered handles (the authors' released C code uses `2 * nprocs`).
+/// ("WF-10") and an automatic `MAX_GARBAGE` of twice the number of live
+/// handles (the authors' released C code uses `2 * nprocs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Config {
     /// Number of *extra* fast-path attempts before an operation falls back
@@ -12,8 +12,9 @@ pub struct Config {
     /// variant: one fast-path attempt, then the slow path.
     pub patience: u32,
     /// Number of retired segments allowed to accumulate before a dequeuer
-    /// attempts reclamation. `None` selects `max(2 × live handles, 4)`
-    /// at each cleanup, matching the author's C implementation.
+    /// attempts reclamation. `None` selects `2 × live handles` at each
+    /// cleanup, the authors' `MAX_GARBAGE(n) = 2n`; a one-handle queue
+    /// therefore cleans once two segments lie behind its head.
     pub max_garbage: Option<u64>,
     /// Bounded-memory mode: the advisory cap on the number of segments the
     /// queue may own at once (chain + recycling pool + per-handle spares).
@@ -82,10 +83,11 @@ impl Config {
         self
     }
 
-    /// Resolves the reclamation threshold given the current handle count.
+    /// Resolves the reclamation threshold given the current live handle
+    /// count. The dequeuer asking is itself live, so `handles ≥ 1` there.
     #[inline]
     pub(crate) fn garbage_threshold(&self, handles: u64) -> u64 {
-        self.max_garbage.unwrap_or_else(|| (2 * handles).max(4))
+        self.max_garbage.unwrap_or(2 * handles)
     }
 }
 
@@ -107,9 +109,9 @@ mod tests {
     #[test]
     fn auto_garbage_scales_with_handles() {
         let c = Config::default();
+        assert_eq!(c.garbage_threshold(1), 2);
+        assert_eq!(c.garbage_threshold(2), 4);
         assert_eq!(c.garbage_threshold(8), 16);
-        assert_eq!(c.garbage_threshold(1), 4, "floor of 4");
-        assert_eq!(c.garbage_threshold(0), 4);
     }
 
     #[test]

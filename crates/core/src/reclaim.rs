@@ -387,7 +387,7 @@ mod tests {
         // Regression: the auto MAX_GARBAGE threshold used the
         // ever-registered handle count, so 64 dead registrations made it
         // 2 × 65 = 130 segments and this workload (50 segments of garbage)
-        // would never reclaim. With the live count it is max(2 × 1, 4) = 4.
+        // would never reclaim. With the live count it is 2 × 1 = 2.
         let q: RawQueue<8> = RawQueue::new();
         let parked: Vec<_> = (0..64).map(|_| q.register()).collect();
         drop(parked);
@@ -404,6 +404,31 @@ mod tests {
             q.stats().segs_freed > 0,
             "dead registrations must not raise the reclamation threshold"
         );
+    }
+
+    #[test]
+    fn one_handle_holds_the_authors_two_dead_segments() {
+        // The automatic threshold is the authors' MAX_GARBAGE(n) = 2n. One
+        // handle doing pairs over a standing backlog shorter than a
+        // segment cleans at the first dequeue in segment oid + 2, so the
+        // chain peaks at the two dead segments plus the one holding both
+        // H and T.
+        const BACKLOG: u64 = 3;
+        let q: RawQueue<8> = RawQueue::new();
+        let mut h = q.register();
+        for v in 1..=BACKLOG {
+            h.enqueue(v);
+        }
+        let mut peak = 0;
+        for v in BACKLOG + 1..=BACKLOG + 1_000 {
+            h.enqueue(v);
+            peak = peak.max(q.gauges().live_segments);
+            assert_eq!(h.dequeue(), Some(v - BACKLOG));
+            peak = peak.max(q.gauges().live_segments);
+        }
+        assert!(q.indices().1 / 8 >= 100, "the run must cross 100 segments");
+        let max_garbage = 2; // 2 × one live handle
+        assert_eq!(peak, max_garbage + 1, "{:?}", q.stats());
     }
 
     #[test]
