@@ -6,7 +6,7 @@
 //! cargo run -p wfq-bench --release --bin figure2 -- \
 //!     [--workload pairs|fifty|both] [--threads 1,2,4,8] [--ops N] \
 //!     [--segment-ceiling S] [--handicap-ns N] [--commit SHA] \
-//!     [--full] [--quick] [--csv out.csv] [--json out.json] [--trace out.trace.json]
+//!     [--full] [--quick] [--csv out.csv] [--json out.json]
 //! ```
 //!
 //! `--full` uses the paper's exact parameters (10^7 ops, 20 iterations,
@@ -20,9 +20,6 @@
 //! the extension. `--handicap-ns N` injects a synthetic, *non-excluded*
 //! per-operation slowdown — only useful for demonstrating that the
 //! regression gate trips (see `.github/workflows/ci.yml`, job `regress`).
-//! `--trace` drains the
-//! flight recorders into a Chrome trace file — build with `--features
-//! trace` for it to contain events.
 
 use std::fmt::Write as _;
 
@@ -161,17 +158,5 @@ fn main() {
                 .expect("write json");
             eprintln!("json written to {path}");
         }
-    }
-    if let Some(path) = args.get("trace") {
-        let events = wfq_harness::dump_chrome_trace(std::path::Path::new(path))
-            .expect("write chrome trace");
-        eprintln!(
-            "chrome trace written to {path} ({events} events{})",
-            if wfq_obs::ENABLED {
-                ""
-            } else {
-                "; rebuild with --features trace to record events"
-            }
-        );
     }
 }

@@ -5,12 +5,11 @@
 //! ```text
 //! cargo run -p wfq-bench --release --bin table2 -- [--ops N] [--patience P] \
 //!     [--backend wf|scq] [--segment-ceiling S] \
-//!     [--metrics-out metrics.prom] [--trace out.trace.json]
+//!     [--metrics-out metrics.prom]
 //! ```
 //!
 //! `--metrics-out` writes the highest-thread-count run's statistics in the
-//! Prometheus text exposition format; `--trace` drains the flight recorders
-//! into a Chrome trace file (build with `--features trace` for events).
+//! Prometheus text exposition format.
 //! `--backend scq` runs the same sweep on the bounded-ring backend through
 //! the `QueueBackend` trait (its `stats()` fill the same taxonomy;
 //! `--patience` only applies to the default `wf` backend).
@@ -80,18 +79,6 @@ fn main() {
         eprintln!(
             "metrics for the {}-thread run written to {path}",
             last.threads
-        );
-    }
-    if let Some(path) = args.get("trace") {
-        let events = wfq_harness::dump_chrome_trace(std::path::Path::new(path))
-            .expect("write chrome trace");
-        eprintln!(
-            "chrome trace written to {path} ({events} events{})",
-            if wfq_obs::ENABLED {
-                ""
-            } else {
-                "; rebuild with --features trace to record events"
-            }
         );
     }
 }

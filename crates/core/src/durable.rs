@@ -773,13 +773,6 @@ impl<const N: usize> RawQueue<N> {
                 h.enqueue(v);
             }
         }
-        wfq_obs::record!(
-            wfq_obs::EventKind::RecoverReplay,
-            report.survivors.len() as u64
-        );
-        if report.sealed_cells > 0 {
-            wfq_obs::record!(wfq_obs::EventKind::RecoverSeal, report.sealed_cells);
-        }
         Ok((q, report))
     }
 

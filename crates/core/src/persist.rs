@@ -17,10 +17,10 @@
 //!    persisted *claim* whose cell never received its deposit is exactly
 //!    the "claimed-but-uncommitted" state recovery must re-complete.
 //!
-//! The hooks follow the `inject!`/`record!` discipline: in a
-//! build without the `durable` feature [`persist!`] expands to a constant
-//! expression — provably zero-overhead (see the `const` guard in `raw.rs`)
-//! — and the queue carries no sink field at all. With the feature on, each
+//! The hooks follow the `inject!` discipline: in a build without the
+//! `durable` feature [`persist!`] expands to a constant expression —
+//! provably zero-overhead (see the `const` guard in `raw.rs`) — and the
+//! queue carries no sink field at all. With the feature on, each
 //! hook is one `Option` branch plus a virtual call into the configured
 //! [`PersistSink`].
 

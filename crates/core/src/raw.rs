@@ -38,11 +38,11 @@ use crate::stats::{Gauges, HandleStats, QueueStats};
 use crate::DEFAULT_SEGMENT_SIZE;
 
 // Zero-overhead guard for durable mode (the mirror of
-// `wfq_obs::_ZERO_OVERHEAD_PROOF`): with `durable` off the persist hooks
-// at the three commit frontiers (DESIGN.md §12) must expand to a constant
-// expression — no field access, no branch, no argument evaluation. In
-// machine code, `examples/check_fast_path.py` fails on any call the hooks
-// leave in the fast path.
+// `wfq_sync::fault::_ZERO_OVERHEAD_PROOF`): with `durable` off the persist
+// hooks at the three commit frontiers (DESIGN.md §12) must expand to a
+// constant expression — no field access, no branch, no argument
+// evaluation. In machine code, `examples/check_fast_path.py` fails on any
+// call the hooks leave in the fast path.
 #[cfg(not(feature = "durable"))]
 const _PERSIST_ZERO_OVERHEAD_PROOF: () = persist!(no_queue, deposit(0u64, 0u64));
 
@@ -502,7 +502,6 @@ impl<const N: usize> RawQueue<N> {
             return self.enqueue_rest(h, v, i, true);
         }
         HandleStats::bump(&h.stats.enq_fast);
-        wfq_obs::record!(wfq_obs::EventKind::EnqFast, i);
         // Epilogue: the mirror already names segment i/N.
         h.clear_hazard();
     }
@@ -527,7 +526,6 @@ impl<const N: usize> RawQueue<N> {
         }
         let last_index = if done {
             HandleStats::bump(&h.stats.enq_fast);
-            wfq_obs::record!(wfq_obs::EventKind::EnqFast, cell_id);
             cell_id
         } else {
             let claimed = self.enq_slow(h, v, cell_id);
@@ -591,10 +589,6 @@ impl<const N: usize> RawQueue<N> {
         self.forced_cleanup(h);
         if !self.pool.has_headroom() {
             HandleStats::bump(&h.stats.enq_rejected);
-            wfq_obs::record!(
-                wfq_obs::EventKind::EnqRejected,
-                self.config.segment_ceiling.unwrap_or(0)
-            );
             return Err(Full(()));
         }
         self.enqueue_internal(h, v);
@@ -647,8 +641,6 @@ impl<const N: usize> RawQueue<N> {
         r.publish(v, cell_id); // line 72
         persist!(self, enq_publish(u64::from(h.slot), v));
         inject!("enq_slow::request_published");
-        // Op id for the whole episode: the publish id (our failed FAA cell).
-        wfq_obs::record!(wfq_obs::EventKind::EnqSlowEnter, cell_id, cell_id);
 
         // Line 75: traverse with a local tail pointer because the commit
         // below may need to revisit an *earlier* cell. SeqCst: a read of a
@@ -694,7 +686,6 @@ impl<const N: usize> RawQueue<N> {
         // SAFETY: id ≥ cell_id ≥ (*h.tail).id * N, all hazard-protected.
         let c = unsafe { &*find_cell(&h.tail, id, &self.src(h)) };
         self.enq_commit(c, v, id);
-        wfq_obs::record!(wfq_obs::EventKind::EnqSlowExit, id, cell_id);
         id
     }
 
@@ -767,7 +758,6 @@ impl<const N: usize> RawQueue<N> {
                 inject!("help_enq::top_race");
                 if c.try_seal_enq() {
                     HandleStats::bump(&h.stats.help_enq_seal);
-                    wfq_obs::record!(wfq_obs::EventKind::CellSeal, i);
                 }
             }
         }
@@ -829,14 +819,6 @@ impl<const N: usize> RawQueue<N> {
                 persist!(self, enq_claim(u64::from(owner.slot), v, i));
                 self.enq_commit(c, v, i);
                 HandleStats::bump(&h.stats.help_enq_commit);
-                // Op id: the publish id our claim CAS consumed. When the
-                // claim already landed elsewhere the id is gone from the
-                // request state, so the hop is recorded without an episode.
-                wfq_obs::record!(
-                    wfq_obs::EventKind::HelpEnqCommit,
-                    i,
-                    if claim.is_ok() { s.index } else { 0 }
-                );
             }
         }
         // Line 127.
@@ -895,7 +877,6 @@ impl<const N: usize> RawQueue<N> {
             if h_idx > self.tail_index.load(Ordering::SeqCst) {
                 HandleStats::bump(&h.stats.deq_fast);
                 HandleStats::bump(&h.stats.deq_empty);
-                wfq_obs::record!(wfq_obs::EventKind::DeqEmpty, h_idx);
                 return None;
             }
             h.empty_guard.set(false);
@@ -925,7 +906,6 @@ impl<const N: usize> RawQueue<N> {
             return self.dequeue_rest(h, i, true);
         }
         HandleStats::bump(&h.stats.deq_fast);
-        wfq_obs::record!(wfq_obs::EventKind::DeqFast, i);
         // Lines 135–138 up to the bail-out; a pending peer finishes the
         // operation out of line.
         let peer = Self::deq_peer(h);
@@ -980,7 +960,6 @@ impl<const N: usize> RawQueue<N> {
         let (result, last_index) = match outcome {
             FastDeq::Value(v, i) => {
                 HandleStats::bump(&h.stats.deq_fast);
-                wfq_obs::record!(wfq_obs::EventKind::DeqFast, i);
                 (Some(v), i)
             }
             FastDeq::Empty(i) => {
@@ -1005,7 +984,6 @@ impl<const N: usize> RawQueue<N> {
             // The next dequeue passes the emptiness guard before it probes.
             h.empty_guard.set(true);
             HandleStats::bump(&h.stats.deq_empty);
-            wfq_obs::record!(wfq_obs::EventKind::DeqEmpty, last_index);
         }
 
         // Epilogue (Listing 5 lines 212–217). h.head finished this
@@ -1077,8 +1055,6 @@ impl<const N: usize> RawQueue<N> {
         let r = &h.deq_req;
         r.publish(cid); // line 151
         inject!("deq_slow::request_published");
-        // Op id for the whole episode: the publish id (our failed FAA cell).
-        wfq_obs::record!(wfq_obs::EventKind::DeqSlowEnter, cid, cid);
         self.help_deq(h, h); // line 152
         // Lines 153–156: the request's announced cell holds the result.
         let i = r.state().index;
@@ -1091,7 +1067,6 @@ impl<const N: usize> RawQueue<N> {
         if v != VAL_TOP {
             persist!(self, consume(i, v));
         }
-        wfq_obs::record!(wfq_obs::EventKind::DeqSlowExit, i, cid);
         if v == VAL_TOP {
             HandleStats::bump(&h.stats.deq_slow_empty);
             (None, i)
@@ -1120,10 +1095,6 @@ impl<const N: usize> RawQueue<N> {
     #[cold]
     fn help_deq_pending(&self, h: &HandleNode<N>, helpee: &HandleNode<N>, id: u64) {
         let r = &helpee.deq_req;
-        // Past the cheap bail-out: this call will actually work on the
-        // request, so open a helper span tagged with the helpee's op id.
-        // When `deq_slow` self-helps this nests inside its own slow span.
-        wfq_obs::record!(wfq_obs::EventKind::HelpDeqEnter, id, id);
         // Line 164: local pointer for announced cells. SeqCst: a cleaner may
         // CAS helpee.head, and this read pairs with that CAS like an
         // owner's pointer read after its hazard publication.
@@ -1139,7 +1110,6 @@ impl<const N: usize> RawQueue<N> {
         // now be *older* than where a concurrent cleaner's forward pass
         // already scanned — exactly what the reverse pass must catch.
         inject!("help_deq::hazard_adopted");
-        wfq_obs::record!(wfq_obs::EventKind::HazardAdopt, adopted as u64, id);
         let mut s = r.state(); // line 165: must re-read after hazard adoption
 
         let mut prior = id; // line 166
@@ -1176,14 +1146,12 @@ impl<const N: usize> RawQueue<N> {
                 inject!("help_deq::pre_announce");
                 if r.cas_state((true, prior), (true, cand)) {
                     HandleStats::bump(&h.stats.help_deq_announce);
-                    wfq_obs::record!(wfq_obs::EventKind::HelpDeqAnnounce, cand, id);
                 }
                 s = r.state();
                 cand = 0;
             }
             // Line 188: request complete or superseded.
             if !s.pending || r.id() != id {
-                wfq_obs::record!(wfq_obs::EventKind::HelpDeqExit, s.index, id);
                 return;
             }
             // Line 190: locate the announced candidate.
@@ -1208,9 +1176,7 @@ impl<const N: usize> RawQueue<N> {
                 if r.cas_state((true, s.index), (false, s.index)) {
                     // line 196
                     HandleStats::bump(&h.stats.help_deq_complete);
-                    wfq_obs::record!(wfq_obs::EventKind::HelpDeqComplete, s.index, id);
                 }
-                wfq_obs::record!(wfq_obs::EventKind::HelpDeqExit, s.index, id);
                 return;
             }
             // Lines 200–204: prepare the next round.

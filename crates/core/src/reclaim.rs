@@ -74,7 +74,7 @@ impl<const N: usize> RawQueue<N> {
     /// boundary is pinned by a stalled thread's hazard, the caller degrades
     /// to rejecting the enqueue — bounded RSS instead of unbounded growth —
     /// and the pinning hazard stays visible in [`Gauges::min_hazard`]
-    /// (crate::Gauges::min_hazard) for the watchdog to report.
+    /// (crate::Gauges::min_hazard).
     #[cold]
     pub(crate) fn forced_cleanup(&self, h: &HandleNode<N>) {
         inject!("reclaim::forced");
@@ -99,7 +99,6 @@ impl<const N: usize> RawQueue<N> {
             return; // nothing consumed yet, nothing to reclaim
         }
         let head_frontier = (head - 1) / N as u64;
-        wfq_obs::record!(wfq_obs::EventKind::ForcedCleanup, head_frontier);
         self.cleanup_cold(h, oid, head_frontier);
     }
 
@@ -131,7 +130,6 @@ impl<const N: usize> RawQueue<N> {
         let oid = oid as u64;
         inject!("reclaim::elected");
         HandleStats::bump(&h.stats.cleanups);
-        wfq_obs::record!(wfq_obs::EventKind::CleanerElected, oid);
 
         // Line 227: `start` is the current front (id == oid); nothing can
         // be freed while we hold the token, so the chain from `start` on is
@@ -187,7 +185,6 @@ impl<const N: usize> RawQueue<N> {
                 // The reverse pass caught a backward-jumped hazard the
                 // forward pass missed — the window this pass exists for.
                 HandleStats::bump(&h.stats.reclaim_backward_clamp);
-                wfq_obs::record!(wfq_obs::EventKind::HazardClamp, boundary);
             }
         }
         h.reclaim_scratch.set(visited);
@@ -215,10 +212,8 @@ impl<const N: usize> RawQueue<N> {
         // the next generation turn (DESIGN.md §12).
         crate::persist::persist!(self, retire_below(boundary * N as u64));
         HandleStats::add(&h.stats.segs_freed, retired);
-        wfq_obs::record!(wfq_obs::EventKind::SegFree, retired);
         if recycled > 0 {
             HandleStats::add(&h.stats.segs_recycled, recycled);
-            wfq_obs::record!(wfq_obs::EventKind::SegRecycle, recycled);
         }
     }
 
@@ -249,7 +244,6 @@ impl<const N: usize> RawQueue<N> {
                 if cur_id < *boundary {
                     *boundary = cur_id;
                     HandleStats::bump(&cleaner.reclaim_conceded);
-                    wfq_obs::record!(wfq_obs::EventKind::HazardClamp, cur_id);
                 }
             }
             // Line 246: Dijkstra protocol — after the CAS, re-verify the

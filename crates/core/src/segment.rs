@@ -241,7 +241,6 @@ unsafe fn walk_to<const N: usize>(
             } {
                 Ok(_) => {
                     crate::stats::HandleStats::bump(src.alloc_count);
-                    wfq_obs::record!(wfq_obs::EventKind::SegAlloc, id + 1);
                     tmp
                 }
                 Err(winner) => {

@@ -2,9 +2,9 @@
 //!
 //! The repository builds in a container without network access, so no
 //! serde: this is a small recursive-descent parser covering exactly the
-//! JSON this workspace *emits* (Chrome trace documents, benchmark result
-//! files). It exists so tests and CI can check those artifacts actually
-//! parse, not to be a general-purpose JSON library — numbers are `f64`,
+//! JSON this workspace *emits* (benchmark result files). It exists so
+//! tests and CI can check those artifacts actually parse, not to be a
+//! general-purpose JSON library — numbers are `f64`,
 //! objects keep insertion order in a `Vec`, and `\uXXXX` escapes outside
 //! the BMP are rejected rather than paired.
 

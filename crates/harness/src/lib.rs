@@ -29,14 +29,13 @@ pub mod measure;
 pub mod obs;
 pub mod regress;
 pub mod report;
-pub mod spans;
 pub mod stats;
 pub mod topology;
 pub mod workload;
 
 pub use attribution::{Attribution, OpClass};
 pub use measure::{measure_open_loop, measure_queue, Measurement, OpenLoopMeasurement};
-pub use obs::{dump_chrome_trace, render_latency_prometheus, render_prometheus, write_metrics};
+pub use obs::{render_latency_prometheus, render_prometheus, write_metrics};
 pub use report::{
     render_csv, render_json, render_latency_json, render_markdown, LatencyPoint, LatencySeries,
     Series, SeriesPoint,

@@ -1,17 +1,10 @@
-//! Metrics exposition and trace artifacts.
+//! Metrics exposition in the Prometheus text format.
 //!
-//! Two output formats for the queue's observability data:
-//!
-//! - **Prometheus text exposition** ([`render_prometheus`]): the monotone
-//!   [`QueueStats`] counters as `wfq_*_total` counters plus the
-//!   instantaneous [`Gauges`] (live segments, hazard lag, helping-record
-//!   occupancy). The output follows the Prometheus text format 0.0.4
-//!   (`# HELP` / `# TYPE` headers, one sample per line), so it can be
-//!   scraped from a file or served as-is.
-//! - **Chrome trace JSON** ([`dump_chrome_trace`]): drains every flight
-//!   recorder registered in this process (see `wfq-obs`) and writes a
-//!   Perfetto-loadable trace. In builds without the `trace` feature the
-//!   drain is empty and the file holds an empty `traceEvents` array.
+//! [`render_prometheus`] writes the monotone [`QueueStats`] counters as
+//! `wfq_*_total` counters plus the instantaneous [`Gauges`] (live segments,
+//! hazard lag, helping-record occupancy). The output follows the
+//! Prometheus text format 0.0.4 (`# HELP` / `# TYPE` headers, one sample
+//! per line), so it can be scraped from a file or served as-is.
 
 use std::io;
 use std::path::Path;
@@ -119,12 +112,6 @@ pub fn render_prometheus(stats: &QueueStats, gauges: Option<&Gauges>) -> String 
             );
         }
     }
-    gauge(
-        &mut out,
-        "wfq_trace_recorders",
-        "Flight recorders registered in this process",
-        wfq_obs::recorder_count() as f64,
-    );
     out
 }
 
@@ -165,16 +152,6 @@ pub fn write_metrics(
     std::fs::write(path, render_prometheus(stats, gauges))
 }
 
-/// Drains every registered flight recorder and writes a Chrome trace-event
-/// JSON file. Returns the number of events serialized (0 in builds without
-/// the `trace` feature — the file is still written, with an empty event
-/// array, so tooling never has to special-case the disabled build).
-pub fn dump_chrome_trace(path: &Path) -> io::Result<usize> {
-    let traces = wfq_obs::drain();
-    std::fs::write(path, wfq_obs::chrome_trace_json(&traces))?;
-    Ok(traces.iter().map(|t| t.events.len()).sum())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,6 +188,37 @@ mod tests {
         assert!(out.contains("wfq_hazard_lag_segments 1\n"));
         assert!(out.contains("wfq_help_ring_occupancy 0.25\n"));
         assert!(out.contains("# TYPE wfq_live_segments gauge"));
+
+        // A real queue's stats and gauges: every line is a comment or a
+        // `name value` sample, and the metrics behind Table 2 are present.
+        let q = wfqueue::RawQueue::<16>::new();
+        let mut h = q.register();
+        for v in 1..=100u64 {
+            h.enqueue(v);
+        }
+        for _ in 0..40 {
+            let _ = h.dequeue();
+        }
+        drop(h);
+        let out = render_prometheus(&q.stats(), Some(&q.gauges()));
+        for line in out.lines() {
+            assert!(
+                line.starts_with('#') || line.split(' ').count() == 2,
+                "malformed exposition line: {line:?}"
+            );
+        }
+        for metric in [
+            "wfq_enq_fast_total",
+            "wfq_deq_fast_total",
+            "wfq_head_index",
+            "wfq_live_segments",
+            "wfq_help_ring_occupancy",
+        ] {
+            assert!(
+                out.lines().any(|l| l.starts_with(&format!("{metric} "))),
+                "metric {metric} missing from exposition:\n{out}"
+            );
+        }
     }
 
     #[test]
@@ -333,17 +341,5 @@ mod tests {
         for line in out.lines().filter(|l| !l.starts_with('#')) {
             assert_eq!(line.split(' ').count(), 2, "bad sample line: {line}");
         }
-    }
-
-    #[test]
-    fn chrome_trace_dump_writes_a_parsable_document() {
-        let dir = std::env::temp_dir().join("wfq-obs-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace-empty.json");
-        dump_chrome_trace(&path).unwrap();
-        let doc = std::fs::read_to_string(&path).unwrap();
-        let v = crate::json::parse(&doc).expect("trace JSON must parse");
-        assert!(v.get("traceEvents").unwrap().as_arr().is_some());
-        std::fs::remove_file(&path).ok();
     }
 }

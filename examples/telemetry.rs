@@ -1,9 +1,9 @@
-//! Latency-sensitive telemetry: why wait-freedom matters — now with the
-//! full observability stack attached.
+//! Latency-sensitive telemetry: why wait-freedom matters, with the
+//! queue's metrics attached.
 //!
 //! ```text
 //! cargo run -p wfq-examples --release --bin telemetry -- \
-//!     [--trace out.trace.json] [--metrics-out metrics.prom]
+//!     [--metrics-out metrics.prom]
 //! ```
 //!
 //! The paper: wait-free structures are "particularly desirable for mission
@@ -14,14 +14,10 @@
 //! tail latency degrades by orders of magnitude; the wait-free queue's
 //! worst case stays bounded.
 //!
-//! The wait-free run doubles as a smoke test of the observability layer
-//! (`wfq-obs`): a starvation watchdog samples the flight recorders while
-//! the workload runs, the path statistics are printed via `QueueStats`'
-//! Table-2-style `Display`, and `--trace` / `--metrics-out` write the
-//! Chrome trace and Prometheus exposition artifacts. Build with
-//! `--features trace` to get events in the trace; without it the run is
-//! identical (the recorder compiles to nothing) and the artifacts are
-//! valid-but-empty.
+//! The wait-free run doubles as a smoke test of the metrics: the path
+//! statistics are printed via `QueueStats`' Table-2-style `Display`, and
+//! `--metrics-out` writes them with the queue's gauges in the Prometheus
+//! text exposition format.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,7 +25,6 @@ use std::time::{Duration, Instant};
 
 use wfq_baselines::{BenchQueue, MutexQueue, QueueHandle};
 use wfq_harness::histogram::{fmt_ns, Histogram};
-use wfq_obs::{Watchdog, WatchdogConfig};
 use wfqueue::RawQueue;
 
 const OPS: usize = 120_000;
@@ -104,51 +99,20 @@ fn flag_value(args: &[String], key: &str) -> Option<PathBuf> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let trace_out = flag_value(&args, "--trace");
     let metrics_out = flag_value(&args, "--metrics-out");
 
     let hold = Duration::from_micros(200);
     println!("per-operation latency under a disruptive peer (hold = {hold:?}, {OPS} pairs)\n");
 
-    // The wait-free run, observed: a starvation watchdog samples every
-    // flight recorder while the workload runs. A healthy run prints no
-    // stall reports — a thread stuck >100 ms inside one slow-path op would.
-    let dog = Watchdog::spawn_with_callback(WatchdogConfig::default(), |r| {
-        eprintln!(
-            "WATCHDOG: recorder {} ({}) stuck in {} for {:?}",
-            r.recorder,
-            r.thread,
-            r.kind.name(),
-            r.stalled
-        );
-    });
     let q: RawQueue = RawQueue::new();
     let wf = run_with_disturbance(&q, hold);
     report("WF-10", &wf);
-    let stalls = dog.stop();
-    println!(
-        "\nwatchdog: {} stall(s) detected across {} recorder(s)",
-        stalls.len(),
-        wfq_obs::recorder_count()
-    );
     println!("\nexecution-path statistics (Table 2 layout):\n{}", q.stats());
 
     if let Some(path) = &metrics_out {
         wfq_harness::write_metrics(path, &q.stats(), Some(&q.gauges()))
             .expect("write metrics");
         println!("prometheus metrics written to {}", path.display());
-    }
-    if let Some(path) = &trace_out {
-        let events = wfq_harness::dump_chrome_trace(path).expect("write trace");
-        println!(
-            "chrome trace written to {} ({events} events{})",
-            path.display(),
-            if wfq_obs::ENABLED {
-                ""
-            } else {
-                "; rebuild with --features trace to record events"
-            }
-        );
     }
 
     let mq = MutexQueue::new();

@@ -170,23 +170,21 @@ fn a_fed_consumer_probing_past_the_tail_burns_one_cell() {
     fed_consumer_probes(3);
 }
 
-#[test]
-fn more_fed_consumers_than_a_segment_holds_do_not_wedge_the_gate() {
-    // SEG + 4 handles each receive a value and then probe once, unguarded:
-    // the head leads the tail by one cell per handle, more than a segment
-    // holds, so the lead can span three segments while T's own segment
-    // stays unreclaimable. Every `try_enqueue` must still be admitted and
-    // the chain must stay within the ceiling, wherever in its segment the
-    // tail starts (`offset` values pass through first).
+/// `handles` handles each receive a value and then probe once, unguarded:
+/// the head leads the tail by one cell per handle, which can span several
+/// segments while T's own segment stays unreclaimable. Every `try_enqueue`
+/// must still be admitted and live segments must stay within the ceiling
+/// plus `slack`, wherever in its segment the tail starts (`offset` values
+/// pass through first). `max_garbage` is `None` for the default threshold.
+fn fed_consumers_past_a_segment(max_garbage: Option<u64>, handles: usize, slack: u64) {
     const CEILING: u64 = 3;
-    const HANDLES: usize = SEG + 4;
     for offset in 0..SEG as u64 {
-        let q: RawQueue<SEG> = RawQueue::with_config(
-            Config::default()
-                .with_segment_ceiling(CEILING)
-                .with_max_garbage(1),
-        );
-        let mut hs: Vec<_> = (0..HANDLES).map(|_| q.register()).collect();
+        let mut cfg = Config::default().with_segment_ceiling(CEILING);
+        if let Some(m) = max_garbage {
+            cfg = cfg.with_max_garbage(m);
+        }
+        let q: RawQueue<SEG> = RawQueue::with_config(cfg);
+        let mut hs: Vec<_> = (0..handles).map(|_| q.register()).collect();
         let mut next = 1u64;
         for _ in 0..offset {
             hs[0].enqueue(next);
@@ -204,12 +202,26 @@ fn more_fed_consumers_than_a_segment_holds_do_not_wedge_the_gate() {
             for h in hs.iter_mut() {
                 assert_eq!(h.dequeue(), None);
                 let (head, tail) = q.indices();
-                assert!(head <= tail + HANDLES as u64, "H = {head}, T = {tail}");
+                assert!(head <= tail + handles as u64, "H = {head}, T = {tail}");
             }
             let g = q.gauges();
-            assert!(g.live_segments <= CEILING, "offset {offset}, round {round}: {g:?}");
+            assert!(
+                g.live_segments <= CEILING + slack,
+                "offset {offset}, round {round}: {g:?}"
+            );
         }
         assert_eq!(q.stats().enq_rejected, 0);
+    }
+}
+
+#[test]
+fn more_fed_consumers_than_a_segment_holds_do_not_wedge_the_gate() {
+    // Cleaning every segment keeps the chain within the ceiling itself.
+    fed_consumers_past_a_segment(Some(1), SEG + 4, 0);
+    // At the default threshold (2 × live handles) the documented bound
+    // holds: ceiling plus consumer handles (docs/ROBUSTNESS.md).
+    for handles in [SEG + 4, 36] {
+        fed_consumers_past_a_segment(None, handles, handles as u64);
     }
 }
 
@@ -461,7 +473,7 @@ mod stall_soak {
                     assert_eq!(
                         g.min_hazard,
                         Some(0),
-                        "watchdog gauge must expose the pinning hazard: {g:?}"
+                        "the min_hazard gauge must expose the pinning hazard: {g:?}"
                     );
                     assert_eq!(g.ceiling_headroom, Some(0), "{g:?}");
                     assert!(st.enq_rejected >= 32, "{st:?}");

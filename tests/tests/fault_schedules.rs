@@ -106,29 +106,6 @@ mod fuzz {
         FaultPlan::fuzz(seed ^ thread.wrapping_mul(0x9E37_79B9_7F4A_7C15), intensity)
     }
 
-    /// With `--features trace` a failing schedule drains the flight
-    /// recorders into a Chrome-trace artifact, so the panic message points
-    /// at a Perfetto-loadable recording of the last protocol steps every
-    /// thread took; without it, it says how to get one.
-    fn failure_artifact(seed: u64) -> String {
-        #[cfg(feature = "trace")]
-        {
-            let path = std::env::temp_dir().join(format!("wfq-fuzz-seed-{seed}.trace.json"));
-            return match wfq_harness::dump_chrome_trace(&path) {
-                Ok(n) => format!(
-                    "\nflight recording ({n} events) dumped to {} — open in ui.perfetto.dev",
-                    path.display()
-                ),
-                Err(e) => format!("\n(flight-recorder dump failed: {e})"),
-            };
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = seed;
-            String::from("\n(add --features trace for a flight recording of the failure)")
-        }
-    }
-
     /// One fuzzed schedule: `producers` + `consumers` threads hammer a
     /// fresh queue under per-thread seeded plans; returns the recorded
     /// history already certified by the *necessary-conditions* checker,
@@ -177,16 +154,14 @@ mod fuzz {
             panic!(
                 "necessary-condition violation under fuzz schedule: {v:?}\n\
                  reproduce: WFQ_FUZZ_SEED={seed} cargo test -p wfq-integration \
-                 --features fault-injection fuzz_sweep{}",
-                failure_artifact(seed)
+                 --features fault-injection fuzz_sweep"
             );
         }
         match check_linearizable(&h, 4_000_000) {
             CheckResult::NotLinearizable => panic!(
                 "history not linearizable under fuzz schedule\n\
                  reproduce: WFQ_FUZZ_SEED={seed} cargo test -p wfq-integration \
-                 --features fault-injection fuzz_sweep{}",
-                failure_artifact(seed)
+                 --features fault-injection fuzz_sweep"
             ),
             // Linearizable, or the state cap was hit after the linear-time
             // necessary conditions already passed — both acceptable.
@@ -760,18 +735,16 @@ mod fuzz {
             panic!(
                 "{}: necessary-condition violation under ring schedule: {v:?}\n\
                  reproduce: WFQ_RING_SEED={seed} cargo test -p wfq-integration \
-                 --features fault-injection ring_backend_sweep{}",
-                Q::NAME,
-                failure_artifact(seed)
+                 --features fault-injection ring_backend_sweep",
+                Q::NAME
             );
         }
         if let CheckResult::NotLinearizable = check_linearizable(&h, 4_000_000) {
             panic!(
                 "{}: history not linearizable under ring schedule\n\
                  reproduce: WFQ_RING_SEED={seed} cargo test -p wfq-integration \
-                 --features fault-injection ring_backend_sweep{}",
-                Q::NAME,
-                failure_artifact(seed)
+                 --features fault-injection ring_backend_sweep",
+                Q::NAME
             );
         }
     }

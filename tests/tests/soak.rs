@@ -39,7 +39,7 @@ fn watched_pairs(threads: usize, pairs: u64, rounds: u32, cfg: Config, stall_lim
                     done.fetch_add(1, Ordering::Relaxed);
                 });
             }
-            // Watchdog.
+            // Progress monitor: panics when no thread advances for stall_limit.
             let progress = &progress;
             let done = &done;
             s.spawn(move || {

@@ -147,12 +147,6 @@ fn warm_reclamation_passes_make_no_allocation() {
 
 #[test]
 fn dropping_the_handle_and_queue_frees_the_spare() {
-    // With `trace` on, a thread's first protocol event registers its
-    // flight recorder: a 4096-event ring, about 164 KB, that the
-    // process-global registry keeps for the rest of the process. The
-    // queue does not own it, so it must exist before the baseline is
-    // read; without `trace` the macro expands to nothing.
-    wfq_obs::record!(wfq_obs::EventKind::DeqEmpty, 0u64);
     let baseline = tally().live;
     {
         let q: WfQueue<Payload> = WfQueue::new();
