@@ -64,16 +64,8 @@ mod wf_impl {
     impl BenchQueue for Wf0 {
         type Handle<'q> = Handle<'q>;
         const NAME: &'static str = "WF-0";
-        const HONORS_CEILING: bool = true;
         fn new() -> Self {
             Wf0(RawQueue::with_config(Config::wf0()))
-        }
-        fn with_ceiling(ceiling: Option<u64>) -> Self {
-            let mut config = Config::wf0();
-            if let Some(c) = ceiling {
-                config = config.with_segment_ceiling(c);
-            }
-            Wf0(RawQueue::with_config(config))
         }
         fn register(&self) -> Self::Handle<'_> {
             self.0.register()
@@ -83,9 +75,6 @@ mod wf_impl {
         }
         fn gauges(&self) -> Option<Gauges> {
             Some(self.0.gauges())
-        }
-        fn reclaim_hint(&self) -> bool {
-            true
         }
     }
 }

@@ -32,9 +32,11 @@
 //!
 //! Progress: lock-free (an operation retries only because another
 //! operation succeeded). The [`Scq`] wrapper's blocking `enqueue` spins on
-//! a full ring — use `try_enqueue` for backpressure, as the bounded-mode
-//! tests do. Values are restricted to `1 ..= u64::MAX - 2` like every
-//! queue in this crate.
+//! a full ring — use `try_enqueue` for backpressure. SCQ is the
+//! repository's bounded-memory baseline: the wait-free queue has no
+//! segment ceiling, as in the paper, and a bound done properly is a ring
+//! (DESIGN.md §9). Values are restricted to `1 ..= u64::MAX - 2` like
+//! every queue in this crate.
 
 use core::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -325,7 +327,7 @@ impl Scq {
         // Move a free slot index to the allocated ring, with the value in
         // the slot in between. fq empty <=> all n slots live <=> full.
         let Some(i) = self.fq.dequeue() else {
-            return Err(Full(()));
+            return Err(Full);
         };
         self.data[i as usize].store(v, Ordering::SeqCst);
         self.aq.enqueue(i);
@@ -498,7 +500,7 @@ mod tests {
         for v in 1..=8 {
             assert_eq!(h.try_enqueue(v), Ok(()));
         }
-        assert_eq!(h.try_enqueue(9), Err(Full(())));
+        assert_eq!(h.try_enqueue(9), Err(Full));
         assert_eq!(h.dequeue(), Some(1));
         assert_eq!(h.try_enqueue(9), Ok(()));
         for want in 2..=9 {

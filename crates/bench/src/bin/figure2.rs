@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run -p wfq-bench --release --bin figure2 -- \
 //!     [--workload pairs|fifty|both] [--threads 1,2,4,8] [--ops N] \
-//!     [--segment-ceiling S] [--handicap-ns N] [--commit SHA] \
+//!     [--handicap-ns N] [--commit SHA] \
 //!     [--full] [--quick] [--csv out.csv] [--json out.json]
 //! ```
 //!
@@ -70,9 +70,6 @@ fn config(args: &Args, workload: Workload) -> BenchConfig {
     cfg.total_ops = args.num("ops", cfg.total_ops);
     cfg.invocations = args.num("invocations", cfg.invocations as u64) as usize;
     cfg.pin = !args.flag("no-pin");
-    // Bounded-memory mode: price the wait-free queue's segment ceiling
-    // against the unbounded baselines (only WF-10/WF-0 honor it).
-    cfg.segment_ceiling = args.get("segment-ceiling").and_then(|s| s.parse().ok());
     cfg.handicap_ns = args.num("handicap-ns", 0);
     if cfg.handicap_ns > 0 {
         eprintln!(
@@ -91,9 +88,6 @@ fn run_workload(args: &Args, workload: Workload, threads: &[usize]) -> Vec<Serie
         cfg.total_ops,
         cfg.invocations
     );
-    if let Some(c) = cfg.segment_ceiling {
-        eprintln!("  segment ceiling = {c} (honored by WF-10 and WF-0 only)");
-    }
     let mut all = Vec::new();
     macro_rules! series {
         ($q:ty) => {{

@@ -24,9 +24,10 @@
 //! the rate from the first `--rates` entry (default 250) until the backend
 //! saturates (generator lag exceeds 10% of the intended span) or 8 steps
 //! pass — the throughput–latency frontier. `--overload` switches to the
-//! 2:1 enqueue-biased `try_enqueue` mix so bounded backends report drops
-//! and unbounded ones report queue growth. `--json` writes the committed
-//! `results/BENCH_latency.json` schema; `--metrics-out` writes the
+//! 2:1 enqueue-biased `try_enqueue` mix so the fixed-capacity SCQ ring
+//! reports drops and the unbounded queues report queue growth. `--json`
+//! writes the committed `results/BENCH_latency.json` schema;
+//! `--metrics-out` writes the
 //! `wfq_op_latency_ns` Prometheus summary; `--handicap-ns` spins inside
 //! the measured window (the regression-gate trip wire, as in `figure2`).
 
@@ -53,7 +54,6 @@ fn base_config(args: &Args) -> OpenLoopConfig {
         .map(|s| ArrivalSchedule::parse(s).unwrap_or_else(|| die(&format!("bad --schedule {s}"))))
         .unwrap_or(ArrivalSchedule::FixedRate);
     cfg.pin = !args.flag("no-pin");
-    cfg.segment_ceiling = args.get("segment-ceiling").and_then(|s| s.parse().ok());
     cfg.handicap_ns = args.num("handicap-ns", 0);
     cfg.overload = args.flag("overload");
     if cfg.handicap_ns > 0 {

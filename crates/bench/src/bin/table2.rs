@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! cargo run -p wfq-bench --release --bin table2 -- [--ops N] [--patience P] \
-//!     [--backend wf|scq] [--segment-ceiling S] \
-//!     [--metrics-out metrics.prom]
+//!     [--backend wf|scq] [--metrics-out metrics.prom]
 //! ```
 //!
 //! `--metrics-out` writes the highest-thread-count run's statistics in the
@@ -38,7 +37,6 @@ fn main() {
             total_ops: args.num("ops", 400_000),
             workload,
             pin: !args.flag("no-pin"),
-            segment_ceiling: args.get("segment-ceiling").and_then(|s| s.parse().ok()),
             ..BenchConfig::default()
         };
         let row: Breakdown = match backend.as_str() {

@@ -4,9 +4,9 @@
 //! the paper's wait-free queue and all of its rivals — is operated
 //! through. It grew out of the benchmark harness's `BenchQueue` trait
 //! (which `wfq-baselines` still re-exports under that name): the harness
-//! needed a uniform way to drive very different queues, and once bounded
-//! mode and telemetry existed on the wait-free queue the uniform
-//! surface became the natural *primary* API rather than a bench shim.
+//! needed a uniform way to drive very different queues, and once
+//! telemetry existed on the wait-free queue the uniform surface became
+//! the natural *primary* API rather than a bench shim.
 //!
 //! The trait ships defaults for everything beyond `enqueue`/`dequeue`, so
 //! a minimal backend is four items (`Handle`, `NAME`, `new`, `register`)
@@ -14,11 +14,10 @@
 //!
 //! | Capability | Default | Overridden by |
 //! |---|---|---|
-//! | `try_enqueue` (backpressure) | always accepts | WF bounded mode, SCQ ring |
+//! | `try_enqueue` (backpressure) | always accepts | SCQ ring |
 //! | `stats()` | all-zero | WF, SCQ |
 //! | handle `stats()` | all-zero | WF |
 //! | `gauges()` | `None` | WF |
-//! | `reclaim_hint()` | no-op | WF (hazard-bounded reclamation) |
 //!
 //! Handles are `&mut self` because every implementation keeps per-thread
 //! state (peer cursors, hazard mirrors, stat counters) that must not be
@@ -37,10 +36,10 @@ pub trait BackendHandle: Send {
     /// Dequeues the oldest value, or `None` if the queue appeared empty.
     fn dequeue(&mut self) -> Option<u64>;
 
-    /// Fallible enqueue: `Err(Full)` hands the value back to the caller
-    /// when the backend is at capacity (a bounded ring's fixed capacity,
-    /// or the wait-free queue's segment ceiling). The default accepts
-    /// unconditionally — correct for every unbounded backend.
+    /// Fallible enqueue: `Err(Full)` when a fixed-capacity backend (a
+    /// bounded ring) is at capacity; the caller keeps the value. The
+    /// default accepts unconditionally — correct for every unbounded
+    /// backend, the wait-free queue included.
     fn try_enqueue(&mut self, v: u64) -> Result<(), Full> {
         self.enqueue(v);
         Ok(())
@@ -71,10 +70,6 @@ pub trait QueueBackend: Send + Sync + Sized {
     /// Display name used in reports (matches the paper's legend).
     const NAME: &'static str;
 
-    /// Whether [`with_ceiling`](Self::with_ceiling) actually bounds memory
-    /// for this implementation.
-    const HONORS_CEILING: bool = false;
-
     /// Whether the backend has a *fixed* capacity (a bounded ring) rather
     /// than growing on demand. Fixed-capacity backends reject via
     /// [`BackendHandle::try_enqueue`] when full and their plain `enqueue`
@@ -83,15 +78,6 @@ pub trait QueueBackend: Send + Sync + Sized {
 
     /// Creates an empty queue.
     fn new() -> Self;
-
-    /// Creates an empty queue bounded to at most `ceiling` live segments,
-    /// where the implementation supports it (the wait-free queue's
-    /// bounded-memory mode). Backends without a segment ceiling ignore it
-    /// — the harness prints which queues honored it.
-    fn with_ceiling(ceiling: Option<u64>) -> Self {
-        let _ = ceiling;
-        Self::new()
-    }
 
     /// Registers the calling thread.
     fn register(&self) -> Self::Handle<'_>;
@@ -111,20 +97,11 @@ pub trait QueueBackend: Send + Sync + Sized {
     fn gauges(&self) -> Option<Gauges> {
         None
     }
-
-    /// Reclamation hook: invites the backend to run a garbage/recycling
-    /// pass now (the wait-free queue's hazard-bounded segment
-    /// reclamation). Purely advisory — a no-op on backends that reclaim
-    /// inline (rings reuse slots in place) or not at all. Returns whether
-    /// the backend has a reclamation concept wired to this hook.
-    fn reclaim_hint(&self) -> bool {
-        false
-    }
 }
 
 mod wf_impl {
     use super::{BackendHandle, QueueBackend};
-    use crate::{Config, Full, Gauges, Handle, QueueStats, RawQueue};
+    use crate::{Config, Gauges, Handle, QueueStats, RawQueue};
 
     impl<const N: usize> BackendHandle for Handle<'_, N> {
         #[inline]
@@ -135,10 +112,6 @@ mod wf_impl {
         fn dequeue(&mut self) -> Option<u64> {
             Handle::dequeue(self)
         }
-        #[inline]
-        fn try_enqueue(&mut self, v: u64) -> Result<(), Full> {
-            Handle::try_enqueue(self, v)
-        }
         fn stats(&self) -> QueueStats {
             Handle::stats(self)
         }
@@ -147,16 +120,8 @@ mod wf_impl {
     impl<const N: usize> QueueBackend for RawQueue<N> {
         type Handle<'q> = Handle<'q, N>;
         const NAME: &'static str = "WF-10";
-        const HONORS_CEILING: bool = true;
         fn new() -> Self {
             RawQueue::with_config(Config::wf10())
-        }
-        fn with_ceiling(ceiling: Option<u64>) -> Self {
-            let mut config = Config::wf10();
-            if let Some(c) = ceiling {
-                config = config.with_segment_ceiling(c);
-            }
-            RawQueue::with_config(config)
         }
         fn register(&self) -> Self::Handle<'_> {
             RawQueue::register(self)
@@ -166,12 +131,6 @@ mod wf_impl {
         }
         fn gauges(&self) -> Option<Gauges> {
             Some(RawQueue::gauges(self))
-        }
-        fn reclaim_hint(&self) -> bool {
-            // Reclamation is driven by the queue's own boundary-crossing
-            // elections (and, in bounded mode, enqueuer-forced passes);
-            // the hook reports the capability without forcing a pass.
-            true
         }
     }
 }
@@ -219,8 +178,6 @@ mod tests {
         assert_eq!(BackendHandle::stats(&h), QueueStats::default());
         assert_eq!(q.stats(), QueueStats::default());
         assert!(q.gauges().is_none());
-        assert!(!q.reclaim_hint());
-        assert!(!Minimal::HONORS_CEILING);
         assert!(!Minimal::FIXED_CAPACITY);
     }
 
@@ -235,20 +192,5 @@ mod tests {
         assert_eq!(s.enq_fast + s.enq_slow, 1);
         let g = QueueBackend::gauges(&q).expect("WF exposes gauges");
         assert_eq!(g.tail_index, 1);
-        assert!(q.reclaim_hint());
-    }
-
-    #[test]
-    fn wf_with_ceiling_bounds_through_the_trait() {
-        let q = <RawQueue<16> as QueueBackend>::with_ceiling(Some(2));
-        let mut h = q.register();
-        let mut rejected = false;
-        for v in 1..=16 * 4_u64 {
-            if h.try_enqueue(v).is_err() {
-                rejected = true;
-                break;
-            }
-        }
-        assert!(rejected, "segment ceiling ignored through the trait");
     }
 }

@@ -16,11 +16,6 @@ pub struct Config {
     /// cleanup, the authors' `MAX_GARBAGE(n) = 2n`; a one-handle queue
     /// therefore cleans once two segments lie behind its head.
     pub max_garbage: Option<u64>,
-    /// Bounded-memory mode: the advisory cap on the number of segments the
-    /// queue may own at once (chain + recycling pool + per-handle spares).
-    /// `None` (the default) is the paper's unbounded behavior. See
-    /// [`Config::with_segment_ceiling`].
-    pub segment_ceiling: Option<u64>,
 }
 
 impl Default for Config {
@@ -28,7 +23,6 @@ impl Default for Config {
         Self {
             patience: crate::DEFAULT_PATIENCE,
             max_garbage: None,
-            segment_ceiling: None,
         }
     }
 }
@@ -58,28 +52,6 @@ impl Config {
     /// Sets a fixed reclamation threshold (in segments).
     pub fn with_max_garbage(mut self, segments: u64) -> Self {
         self.max_garbage = Some(segments.max(1));
-        self
-    }
-
-    /// Enables bounded-memory mode with an advisory ceiling of `segments`
-    /// segments (each `N × size_of::<Cell>()` bytes, 16 KiB at the default
-    /// N = 1024).
-    ///
-    /// Reclaimed segments are recycled through a lock-free pool instead of
-    /// freed, fresh allocation stops at the ceiling, and the `try_enqueue`
-    /// family reports [`Full`](crate::Full) when no headroom can be
-    /// recovered. The ceiling is **advisory per thread**: operations
-    /// already past their index FAA may overshoot it by one segment each
-    /// rather than block (exactness would require dequeuers to block
-    /// enqueuers — Aksenov et al.'s lower bound; see DESIGN.md §9). Plain
-    /// `enqueue` ignores the admission gate entirely and keeps the paper's
-    /// semantics, growing past the ceiling only through the same bounded
-    /// overshoot path.
-    ///
-    /// The queue always admits at least `(segments − 1) × N` undequeued
-    /// values before reporting `Full`; clamped to a minimum of 1 segment.
-    pub fn with_segment_ceiling(mut self, segments: u64) -> Self {
-        self.segment_ceiling = Some(segments.max(1));
         self
     }
 
@@ -122,25 +94,8 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let c = Config::wf0()
-            .with_patience(3)
-            .with_max_garbage(9)
-            .with_segment_ceiling(12);
+        let c = Config::wf0().with_patience(3).with_max_garbage(9);
         assert_eq!(c.patience, 3);
         assert_eq!(c.max_garbage, Some(9));
-        assert_eq!(c.segment_ceiling, Some(12));
-    }
-
-    #[test]
-    fn default_is_unbounded() {
-        assert_eq!(Config::default().segment_ceiling, None);
-    }
-
-    #[test]
-    fn segment_ceiling_clamps_to_one() {
-        assert_eq!(
-            Config::default().with_segment_ceiling(0).segment_ceiling,
-            Some(1)
-        );
     }
 }

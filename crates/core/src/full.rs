@@ -1,73 +1,43 @@
-//! The backpressure error for bounded-memory mode.
+//! The backpressure error of a fixed-capacity backend.
 
 use core::fmt;
 
-/// Error returned by the `try_enqueue` family when the queue is at its
-/// segment ceiling and a same-call forced reclamation pass could not
-/// recover headroom (see
-/// [`Config::with_segment_ceiling`](crate::Config::with_segment_ceiling)).
-///
-/// The typed wrappers return the rejected value inside the error so the
-/// caller keeps ownership: `Full<T>` from
-/// [`LocalHandle::try_enqueue`](crate::LocalHandle::try_enqueue), plain
-/// `Full` (i.e. `Full<()>`) from the raw API.
+/// Error returned by [`BackendHandle::try_enqueue`](crate::BackendHandle::try_enqueue)
+/// when a fixed-capacity backend (the SCQ ring in `wfq-baselines`) is at
+/// capacity. The caller still holds the value it passed.
 ///
 /// A `Full` return is a *backpressure signal*, not a permanent state: it
-/// clears as soon as dequeuers drain enough cells for reclamation to
-/// recycle a segment (or the stalled thread pinning the reclamation
-/// boundary resumes). See docs/ROBUSTNESS.md for the degradation contract.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub struct Full<T = ()>(pub T);
+/// clears as soon as dequeuers drain a slot. The wait-free queue never
+/// returns it: its enqueue always succeeds, as in the paper.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Full;
 
-impl<T> Full<T> {
-    /// Recovers the value whose enqueue was rejected.
-    pub fn into_inner(self) -> T {
-        self.0
-    }
-}
-
-impl<T> fmt::Debug for Full<T> {
+impl fmt::Display for Full {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Deliberately not showing the payload: T: Debug is not required,
-        // and the payload is the caller's data, not the error's.
-        f.write_str("Full(..)")
+        f.write_str("queue is at capacity")
     }
 }
 
-impl<T> fmt::Display for Full<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("queue is at its segment ceiling")
-    }
-}
-
-impl<T> std::error::Error for Full<T> {}
+impl std::error::Error for Full {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn carries_the_rejected_value() {
-        let e: Full<String> = Full("hello".to_string());
-        assert_eq!(e.into_inner(), "hello");
-    }
-
-    #[test]
-    fn debug_and_display_do_not_require_t_debug() {
-        struct Opaque;
-        let e = Full(Opaque);
-        assert_eq!(format!("{e:?}"), "Full(..)");
-        assert_eq!(e.to_string(), "queue is at its segment ceiling");
+    fn debug_and_display_name_the_condition() {
+        assert_eq!(format!("{Full:?}"), "Full");
+        assert_eq!(Full.to_string(), "queue is at capacity");
     }
 
     #[test]
     fn is_a_std_error() {
         fn takes_error(_: &dyn std::error::Error) {}
-        takes_error(&Full(()));
+        takes_error(&Full);
     }
 
     #[test]
     fn unit_form_compares() {
-        assert_eq!(Full(()), Full(()));
+        assert_eq!(Full, Full);
     }
 }

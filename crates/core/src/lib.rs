@@ -89,7 +89,6 @@ mod handle;
 mod idempotence;
 mod pack;
 mod persist;
-mod pool;
 mod raw;
 mod reclaim;
 mod request;
@@ -122,7 +121,7 @@ pub const DEFAULT_PATIENCE: u32 = 10;
 /// Every named fault-injection point compiled into this crate
 /// (`wfq_sync::inject!` sites). The schedule fuzzer asserts its sweep
 /// drives each of these at least once. The list is exactly the
-/// `inject!("...")` calls in `raw.rs`, `reclaim.rs` and `pool.rs`:
+/// `inject!("...")` calls in `raw.rs` and `reclaim.rs`:
 /// `fault_points_match_the_inject_sites` in `tests/tests/fault_schedules.rs`
 /// fails when they drift apart.
 ///
@@ -154,11 +153,6 @@ pub const FAULT_POINTS: &[&str] = &[
     "reclaim::pre_update_cas",
     "reclaim::reverse_scan",
     "reclaim::pre_free",
-    // reclaim.rs / pool.rs — bounded-memory mode (DESIGN.md §9).
-    "reclaim::forced",
-    "pool::push",
-    "pool::pop",
-    "pool::stall",
     // raw.rs — durable-mode crash windows (DESIGN.md §12): the instant a
     // protocol effect is volatile-visible but its persist has not landed.
     // The points exist in every build (they are plain inject! sites); only

@@ -27,12 +27,10 @@ use crate::cell::{
     is_valid_value, name_slot, Cell, DEQ_BOTTOM, ENQ_BOTTOM, ENQ_TOP, VAL_BOTTOM, VAL_TOP,
 };
 use crate::config::Config;
-use crate::full::Full;
 use crate::handle::{HandleNode, NodeTable, NO_HAZARD};
 #[cfg(feature = "durable")]
 use crate::persist::PersistSink;
 use crate::persist::persist;
-use crate::pool::SegmentPool;
 use crate::segment::{find_cell, SegSource, Segment};
 use crate::stats::{Gauges, HandleStats, QueueStats};
 use crate::DEFAULT_SEGMENT_SIZE;
@@ -105,8 +103,6 @@ pub struct RawQueue<const N: usize = DEFAULT_SEGMENT_SIZE> {
     /// register/drop churn the ever-registered count inflates forever and
     /// would make reclamation permanently lazier.
     pub(crate) active_count: AtomicU64,
-    /// Segment recycling pool and allocation gate (inert when unbounded).
-    pub(crate) pool: SegmentPool<N>,
     pub(crate) config: Config,
     /// Durable mode: the persist sink mirroring the three commit
     /// frontiers, `None` for a volatile queue (DESIGN.md §12).
@@ -222,7 +218,6 @@ impl<const N: usize> RawQueue<N> {
             nodes: NodeTable::new(),
             free_nodes: Mutex::new(Vec::new()),
             active_count: AtomicU64::new(0),
-            pool: SegmentPool::new(config.segment_ceiling),
             config,
             #[cfg(feature = "durable")]
             persist: None,
@@ -245,7 +240,6 @@ impl<const N: usize> RawQueue<N> {
         SegSource {
             spare: &h.spare,
             alloc_count: &h.stats.segs_alloc,
-            pool: &self.pool,
         }
     }
 
@@ -458,12 +452,6 @@ impl<const N: usize> RawQueue<N> {
         if let Some(min) = g.min_hazard {
             g.hazard_lag_segments = (head_index / N as u64).saturating_sub(min);
         }
-        g.pooled_segments = self.pool.pooled();
-        g.segment_ceiling = self.pool.ceiling();
-        g.ceiling_headroom = self
-            .pool
-            .ceiling()
-            .map(|c| c.saturating_sub(self.pool.total()));
         g
     }
 
@@ -541,58 +529,6 @@ impl<const N: usize> RawQueue<N> {
         // h.tail ends the operation at segment last_index / N).
         h.tail_seg_id.store(last_index / N as u64, Ordering::Relaxed);
         h.clear_hazard();
-    }
-
-    /// The fallible enqueue behind [`Handle::try_enqueue`]: an admission
-    /// gate in front of the unmodified paper algorithm.
-    ///
-    /// The gate runs *before* any index FAA, so a rejected call leaves no
-    /// trace in the protocol — that is what makes the rejection wait-free
-    /// and the ceiling enforceable: only admitted operations can allocate.
-    /// Inline, it is the enqueue front plus one test; a queue at its
-    /// ceiling continues in [`Self::try_enqueue_at_ceiling`].
-    #[inline]
-    pub(crate) fn try_enqueue_internal(&self, h: &HandleNode<N>, v: u64) -> Result<(), Full> {
-        if self.config.segment_ceiling.is_some() && !self.pool.has_headroom() {
-            return self.try_enqueue_at_ceiling(h, v);
-        }
-        self.enqueue_internal(h, v);
-        Ok(())
-    }
-
-    /// The admission gate once headroom is gone: it recovers what it can,
-    /// then enqueues if that made headroom and rejects with [`Full`]
-    /// otherwise.
-    ///
-    /// Recovery first moves the tail index up to the head index if probes
-    /// have pushed `H` past `T`. Every index in `[T, H)` was already taken
-    /// by a dequeue. Moving `T` over them is the CAS-max that `enq_commit`
-    /// applies (lines 53–55), as if enqueues had taken those indices and
-    /// found their cells burned; a dequeue still deciding at one sees `T`
-    /// past it and goes on, as it would after such an enqueue. Without it
-    /// the tail's segment stays unreclaimable (the pass never goes past
-    /// `T / N`) while the head's is live too, and at a low ceiling a
-    /// drained queue would report `Full` for as long as no plain `enqueue`
-    /// moves `T` (DESIGN.md §9). Then the caller elects itself cleaner for
-    /// one forced reclamation pass (enqueuers never do on the plain path —
-    /// only dequeuers call `cleanup`), because the missing headroom is
-    /// often recoverable garbage that dequeuers simply haven't tripped the
-    /// threshold on.
-    #[cold]
-    #[inline(never)]
-    fn try_enqueue_at_ceiling(&self, h: &HandleNode<N>, v: u64) -> Result<(), Full> {
-        let head = self.head_index.load(Ordering::SeqCst);
-        if head > self.tail_index.load(Ordering::SeqCst) {
-            advance_index(&self.tail_index, head);
-            persist!(self, advance_tail(head));
-        }
-        self.forced_cleanup(h);
-        if !self.pool.has_headroom() {
-            HandleStats::bump(&h.stats.enq_rejected);
-            return Err(Full(()));
-        }
-        self.enqueue_internal(h, v);
-        Ok(())
     }
 
     /// Lines 65–69: one FAA, one CAS. `cell_id` receives the attempted
@@ -849,12 +785,11 @@ impl<const N: usize> RawQueue<N> {
     /// keep a frame to call and return.
     #[inline]
     pub(crate) fn dequeue_internal(&self, h: &HandleNode<N>) -> Option<NonZeroU64> {
-        // Emptiness guard (the bounded-RSS guard of DESIGN.md §9). A
-        // probe's FAA burns a cell, and every segment between the tail
-        // frontier and H must stay live for enqueuers to traverse — so a
-        // consumer spinning on an empty queue would otherwise push H (and
-        // the chain, and RSS) ahead of T without bound, straight through
-        // any segment ceiling. Once H has passed T the queue is
+        // Emptiness guard. A probe's FAA burns a cell, and every segment
+        // between the tail frontier and H must stay live for enqueuers to
+        // traverse — so a consumer spinning on an empty queue would
+        // otherwise push H (and the chain, and RSS) ahead of T without
+        // bound. Once H has passed T the queue is
         // linearizably empty (every cell below T is already assigned to
         // some dequeuer), so later probes return EMPTY without consuming
         // anything. H == T still probes — one burned cell per drained
@@ -864,8 +799,7 @@ impl<const N: usize> RawQueue<N> {
         // Only a handle whose last dequeue returned EMPTY consults the
         // guard; one that just received a value probes straight away.
         // Either way each handle holds at most one probed cell past T, so
-        // H − T stays at most the number of live handles (the admission
-        // gates move T up to H when such a lead costs them headroom).
+        // H − T stays at most the number of live handles.
         //
         // The check touches no segment, so it runs before the hazard is
         // published. A fast-out leaves the head mirror as it was, and a
@@ -1247,30 +1181,11 @@ impl<Q: QueueRef<N>, const N: usize> RawHandle<Q, N> {
         unsafe { &*self.node }
     }
 
-    /// Enqueues `v`. Wait-free. Panics if `v` is a reserved pattern
-    /// (`0` or `u64::MAX`).
-    ///
-    /// In bounded mode this keeps the paper's always-succeeds semantics:
-    /// it bypasses the admission gate and may push the queue past its
-    /// segment ceiling (by the bounded overshoot described in
-    /// [`Config::with_segment_ceiling`]). Use [`Handle::try_enqueue`] to
-    /// respect the ceiling.
+    /// Enqueues `v`. Wait-free, and it always succeeds, as in the paper.
+    /// Panics if `v` is a reserved pattern (`0` or `u64::MAX`).
     #[inline]
     pub fn enqueue(&mut self, v: u64) {
         self.raw().enqueue_internal(self.node(), v);
-    }
-
-    /// Enqueues `v`, failing fast with [`Full`] if the queue is at its
-    /// segment ceiling and a same-call forced reclamation pass cannot
-    /// recover headroom. Wait-free (the rejection path does constant work
-    /// plus one bounded ring scan). Panics on the reserved patterns.
-    ///
-    /// Without a ceiling ([`Config::segment_ceiling`] unset) this never
-    /// returns `Err` and compiles to the same fast path as
-    /// [`Handle::enqueue`] plus one branch.
-    #[inline]
-    pub fn try_enqueue(&mut self, v: u64) -> Result<(), Full> {
-        self.raw().try_enqueue_internal(self.node(), v)
     }
 
     /// Dequeues the oldest value, or returns `None` if the queue was

@@ -68,40 +68,6 @@ impl<const N: usize> RawQueue<N> {
         self.cleanup_cold(h, oid, my_head_id);
     }
 
-    /// Bounded-mode escalation: an enqueuer that finds no ceiling headroom
-    /// elects itself cleaner instead of waiting for a dequeuer to trip the
-    /// garbage threshold. Runs at most one full pass (no retry): if the
-    /// boundary is pinned by a stalled thread's hazard, the caller degrades
-    /// to rejecting the enqueue — bounded RSS instead of unbounded growth —
-    /// and the pinning hazard stays visible in [`Gauges::min_hazard`]
-    /// (crate::Gauges::min_hazard).
-    #[cold]
-    pub(crate) fn forced_cleanup(&self, h: &HandleNode<N>) {
-        inject!("reclaim::forced");
-        HandleStats::bump(&h.stats.forced_cleanups);
-        let oid = self.oldest_id.load(Ordering::Acquire);
-        if oid < 0 {
-            // A cleaner is mid-pass; its retirements may create headroom.
-            // Yield once rather than spin: the caller rechecks and rejects.
-            std::thread::yield_now();
-            return;
-        }
-        // The dequeue frontier is the natural reclamation candidate for a
-        // cleaner that is not itself a dequeuer: everything below the last
-        // claimed head cell's segment is consumed. `(H − 1) / N` — not
-        // `H / N`, which names a segment the chain may not have grown yet
-        // (H is the *next* index; dequeuers use their claimed cell's id).
-        // cleanup_cold clamps it below the enqueue frontier, every
-        // published hazard, and every handle pointer, exactly as for a
-        // dequeuer-elected pass.
-        let head = self.head_index.load(Ordering::SeqCst);
-        if head == 0 {
-            return; // nothing consumed yet, nothing to reclaim
-        }
-        let head_frontier = (head - 1) / N as u64;
-        self.cleanup_cold(h, oid, head_frontier);
-    }
-
     /// The election, ring scan, and reclamation (cold: runs once per
     /// MAX_GARBAGE segments at most).
     #[cold]
@@ -198,23 +164,19 @@ impl<const N: usize> RawQueue<N> {
         }
 
         // Lines 237–238: publish the new front, release the token at the
-        // new id, retire the prefix (freed outright when unbounded,
-        // scrubbed into the recycling pool in bounded mode).
+        // new id, free the prefix.
         inject!("reclaim::pre_free");
         let new_front = resolve(start, boundary);
         self.q.store(new_front, Ordering::Release);
         self.oldest_id.store(boundary as i64, Ordering::Release);
         // SAFETY: every hazard and every head/tail pointer is ≥ boundary;
         // the prefix [start, new_front) is unreachable.
-        let (retired, recycled) = unsafe { self.pool.retire_list(start, new_front) };
+        let freed = unsafe { Segment::free_list(start, new_front) };
         // Advisory durable-mode note: every cell below the boundary is
         // volatile-unreachable, so the store may compact their records at
         // the next generation turn (DESIGN.md §12).
         crate::persist::persist!(self, retire_below(boundary * N as u64));
-        HandleStats::add(&h.stats.segs_freed, retired);
-        if recycled > 0 {
-            HandleStats::add(&h.stats.segs_recycled, recycled);
-        }
+        HandleStats::add(&h.stats.segs_freed, freed);
     }
 
     /// The paper's `update` (lines 239–247): push a lagging head/tail
@@ -423,56 +385,6 @@ mod tests {
         assert!(q.indices().1 / 8 >= 100, "the run must cross 100 segments");
         let max_garbage = 2; // 2 × one live handle
         assert_eq!(peak, max_garbage + 1, "{:?}", q.stats());
-    }
-
-    #[test]
-    fn bounded_mode_recycles_instead_of_freeing() {
-        let q: RawQueue<8> = RawQueue::with_config(
-            Config::default().with_max_garbage(2).with_segment_ceiling(64),
-        );
-        let mut h = q.register();
-        for round in 0..50u64 {
-            for v in 0..64 {
-                h.enqueue(round * 64 + v + 1);
-            }
-            for _ in 0..64 {
-                assert!(h.dequeue().is_some());
-            }
-        }
-        let s = q.stats();
-        assert!(s.segs_freed > 0, "reclamation must still run: {s:?}");
-        assert_eq!(
-            s.segs_recycled, s.segs_freed,
-            "bounded mode must recycle every retired segment"
-        );
-        let g = q.gauges();
-        assert!(g.pooled_segments > 0, "{g:?}");
-        assert_eq!(g.segment_ceiling, Some(64));
-        // Drop the queue: pooled segments must be freed (leak-checked
-        // under the sanitizer CI job).
-    }
-
-    #[test]
-    fn forced_cleanup_reclaims_without_a_dequeuer_threshold() {
-        // A pure producer-side pass: fill, drain, fill again, then invoke
-        // the forced path directly — it must reclaim the consumed prefix.
-        let q: RawQueue<8> =
-            RawQueue::with_config(Config::default().with_max_garbage(1_000_000));
-        let mut h = q.register();
-        for v in 1..=400u64 {
-            h.enqueue(v);
-        }
-        for _ in 0..400 {
-            h.dequeue();
-        }
-        assert_eq!(q.stats().segs_freed, 0, "threshold too high to trip");
-        // SAFETY: node pointer valid while the handle lives.
-        let node = unsafe { &*crate::raw::test_node(&h) };
-        q.forced_cleanup(node);
-        assert!(
-            q.stats().segs_freed > 0,
-            "forced pass must reclaim the consumed prefix"
-        );
     }
 
     #[test]

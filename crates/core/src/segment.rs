@@ -13,7 +13,6 @@ use core::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error};
 
 use crate::cell::Cell;
-use crate::pool::SegmentPool;
 
 /// One array segment of `N` cells.
 ///
@@ -35,26 +34,15 @@ impl<const N: usize> Segment<N> {
     /// a null `next`, so no per-cell initialization loop is needed — an
     /// observable win at N = 1024 where the loop would touch 16 KiB.
     pub fn alloc(id: u64) -> *mut Segment<N> {
-        let ptr = Self::try_alloc(id);
-        if ptr.is_null() {
-            handle_alloc_error(Layout::new::<Segment<N>>());
-        }
-        ptr
-    }
-
-    /// Fallible variant of [`Segment::alloc`]: returns null instead of
-    /// aborting when the allocator refuses. Bounded mode retries through
-    /// [`crate::pool::SegmentPool::acquire`]'s backoff loop rather than
-    /// taking the process down.
-    pub fn try_alloc(id: u64) -> *mut Segment<N> {
         let layout = Layout::new::<Segment<N>>();
         // SAFETY: layout is non-zero-sized; the zero pattern is a valid
         // Segment (atomics of 0 / null, id 0) which we then fix up.
         let ptr = unsafe { alloc_zeroed(layout) } as *mut Segment<N>;
-        if !ptr.is_null() {
-            // SAFETY: freshly allocated, exclusively owned until published.
-            unsafe { (*ptr).id.store(id, Ordering::Relaxed) };
+        if ptr.is_null() {
+            handle_alloc_error(layout);
         }
+        // SAFETY: freshly allocated, exclusively owned until published.
+        unsafe { (*ptr).id.store(id, Ordering::Relaxed) };
         ptr
     }
 
@@ -87,23 +75,6 @@ impl<const N: usize> Segment<N> {
         }
     }
 
-    /// Resets a retired segment to the state a fresh `alloc_zeroed` would
-    /// produce — every cell back to `(⊥, ⊥e, ⊥d)`, `next` null — so it
-    /// satisfies [`Segment::restamp`]'s never-published contract and can be
-    /// recycled through the bounded-mode pool.
-    ///
-    /// # Safety
-    /// `ptr` must be exclusively owned and unreachable by any other thread
-    /// (retired by the reclamation protocol, or never published).
-    pub unsafe fn scrub(ptr: *mut Segment<N>) {
-        // SAFETY: exclusive ownership per the contract; Cell is repr(C)
-        // atomics whose all-zero pattern is the valid initial state.
-        unsafe {
-            core::ptr::write_bytes(&raw mut (*ptr).cells, 0, 1);
-            (*ptr).next.store(core::ptr::null_mut(), Ordering::Relaxed);
-        }
-    }
-
     /// Frees the half-open chain `[from, to)` following `next` pointers
     /// (paper's `free_list`, line 238). Returns how many segments were
     /// freed.
@@ -128,20 +99,16 @@ impl<const N: usize> Segment<N> {
 }
 
 /// Where `find_cell` gets segments for list extensions: the owner-local
-/// spare slot, then the queue's [`SegmentPool`] (which is the allocator
-/// itself in unbounded mode, and the recycling pool + ceiling gate in
-/// bounded mode). Built per call by `RawQueue::src`.
+/// spare slot, then the allocator. Built per call by `RawQueue::src`.
 pub(crate) struct SegSource<'a, const N: usize> {
     /// Owner-local slot holding one pre-allocated, never-published segment:
-    /// extensions draw from it before the pool, and the loser of a
+    /// extensions draw from it before the allocator, and the loser of a
     /// publication race parks its segment here instead of freeing it (the
     /// authors' C `th->spare` optimization).
     pub spare: &'a AtomicPtr<Segment<N>>,
     /// Bumped once per segment allocated *and published* through this
     /// source (the owner's `segs_alloc` counter).
     pub alloc_count: &'a AtomicU64,
-    /// The queue's segment pool / allocation gate.
-    pub pool: &'a SegmentPool<N>,
 }
 
 /// Locates cell `cell_id`, starting the traversal at the segment `*sp`
@@ -149,7 +116,7 @@ pub(crate) struct SegSource<'a, const N: usize> {
 ///
 /// On return `sp` has been advanced to the segment containing the cell (the
 /// documented side effect of line 51). Extension segments come from `src`
-/// (spare slot first, then the pool — see [`SegSource`]).
+/// (spare slot first, then the allocator — see [`SegSource`]).
 ///
 /// # Safety
 /// `*sp` must point to a live segment with `id <= cell_id / N` that is
@@ -212,14 +179,12 @@ unsafe fn walk_to<const N: usize>(
         // protected by the same hazard that protects `s`.
         let mut next = unsafe { (*s).next.load(Ordering::Acquire) };
         if next.is_null() {
-            // The list needs another segment: take the spare or draw
-            // from the pool (= the allocator in unbounded mode; in
-            // bounded mode this may wait for a recycled segment, see
-            // crate::pool).
+            // The list needs another segment: take the spare or
+            // allocate one.
             let tmp = {
                 let cached = src.spare.load(Ordering::Relaxed);
                 if cached.is_null() {
-                    src.pool.acquire(id + 1)
+                    Segment::alloc(id + 1)
                 } else {
                     src.spare.store(core::ptr::null_mut(), Ordering::Relaxed);
                     // SAFETY: the spare is owner-local and never
@@ -291,11 +256,10 @@ mod tests {
         }
     }
 
-    /// Owned backing for a [`SegSource`] (unbounded pool, fresh counters).
+    /// Owned backing for a [`SegSource`] (empty spare, fresh counter).
     struct TestSource {
         spare: AtomicPtr<Seg>,
         alloc: AtomicU64,
-        pool: SegmentPool<64>,
     }
 
     impl TestSource {
@@ -303,7 +267,6 @@ mod tests {
             Self {
                 spare: AtomicPtr::new(core::ptr::null_mut()),
                 alloc: AtomicU64::new(0),
-                pool: SegmentPool::new(None),
             }
         }
 
@@ -311,7 +274,6 @@ mod tests {
             SegSource {
                 spare: &self.spare,
                 alloc_count: &self.alloc,
-                pool: &self.pool,
             }
         }
     }
@@ -363,48 +325,20 @@ mod tests {
     }
 
     #[test]
-    fn find_cell_draws_from_a_bounded_pool() {
-        // With a ceiling and a recycled segment parked in the pool, an
-        // extension must reuse it rather than allocate.
-        let s = Seg::alloc(0);
-        let sp = AtomicPtr::new(s);
-        let spare = AtomicPtr::new(core::ptr::null_mut());
-        let alloc = AtomicU64::new(0);
-        let pool = SegmentPool::<64>::new(Some(4));
-        let recycled = pool.acquire(99);
-        unsafe { pool.push(recycled) };
-        let src = SegSource {
-            spare: &spare,
-            alloc_count: &alloc,
-            pool: &pool,
-        };
-        unsafe {
-            find_cell(&sp, 64, &src);
-            let s1 = sp.load(Ordering::Relaxed);
-            assert_eq!(s1, recycled, "extension must pop the pooled segment");
-            assert_eq!((*s1).id(), 1, "restamped to the chain position");
-            free_chain(s);
-        }
-    }
-
-    #[test]
     fn concurrent_extension_publishes_exactly_one_chain() {
         use std::sync::atomic::AtomicU64;
         let s = Seg::alloc(0);
         // One counter per thread: `HandleStats::bump` is a single-writer
         // increment, so a shared counter would lose concurrent bumps.
         let allocs: [AtomicU64; 8] = Default::default();
-        let pool = SegmentPool::<64>::new(None);
         std::thread::scope(|scope| {
             for alloc in &allocs {
                 let sp = AtomicPtr::new(s);
-                let pool = &pool;
                 scope.spawn(move || unsafe {
                     let spare = AtomicPtr::new(core::ptr::null_mut());
                     let src = SegSource {
                         spare: &spare,
                         alloc_count: alloc,
-                        pool,
                     };
                     for i in 0..32 {
                         find_cell(&sp, i * 64, &src);
@@ -456,44 +390,6 @@ mod tests {
         unsafe {
             assert_eq!(Seg::free_list(s, s), 0);
             free_chain(s);
-        }
-    }
-
-    #[test]
-    fn try_alloc_initializes_like_alloc() {
-        let s = Seg::try_alloc(11);
-        assert!(!s.is_null(), "small allocation must succeed");
-        unsafe {
-            assert_eq!((*s).id(), 11);
-            assert!((*s).next.load(Ordering::Relaxed).is_null());
-            Seg::dealloc(s);
-        }
-    }
-
-    #[test]
-    fn scrub_resets_a_dirty_segment_for_restamp() {
-        let s = Seg::alloc(3);
-        let tail = Seg::alloc(4);
-        unsafe {
-            // Dirty it the way real traffic would: values, seals, a link.
-            (*s).cells[7].val.store(9, Ordering::Relaxed);
-            (*s).cells[0].try_seal_enq();
-            (*s).cells[1].try_claim_deq_fast();
-            (*s).cells[2].try_reserve_enq(crate::cell::req_name(9));
-            (*s).cells[3].try_claim_deq_slow(crate::cell::req_name(70));
-            (*s).next.store(tail, Ordering::Relaxed);
-            Seg::scrub(s);
-            assert!((*s).next.load(Ordering::Relaxed).is_null());
-            for c in &(*s).cells {
-                assert_eq!(c.load_val(), crate::cell::VAL_BOTTOM);
-                assert_eq!(c.load_enq(), crate::cell::ENQ_BOTTOM);
-                assert_eq!(c.load_deq(), crate::cell::DEQ_BOTTOM);
-            }
-            // Now indistinguishable from fresh: restamp must be legal.
-            Seg::restamp(s, 10);
-            assert_eq!((*s).id(), 10);
-            Seg::dealloc(s);
-            Seg::dealloc(tail);
         }
     }
 

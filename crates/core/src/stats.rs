@@ -34,10 +34,6 @@ pub(crate) struct HandleStats {
     pub reclaim_conceded: AtomicU64,
     pub reclaim_backward_clamp: AtomicU64,
     pub reclaim_noop: AtomicU64,
-    // Bounded-memory mode (segment ceiling; see crate::pool).
-    pub enq_rejected: AtomicU64,
-    pub forced_cleanups: AtomicU64,
-    pub segs_recycled: AtomicU64,
 }
 
 impl HandleStats {
@@ -118,16 +114,10 @@ pub struct QueueStats {
     /// Elected cleanups that found nothing reclaimable after scanning and
     /// restored `I` unchanged (the paper's erratum path, line 236).
     pub reclaim_noop: u64,
-    /// `try_enqueue` calls rejected with `Full` (bounded mode only): the
-    /// segment ceiling was reached and a forced reclamation pass could not
-    /// recover headroom. The backpressure signal of DESIGN.md §9.
+    /// `try_enqueue` calls a fixed-capacity backend (the SCQ ring)
+    /// rejected with [`Full`](crate::Full). Always 0 for the wait-free
+    /// queue, whose enqueue always succeeds.
     pub enq_rejected: u64,
-    /// Reclamation passes forced by enqueuers out of ceiling headroom
-    /// (bounded mode's escalation; plain-path cleanups are in `cleanups`).
-    pub forced_cleanups: u64,
-    /// Retired segments recycled through the bounded-mode pool instead of
-    /// freed (a subset of `segs_freed`).
-    pub segs_recycled: u64,
 }
 
 impl QueueStats {
@@ -151,9 +141,6 @@ impl QueueStats {
         self.reclaim_conceded += h.reclaim_conceded.load(Ordering::Relaxed);
         self.reclaim_backward_clamp += h.reclaim_backward_clamp.load(Ordering::Relaxed);
         self.reclaim_noop += h.reclaim_noop.load(Ordering::Relaxed);
-        self.enq_rejected += h.enq_rejected.load(Ordering::Relaxed);
-        self.forced_cleanups += h.forced_cleanups.load(Ordering::Relaxed);
-        self.segs_recycled += h.segs_recycled.load(Ordering::Relaxed);
     }
 
     /// Visits every counter as a `(field_name, value)` pair, in declaration
@@ -182,8 +169,6 @@ impl QueueStats {
         f("reclaim_backward_clamp", self.reclaim_backward_clamp);
         f("reclaim_noop", self.reclaim_noop);
         f("enq_rejected", self.enq_rejected);
-        f("forced_cleanups", self.forced_cleanups);
-        f("segs_recycled", self.segs_recycled);
     }
 
     /// Total completed enqueues.
@@ -279,14 +264,10 @@ impl fmt::Display for QueueStats {
             "{:<10} alloc {} freed {} (live {})",
             "segments", self.segs_alloc, self.segs_freed, self.live_segments()
         )?;
-        // Bounded-mode line only when the mode left a trace, so unbounded
-        // runs keep the exact Table-2 layout.
-        if self.enq_rejected + self.forced_cleanups + self.segs_recycled > 0 {
-            write!(
-                f,
-                "\n{:<10} rejected {} forced-cleanups {} recycled {}",
-                "bounded", self.enq_rejected, self.forced_cleanups, self.segs_recycled
-            )?;
+        // A rejection line only for a backend that rejected, so the
+        // wait-free queue keeps the exact Table-2 layout.
+        if self.enq_rejected > 0 {
+            write!(f, "\n{:<10} {}", "rejected", self.enq_rejected)?;
         }
         Ok(())
     }
@@ -323,15 +304,6 @@ pub struct Gauges {
     pub pending_enq_reqs: u64,
     /// Dequeue helping records currently pending.
     pub pending_deq_reqs: u64,
-    /// Segments parked in the bounded-mode recycling pool (0 when
-    /// unbounded).
-    pub pooled_segments: u64,
-    /// The configured segment ceiling, if bounded-memory mode is on.
-    pub segment_ceiling: Option<u64>,
-    /// Ceiling minus segments currently owned (chain + pool + spares);
-    /// `Some(0)` means the next extension must recycle or overshoot.
-    /// `None` when unbounded.
-    pub ceiling_headroom: Option<u64>,
 }
 
 impl Gauges {
@@ -427,23 +399,18 @@ mod tests {
     }
 
     #[test]
-    fn display_adds_a_bounded_line_only_when_traced() {
+    fn display_adds_a_rejected_line_only_when_rejecting() {
         let mut s = QueueStats {
             enq_fast: 10,
             ..Default::default()
         };
         assert!(
-            !s.to_string().contains("bounded"),
-            "unbounded runs keep the exact Table-2 layout"
+            !s.to_string().contains("rejected"),
+            "the wait-free queue keeps the exact Table-2 layout"
         );
         s.enq_rejected = 3;
-        s.forced_cleanups = 1;
-        s.segs_recycled = 2;
         let out = s.to_string();
-        assert!(
-            out.contains("bounded    rejected 3 forced-cleanups 1 recycled 2"),
-            "{out}"
-        );
+        assert!(out.ends_with("\nrejected   3"), "{out}");
     }
 
     #[test]
@@ -472,8 +439,6 @@ mod tests {
             reclaim_backward_clamp: 118,
             reclaim_noop: 119,
             enq_rejected: 120,
-            forced_cleanups: 121,
-            segs_recycled: 122,
         };
         let mut names = std::collections::BTreeSet::new();
         let mut values = Vec::new();
@@ -481,9 +446,9 @@ mod tests {
             assert!(names.insert(name), "counter {name} visited twice");
             values.push(v);
         });
-        assert_eq!(names.len(), 22);
+        assert_eq!(names.len(), 20);
         values.sort_unstable();
-        assert_eq!(values, (101..=122).collect::<Vec<u64>>());
+        assert_eq!(values, (101..=120).collect::<Vec<u64>>());
     }
 
     #[test]

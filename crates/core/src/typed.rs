@@ -33,7 +33,6 @@ use core::mem::MaybeUninit;
 use std::sync::Arc;
 
 use crate::config::Config;
-use crate::full::Full;
 use crate::raw::{sealed, QueueRef, RawHandle, RawQueue};
 use crate::stats::{Gauges, QueueStats};
 use crate::DEFAULT_SEGMENT_SIZE;
@@ -140,8 +139,7 @@ impl<T: Send, const N: usize> WfQueue<T, N> {
         self.raw.stats()
     }
 
-    /// Instantaneous gauge snapshot (see [`RawQueue::gauges`]); includes
-    /// the bounded-mode pool occupancy and ceiling headroom.
+    /// Instantaneous gauge snapshot (see [`RawQueue::gauges`]).
     pub fn gauges(&self) -> Gauges {
         self.raw.gauges()
     }
@@ -231,19 +229,6 @@ impl<T, Q: QueueRef<N>, const N: usize> TypedHandle<T, Q, N> {
     pub fn enqueue(&mut self, value: T) {
         let bits = self.encode(value);
         self.raw.enqueue(bits);
-    }
-
-    /// Enqueues `value`, failing fast with [`Full`] — which returns the
-    /// value to the caller — when the queue's segment ceiling is reached
-    /// and no headroom can be recovered (see
-    /// [`Config::with_segment_ceiling`]). Never fails on an unbounded
-    /// queue.
-    pub fn try_enqueue(&mut self, value: T) -> Result<(), Full<T>> {
-        let bits = self.encode(value);
-        self.raw.try_enqueue(bits).map_err(|Full(())| {
-            // SAFETY: the rejected value never entered the queue.
-            Full(unsafe { self.decode(bits) })
-        })
     }
 
     /// Dequeues the value at the head, or `None` if the queue was observed
@@ -404,8 +389,7 @@ mod tests {
             h.enqueue(d());
             assert!(h.spare.is_none(), "{kind}: the enqueue fills the spare");
             drop(h.dequeue());
-            h.try_enqueue(d())
-                .unwrap_or_else(|_| panic!("{kind}: unbounded"));
+            h.enqueue(d());
             drop(h.dequeue());
             assert!(h.spare.is_some(), "{kind}");
             assert_eq!(drops.load(Ordering::Relaxed), 3, "{kind}");
@@ -418,30 +402,6 @@ mod tests {
                 "{kind}: queue drop drains the rest"
             );
         });
-        // `Full` hands back the value from the spare and keeps the box.
-        let ceiling_1 = Config::default().with_segment_ceiling(1);
-        over_both_handles!(
-            WfQueue::<DropCounter, 4>::with_config(ceiling_1),
-            |kind, q, h| {
-                let drops = Arc::new(AtomicUsize::new(0));
-                let d = || DropCounter(Arc::clone(&drops));
-                h.enqueue(d()); // the plain enqueue ignores the ceiling
-                drop(h.dequeue());
-                assert!(h.spare.is_some(), "{kind}");
-                let Err(Full(back)) = h.try_enqueue(d()) else {
-                    panic!("{kind}: expected Full");
-                };
-                assert!(
-                    h.spare.is_some(),
-                    "{kind}: a rejected value returns its box"
-                );
-                drop(back);
-                assert_eq!(drops.load(Ordering::Relaxed), 2, "{kind}");
-                assert!(q.is_empty(), "{kind}");
-                drop(h);
-                assert_eq!(drops.load(Ordering::Relaxed), 2, "{kind}");
-            }
-        );
     }
 
     /// Round-trips `vals` through a reused box: zero-sized and

@@ -22,9 +22,8 @@
 //! - **Fast** — else `enq_fast` or `deq_fast` moved: the one-FAA path (for
 //!   dequeues this includes EMPTY results and the emptiness guard's
 //!   `H > T` fast-out).
-//! - Nothing moved — the operation is **unsampled**: a `try_enqueue`
-//!   rejected at the admission gate, and every operation of a backend
-//!   that counts nothing per handle.
+//! - Nothing moved — the operation is **unsampled**: every operation of
+//!   a backend that counts nothing per handle.
 //!
 //! **Soundness invariant**: every sampled op lands in exactly one class,
 //! so `fast + slow + helped == sampled` always — asserted by the 16-thread
@@ -204,13 +203,7 @@ mod tests {
             Some(OpClass::Helped)
         );
         // A rejected `try_enqueue` moves no path counter.
-        assert_eq!(
-            moved(|s| {
-                s.enq_rejected += 1;
-                s.forced_cleanups += 1
-            }),
-            None
-        );
+        assert_eq!(moved(|s| s.enq_rejected += 1), None);
         assert_eq!(moved(|_| ()), None);
     }
 

@@ -34,11 +34,7 @@ pub struct Breakdown {
 /// Runs the 50%-enqueues workload on a fresh wait-free queue with the
 /// given patience and returns the path breakdown.
 pub fn run_breakdown(patience: u32, cfg: &BenchConfig) -> Breakdown {
-    let mut config = Config::default().with_patience(patience);
-    if let Some(c) = cfg.segment_ceiling {
-        config = config.with_segment_ceiling(c);
-    }
-    let q = RawQueue::<1024>::with_config(config);
+    let q = RawQueue::<1024>::with_config(Config::default().with_patience(patience));
     drive(&q, cfg)
 }
 
@@ -48,7 +44,7 @@ pub fn run_breakdown(patience: u32, cfg: &BenchConfig) -> Breakdown {
 /// [`run_breakdown`]; backends with their own knobs run at their defaults
 /// here.
 pub fn run_breakdown_on<Q: BenchQueue>(cfg: &BenchConfig) -> Breakdown {
-    let q = Q::with_ceiling(cfg.segment_ceiling);
+    let q = Q::new();
     drive(&q, cfg)
 }
 

@@ -32,7 +32,7 @@ pub fn measure_invocation<Q: BenchQueue>(
     delay: &SpinDelay,
     invocation: u64,
 ) -> (f64, f64) {
-    let q = Q::with_ceiling(cfg.segment_ceiling);
+    let q = Q::new();
     let mut iters: Vec<f64> = Vec::with_capacity(cfg.max_iterations);
     for i in 0..cfg.max_iterations {
         let round = invocation * 1_000 + i as u64;
@@ -112,7 +112,8 @@ pub struct OpenLoopMeasurement {
     /// Whether a majority of invocations ended saturated (generator lag
     /// above 10% of the intended span).
     pub saturated: bool,
-    /// Total rejected enqueues across invocations (overload mode).
+    /// Total rejected enqueues across invocations (overload mode on a
+    /// fixed-capacity backend).
     pub drops: u64,
     /// Worst generator lag seen in any invocation, ns.
     pub max_lag_ns: u64,
@@ -140,7 +141,7 @@ pub fn measure_open_loop<Q: BenchQueue>(cfg: &OpenLoopConfig) -> OpenLoopMeasure
     let (mut drops, mut max_lag) = (0u64, 0u64);
     let mut backlogs = 0i64;
     for inv in 0..n {
-        let q = Q::with_ceiling(cfg.segment_ceiling);
+        let q = Q::new();
         let it = run_open_loop_iteration(&q, cfg, &delay, inv as u64);
         q50.push(it.latency.quantile(0.50) as f64);
         q90.push(it.latency.quantile(0.90) as f64);

@@ -48,9 +48,7 @@ fn counter_help(field: &str) -> &'static str {
         "reclaim_conceded" => "Reclamation boundary concessions",
         "reclaim_backward_clamp" => "Backward-pass hazard clamps",
         "reclaim_noop" => "Reclamation passes that found nothing",
-        "enq_rejected" => "Enqueues rejected at the segment ceiling",
-        "forced_cleanups" => "Enqueuer-elected (forced) reclamation passes",
-        "segs_recycled" => "Segments recycled into the bounded-mode pool",
+        "enq_rejected" => "Enqueues a fixed-capacity ring rejected as full",
         _ => "Queue protocol counter",
     }
 }
@@ -99,18 +97,6 @@ pub fn render_prometheus(stats: &QueueStats, gauges: Option<&Gauges>) -> String 
         );
         gauge(&mut out, "wfq_pending_enq_reqs", "Enqueue helping records pending", g.pending_enq_reqs as f64);
         gauge(&mut out, "wfq_pending_deq_reqs", "Dequeue helping records pending", g.pending_deq_reqs as f64);
-        gauge(&mut out, "wfq_pooled_segments", "Scrubbed segments parked in the bounded-mode pool", g.pooled_segments as f64);
-        if let Some(c) = g.segment_ceiling {
-            gauge(&mut out, "wfq_segment_ceiling", "Configured segment ceiling (absent: unbounded)", c as f64);
-        }
-        if let Some(hr) = g.ceiling_headroom {
-            gauge(
-                &mut out,
-                "wfq_ceiling_headroom",
-                "Fresh segments still allocatable below the ceiling",
-                hr as f64,
-            );
-        }
     }
     out
 }
@@ -222,24 +208,13 @@ mod tests {
     }
 
     #[test]
-    fn bounded_gauges_render_only_for_bounded_queues() {
-        let unbounded = Gauges::default();
-        let out = render_prometheus(&QueueStats::default(), Some(&unbounded));
-        assert!(out.contains("wfq_pooled_segments 0\n"));
-        assert!(!out.contains("wfq_segment_ceiling"), "unbounded: no ceiling");
-        assert!(!out.contains("wfq_ceiling_headroom"));
-        assert!(out.contains("wfq_enq_rejected_total 0\n"));
-
-        let bounded = Gauges {
-            pooled_segments: 3,
-            segment_ceiling: Some(64),
-            ceiling_headroom: Some(12),
+    fn ring_rejections_render_as_a_counter() {
+        let s = QueueStats {
+            enq_rejected: 3,
             ..Default::default()
         };
-        let out = render_prometheus(&QueueStats::default(), Some(&bounded));
-        assert!(out.contains("wfq_pooled_segments 3\n"));
-        assert!(out.contains("wfq_segment_ceiling 64\n"));
-        assert!(out.contains("wfq_ceiling_headroom 12\n"));
+        let out = render_prometheus(&s, Some(&Gauges::default()));
+        assert!(out.contains("wfq_enq_rejected_total 3\n"), "{out}");
     }
 
     #[test]
@@ -273,8 +248,6 @@ mod tests {
             "reclaim_backward_clamp" => s.reclaim_backward_clamp = v,
             "reclaim_noop" => s.reclaim_noop = v,
             "enq_rejected" => s.enq_rejected = v,
-            "forced_cleanups" => s.forced_cleanups = v,
-            "segs_recycled" => s.segs_recycled = v,
             other => panic!("for_each_counter emitted unknown field {other}"),
         };
         for (i, name) in fields.iter().enumerate() {

@@ -163,7 +163,7 @@ pub struct LatencyPoint {
     /// Fraction completed by a helper.
     pub share_helped: f64,
     /// Operations that moved a path counter of their handle (0 for backends
-    /// that count none; rejected `try_enqueue`s are not sampled).
+    /// that count none).
     pub sampled: u64,
 }
 

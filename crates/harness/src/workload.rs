@@ -73,9 +73,6 @@ pub struct BenchConfig {
     pub pin: bool,
     /// Base PRNG seed (per-thread streams are derived from it).
     pub seed: u64,
-    /// Bounded-memory mode: cap the queue at this many live segments
-    /// (honored only by queues with [`BenchQueue::HONORS_CEILING`]).
-    pub segment_ceiling: Option<u64>,
     /// Synthetic per-operation slowdown in nanoseconds, spun *inside* the
     /// measured window — unlike `delay_ns` it is **not** work-excluded, so
     /// it lands in the reported throughput. Exists so `wfq-regress` can be
@@ -97,7 +94,6 @@ impl Default for BenchConfig {
             invocations: 10,
             pin: true,
             seed: 0xC0FFEE,
-            segment_ceiling: None,
             handicap_ns: 0,
         }
     }
@@ -126,7 +122,10 @@ impl BenchConfig {
 }
 
 /// Runs one timed iteration of the workload against `q`; returns
-/// throughput in Mops/s with the injected work time excluded.
+/// throughput in Mops/s with the injected work time excluded. The time
+/// excluded is each spin's measured duration, not the delay it was asked
+/// for: a spin that overshoots (preempted) or undershoots (miscalibrated)
+/// its request then neither charges nor credits the queue.
 ///
 /// Values enqueued are `thread_tag | counter` and therefore unique, so the
 /// same workload drivers double as checker workloads.
@@ -159,14 +158,15 @@ pub fn run_iteration<Q: BenchQueue>(q: &Q, cfg: &BenchConfig, delay: &SpinDelay,
                     let mut delay_ns_total = 0u64;
                     let spin = |rng: &mut XorShift64, total: &mut u64| {
                         if handicap > 0 {
-                            // Deliberately not added to `total`: the
-                            // handicap must survive work exclusion.
+                            // Deliberately not timed: the handicap must
+                            // survive work exclusion.
                             delay.wait_ns(handicap);
                         }
                         if dhi > 0 {
                             let ns = rng.next_in(dlo, dhi);
-                            *total += ns;
+                            let t = Instant::now();
                             delay.wait_ns(ns);
+                            *total += t.elapsed().as_nanos() as u64;
                         }
                     };
 
@@ -196,16 +196,7 @@ pub fn run_iteration<Q: BenchQueue>(q: &Q, cfg: &BenchConfig, delay: &SpinDelay,
                         }
                     }
                     let elapsed = start.elapsed().as_nanos() as u64;
-                    // Work exclusion with a sanity floor: if the calibrated
-                    // spin undershot (preempted calibration), subtracting
-                    // the intended delay could erase nearly all of the
-                    // elapsed time and report absurd throughput. Queue
-                    // operations always cost a nontrivial share of the
-                    // delay-inclusive runtime, so floor at elapsed / 20.
-                    elapsed
-                        .saturating_sub(delay_ns_total)
-                        .max(elapsed / 20)
-                        .max(1)
+                    elapsed.saturating_sub(delay_ns_total).max(1)
                 })
             })
             .collect();
@@ -330,15 +321,13 @@ pub struct OpenLoopConfig {
     pub pin: bool,
     /// Base PRNG seed (per-thread streams derive from it).
     pub seed: u64,
-    /// Bounded-memory ceiling for backends that honor it.
-    pub segment_ceiling: Option<u64>,
     /// Synthetic per-op slowdown spun *inside* the measured latency (the
     /// regression-gate trip wire; mirrors [`BenchConfig::handicap_ns`]).
     pub handicap_ns: u64,
     /// Overload mode: a 2:1 enqueue-biased mix driven through
-    /// `try_enqueue`, so bounded backends report **drops** and unbounded
-    /// ones report **queue growth** (`backlog`) instead of the balanced
-    /// alternating mix.
+    /// `try_enqueue`, so a fixed-capacity backend (SCQ) reports **drops**
+    /// and unbounded ones report **queue growth** (`backlog`) instead of
+    /// the balanced alternating mix.
     pub overload: bool,
 }
 
@@ -352,7 +341,6 @@ impl Default for OpenLoopConfig {
             invocations: 5,
             pin: true,
             seed: 0xC0FFEE,
-            segment_ceiling: None,
             handicap_ns: 0,
             overload: false,
         }
@@ -377,7 +365,7 @@ pub struct OpenLoopIteration {
     pub end_lag_ns: u64,
     /// Intended makespan of the schedule (last arrival offset).
     pub intended_span_ns: u64,
-    /// Rejected `try_enqueue`s (overload mode on bounded backends).
+    /// Rejected `try_enqueue`s (overload mode on a fixed-capacity backend).
     pub drops: u64,
     /// Enqueues delivered minus dequeues delivered: end-of-run queue
     /// length, the open-system queue-growth signal.
@@ -587,17 +575,50 @@ mod tests {
     fn delay_exclusion_keeps_throughput_sane() {
         // With a large injected delay, excluded throughput should still be
         // within an order of magnitude of the no-delay run (not collapsed).
+        // Each side is the median of three iterations: a scheduler
+        // preemption that lands between two spins, outside every timed
+        // spin, is charged to the queue, and one such preemption (a few
+        // ms) outweighs the whole 3-ms run's queue time.
         let delay = SpinDelay::calibrate();
-        let q = <MutexQueue as BenchQueue>::new();
-        let no_delay = run_iteration(&q, &tiny(Workload::Pairs, 1), &delay, 2);
-        let q2 = <MutexQueue as BenchQueue>::new();
+        let median = |cfg: &BenchConfig| {
+            let mut runs: Vec<f64> = (0..3)
+                .map(|r| run_iteration(&<MutexQueue as BenchQueue>::new(), cfg, &delay, r))
+                .collect();
+            runs.sort_by(f64::total_cmp);
+            runs[1]
+        };
+        let no_delay = median(&tiny(Workload::Pairs, 1));
         let mut cfg = tiny(Workload::Pairs, 1);
         cfg.total_ops = 4_000;
         cfg.delay_ns = (500, 1000);
-        let with_delay = run_iteration(&q2, &cfg, &delay, 2);
+        let with_delay = median(&cfg);
         assert!(
             with_delay > no_delay / 20.0,
             "delay exclusion broken: {with_delay} vs {no_delay}"
+        );
+    }
+
+    #[test]
+    fn an_undershooting_spin_cannot_inflate_throughput() {
+        // A rate far below the spin loop's real speed turns every 500–1000
+        // ns request into a single iteration. Subtracting the requested
+        // delay would then erase the run; subtracting the measured spin
+        // leaves the queue's own time, so the result stays near the
+        // no-delay run's (the best of three, against preemption).
+        let undershoot = SpinDelay::with_rate_fp(1);
+        let no_delay = (0..3)
+            .map(|r| {
+                let q = <MutexQueue as BenchQueue>::new();
+                run_iteration(&q, &tiny(Workload::Pairs, 1), &undershoot, r)
+            })
+            .fold(0.0, f64::max);
+        let mut cfg = tiny(Workload::Pairs, 1);
+        cfg.delay_ns = (500, 1000);
+        let q = <MutexQueue as BenchQueue>::new();
+        let with_delay = run_iteration(&q, &cfg, &undershoot, 3);
+        assert!(
+            with_delay < 2.0 * no_delay,
+            "an undershooting spin inflated throughput: {with_delay} vs {no_delay}"
         );
     }
 

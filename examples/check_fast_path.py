@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Checks the machine code of the raw queue's fast path.
 
-Disassembles `probe_enqueue`, `probe_try_enqueue` and `probe_dequeue` in a
-release build of `fast_path_probe.rs` and asserts, for each of them:
+Disassembles `probe_enqueue` and `probe_dequeue` in a release build of
+`fast_path_probe.rs` and asserts, for each of them:
 
 - exactly one `lock xadd` (the FAA) and one `lock cmpxchg` (the deposit or
   the claim), and no other locked instruction: an `xchg` with a memory
   operand (a SeqCst store) is locked without the prefix and counts too;
 - every `call`, and every jump (`jmp` or conditional) that leaves the
-  function, goes to one of the out-of-line remainders, the admission
-  gate's ceiling path `try_enqueue_at_ceiling`, the dequeue's pending-peer
-  tail `dequeue_help_peer` or the reserved-value panic. A
+  function, goes to one of the out-of-line remainders, the dequeue's
+  pending-peer tail `dequeue_help_peer` or the reserved-value panic. A
   call through the GOT is resolved through its relocation;
 - no `push` or `pop` of a callee-saved register (`rbx`, `rbp`, `r12`–`r15`):
   the fronts keep nothing alive across a call, so they need no register
@@ -25,10 +24,9 @@ import re
 import subprocess
 import sys
 
-PROBES = ("probe_enqueue", "probe_try_enqueue", "probe_dequeue")
+PROBES = ("probe_enqueue", "probe_dequeue")
 ALLOWED = (
     "RawQueue<_>::enqueue_rest",
-    "RawQueue<_>::try_enqueue_at_ceiling",
     "RawQueue<_>::dequeue_rest",
     "RawQueue<_>::dequeue_help_peer",
     "wfqueue::raw::reserved_value",

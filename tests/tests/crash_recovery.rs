@@ -67,7 +67,7 @@ mod matrix {
     /// Every injection point the crash matrix arms: the three commit
     /// frontiers' unpersisted windows plus the surrounding enqueue,
     /// dequeue, and helping windows a power cut can land in. Reclamation
-    /// and pool points are omitted — they mutate only volatile bookkeeping
+    /// points are omitted — they mutate only volatile bookkeeping
     /// (`retire_below` is a monotone high-water mark, safe at any cut).
     const CRASH_POINTS: &[&str] = &[
         "enq::hazard_published",

@@ -63,7 +63,6 @@ fn fault_points_match_the_inject_sites() {
     let core = sites(&[
         include_str!("../../crates/core/src/raw.rs"),
         include_str!("../../crates/core/src/reclaim.rs"),
-        include_str!("../../crates/core/src/pool.rs"),
     ]);
     assert_eq!(core, listed(wfqueue::FAULT_POINTS), "wfqueue::FAULT_POINTS");
     let baselines = sites(&[
@@ -184,14 +183,8 @@ mod fuzz {
             2 => (Config::default().with_patience(1).with_max_garbage(2), 2, 2),
             // Producer-heavy WF-0: deep queues, segment turnover.
             3 => (Config::wf0().with_max_garbage(2), 3, 2),
-            // Bounded-memory mode: a ceiling tight enough that segment
-            // acquisition goes through the recycling pool (and, when the
-            // consumers lag, through the acquire stall/overshoot path).
-            _ => (
-                Config::wf0().with_max_garbage(1).with_segment_ceiling(3),
-                2,
-                2,
-            ),
+            // Balanced WF-0 with a pass at every segment retirement.
+            _ => (Config::wf0().with_max_garbage(1), 2, 2),
         }
     }
 
@@ -212,7 +205,6 @@ mod fuzz {
             let (cfg, p, c) = schedule_for(seed);
             run_schedule(seed, cfg, p, c);
         }
-        drive_bounded_points();
         drive_help_enq_point();
         stale_claim_tape(0);
         let cov = fault::coverage();
@@ -226,43 +218,6 @@ mod fuzz {
             "fuzz sweep never reached injection points {missed:?}; \
              coverage: {cov:#?}"
         );
-    }
-
-    /// Deterministic drivers for the bounded-memory injection points: the
-    /// fuzzed bounded schedules reach the pool in most runs, but the
-    /// coverage assert must not depend on a race going one way, so each
-    /// window is also driven single-threadedly.
-    ///
-    /// - `reclaim::forced` + `pool::push`/`pool::pop`: pairs traffic
-    ///   through a tight ceiling with the dequeuer threshold disabled —
-    ///   every boundary crossing is funded by an enqueuer-elected pass
-    ///   recycling into (push) and out of (pop) the pool;
-    /// - `pool::stall`: plain `enqueue` with no consumer fills past the
-    ///   ceiling, spinning the acquire backoff until it saturates and
-    ///   overshoots.
-    fn drive_bounded_points() {
-        let q = RawQueue::<SEG>::with_config(
-            Config::default()
-                .with_max_garbage(1_000_000)
-                .with_segment_ceiling(2),
-        );
-        let mut h = q.register();
-        for v in 1..=SEG as u64 * 8 {
-            h.try_enqueue(v).expect("pairs traffic must recycle, not reject");
-            assert_eq!(h.dequeue(), Some(v));
-        }
-        assert!(fault::coverage_count("reclaim::forced") > 0);
-        assert!(fault::coverage_count("pool::push") > 0);
-        assert!(fault::coverage_count("pool::pop") > 0);
-
-        let q = RawQueue::<SEG>::with_config(
-            Config::default().with_segment_ceiling(2),
-        );
-        let mut h = q.register();
-        for v in 1..=SEG as u64 * 3 {
-            h.enqueue(v); // plain enqueue: stalls, then overshoots
-        }
-        assert!(fault::coverage_count("pool::stall") > 0);
     }
 
     /// Deterministic driver for `help_enq::pre_complete` — a dequeuer

@@ -1,7 +1,7 @@
 //! Acceptance tests for the open-loop latency observatory: attribution
 //! soundness (every sampled operation is exactly one of fast / slow /
 //! helped) on the wait-free backends, and no attribution where no path
-//! counter moves (a rejected `try_enqueue`, a baseline's operations).
+//! counter moves (a baseline's operations).
 
 use wfq_baselines::{BenchQueue, MutexQueue, Wf0};
 use wfq_harness::{measure_open_loop, ArrivalSchedule, OpClass, OpenLoopConfig};
@@ -81,30 +81,6 @@ fn attribution_sums_are_sound_on_the_slow_path_heavy_backend() {
         m.attribution.render()
     );
     assert_eq!(m.attribution.sampled(), m.merged.count());
-}
-
-/// A `try_enqueue` rejected at the admission gate completes no path, so
-/// it is not sampled: it must not inherit the class of the operation
-/// before it.
-#[test]
-fn rejected_enqueues_are_not_sampled() {
-    let cfg = OpenLoopConfig {
-        overload: true,
-        segment_ceiling: Some(2),
-        ..observatory_cfg(1, 30_000)
-    };
-    let m = measure_open_loop::<RawQueue>(&cfg);
-    assert!(m.drops > 0, "a 2:1 enqueue mix must reach the ceiling");
-    assert_eq!(
-        m.attribution.sampled() + m.drops,
-        m.merged.count(),
-        "every completed op is sampled, every rejection is not"
-    );
-    assert!(
-        m.attribution.counts_are_sound(),
-        "{}",
-        m.attribution.render()
-    );
 }
 
 /// A backend whose handles count nothing leaves every operation

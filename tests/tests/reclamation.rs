@@ -243,3 +243,136 @@ fn suspended_thread_pins_memory_but_not_progress() {
         }
     });
 }
+
+// ---------------------------------------------------------------------
+// The emptiness guard keeps the head frontier next to the tail: a
+// probe's FAA burns a cell, and without the H > T fast-out a consumer
+// spinning on an empty queue would push H, the chain and RSS ahead of T
+// without bound. Each handle holds at most one probed cell past T, so
+// H ≤ T + live handles, and the chain stays within the reclamation
+// threshold of `MAX_GARBAGE = 2n` dead segments plus the segments the
+// head's lead spans.
+// ---------------------------------------------------------------------
+
+const SEG: usize = 16;
+
+/// Live segments a queue with `handles` live handles may hold: the
+/// `2n` dead segments the threshold lets accumulate (or `max_garbage`),
+/// the segment holding T, and the segments the head's lead of at most
+/// one cell per handle reaches past it.
+fn chain_bound(max_garbage: Option<u64>, handles: u64) -> u64 {
+    max_garbage.unwrap_or(2 * handles) + 1 + handles.div_ceil(SEG as u64)
+}
+
+/// The default configuration, with a fixed reclamation threshold if given.
+fn config(max_garbage: Option<u64>) -> Config {
+    max_garbage.map_or(Config::default(), |m| Config::default().with_max_garbage(m))
+}
+
+#[test]
+fn spinning_empty_probes_do_not_grow_the_chain() {
+    // Without the guard, 10_000 probes here would burn 10_000 cells (625
+    // segments).
+    let q: RawQueue<SEG> = RawQueue::new();
+    let mut h = q.register();
+    let mut peak = 0;
+    for _ in 0..10_000 {
+        assert_eq!(h.dequeue(), None);
+        let (head, tail) = q.indices();
+        assert!(head <= tail + 1, "H = {head}, T = {tail}");
+        peak = peak.max(q.gauges().live_segments);
+    }
+    // And the fast-out is not sticky: traffic flows normally afterwards.
+    for v in 1..=(SEG as u64 * 4) {
+        h.enqueue(v);
+        assert_eq!(h.dequeue(), Some(v));
+        peak = peak.max(q.gauges().live_segments);
+    }
+    assert!(
+        peak <= chain_bound(None, 1),
+        "peak {peak}: {:?}",
+        q.gauges()
+    );
+}
+
+/// One thread drives two handles: handle B's probes push H past T, a
+/// trickled value reaches handle A, and A's next probe lands past T
+/// unguarded (only a handle whose last dequeue returned EMPTY consults the
+/// H > T guard). Each handle still holds at most one probed cell past T,
+/// so H − T stays within the two handles, and no value is lost.
+fn fed_consumer_probes(max_garbage: Option<u64>) {
+    let q: RawQueue<SEG> = RawQueue::with_config(config(max_garbage));
+    let (mut a, mut b) = (q.register(), q.register());
+    let (mut next, mut expect, mut widest, mut peak) = (1u64, 1u64, 0u64, 0u64);
+    for probe in 0..10_000u64 {
+        if probe % 10 == 0 {
+            a.enqueue(next);
+            next += 1;
+        }
+        let h = if probe % 2 == 0 { &mut a } else { &mut b };
+        if let Some(v) = h.dequeue() {
+            assert_eq!(v, expect);
+            expect += 1;
+        }
+        let (head, tail) = q.indices();
+        assert!(head <= tail + 2, "probe {probe}: H = {head}, T = {tail}");
+        widest = widest.max(head.saturating_sub(tail));
+        peak = peak.max(q.gauges().live_segments);
+    }
+    assert_eq!(expect, next, "a value was lost");
+    assert_eq!(widest, 2, "no unguarded probe landed past T");
+    assert!(
+        peak <= chain_bound(max_garbage, 2),
+        "peak {peak}: {:?}",
+        q.gauges()
+    );
+}
+
+#[test]
+fn a_fed_consumer_probing_past_the_tail_burns_one_cell() {
+    fed_consumer_probes(None);
+    fed_consumer_probes(Some(1));
+}
+
+/// `handles` handles each receive a value and then probe once, unguarded:
+/// the head leads the tail by one cell per handle, which can span several
+/// segments. Wherever in its segment the tail starts (`offset` values pass
+/// through first), H stays within T + `handles`, every value arrives, and
+/// the chain stays within [`chain_bound`].
+fn fed_consumers_past_a_segment(max_garbage: Option<u64>, handles: usize) {
+    for offset in 0..SEG as u64 {
+        let q: RawQueue<SEG> = RawQueue::with_config(config(max_garbage));
+        let mut hs: Vec<_> = (0..handles).map(|_| q.register()).collect();
+        let mut next = 1u64;
+        for _ in 0..offset {
+            hs[0].enqueue(next);
+            assert_eq!(hs[0].dequeue(), Some(next));
+            next += 1;
+        }
+        for round in 0..20 {
+            for h in hs.iter_mut() {
+                h.enqueue(next);
+                assert_eq!(h.dequeue(), Some(next), "offset {offset}, round {round}");
+                next += 1;
+            }
+            for h in hs.iter_mut() {
+                assert_eq!(h.dequeue(), None);
+                let (head, tail) = q.indices();
+                assert!(head <= tail + handles as u64, "H = {head}, T = {tail}");
+            }
+            let g = q.gauges();
+            assert!(
+                g.live_segments <= chain_bound(max_garbage, handles as u64),
+                "offset {offset}, round {round}: {g:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn more_fed_consumers_than_a_segment_holds_stay_within_the_garbage_bound() {
+    fed_consumers_past_a_segment(Some(1), SEG + 4);
+    for handles in [SEG + 4, 36] {
+        fed_consumers_past_a_segment(None, handles);
+    }
+}

@@ -135,16 +135,12 @@ fn stress_kpqueue() {
 /// Handle-lifecycle churn under traffic: one thread registers and drops
 /// handles (doing a few operations through each) while steady producers
 /// and consumers run. Guards the `active_count` accounting that the
-/// reclamation threshold and the bounded-mode pool both depend on — a
-/// count that drifts under churn either disables reclamation (threshold
-/// inflates) or corrupts the node free list.
+/// reclamation threshold depends on — a count that drifts under churn
+/// either disables reclamation (threshold inflates) or corrupts the node
+/// free list.
 #[test]
 fn handle_churn_under_traffic_conserves_values_and_count() {
-    let q = wfqueue::RawQueue::<64>::with_config(
-        wfqueue::Config::default()
-            .with_max_garbage(2)
-            .with_segment_ceiling(512),
-    );
+    let q = wfqueue::RawQueue::<64>::with_config(wfqueue::Config::default().with_max_garbage(2));
     let per = 10_000u64;
     let producers = 2u64;
     let total = producers * per;
